@@ -5,11 +5,17 @@ export PYTHONPATH := src
 FUZZ_SEED ?= 7
 FUZZ_ITERATIONS ?= 25
 
-.PHONY: test analyze fuzz fuzz-soak bench bench-parallel serve-smoke \
-	stream-smoke pack-smoke sanitize-smoke lint-src
+.PHONY: test perf-test analyze fuzz fuzz-soak bench bench-parallel \
+	serve-smoke stream-smoke pack-smoke sanitize-smoke lint-src
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# The frozen benchmark harness's own tests (the CI perf-tests job): its
+# imports of the serve/stream entry points and its traced ≡ facade
+# counter check. Not part of tier-1 (testpaths = ["tests"]).
+perf-test:
+	$(PYTHON) -m pytest perf/tests -q
 
 # Static plan analysis + UDF linting over every built-in algorithm plus
 # fuzzer-generated plans, including the shard-safety (concurrency) pass;

@@ -89,15 +89,11 @@ def analyze_computation(computation, workers: int = 1,
                         stream: bool = False) -> AnalysisReport:
     """Build a fresh dataflow for ``computation`` and analyze it.
 
-    Mirrors the executor's build (an ``edges`` input, the computation's
-    ``build``, a root-scope capture) so the analyzed plan is exactly the
-    plan a run would execute.
+    Goes through :func:`repro.core.resident.build_plan`, so the analyzed
+    plan is exactly the plan a run would execute.
     """
-    from repro.differential.dataflow import Dataflow
+    from repro.core.resident import build_plan
 
-    dataflow = Dataflow(workers=workers)
-    edges = dataflow.new_input("edges")
-    result = computation.build(dataflow, edges)
-    dataflow.capture(result, "results")
+    dataflow, _capture = build_plan(computation, workers=workers)
     return analyze(dataflow, ignore=ignore, concurrency=concurrency,
                    stream=stream)

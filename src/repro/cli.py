@@ -36,8 +36,9 @@ Subcommands:
   backend) shadow-executes every epoch inline and fails at the first
   divergence.
 
-Computations: wcc, scc, bfs, bf (Bellman-Ford), pagerank, mpsp, kcore,
-triangles, degrees, maxdegree, plus the community & scoring pack:
+Computations: every name in :data:`repro.algorithms.registry.ALGORITHMS`
+— wcc, scc, bfs, sssp (alias bf), pagerank, mpsp, kcore, triangles,
+clustering, degrees, maxdegree, plus the community & scoring pack:
 labelprop, ppr, ktruss, score (see docs/algorithms.md). Options like
 ``--source``/``--iterations``/``--seeds`` configure them.
 """
@@ -50,22 +51,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.algorithms import (
-    BellmanFord,
-    Bfs,
-    CompositeScore,
-    KCore,
-    KTruss,
-    LabelPropagation,
-    MaxDegree,
-    Mpsp,
-    OutDegrees,
-    PageRank,
-    PersonalizedPageRank,
-    Scc,
-    Triangles,
-    Wcc,
-)
+from repro.algorithms import registry
 from repro.core.computation import GraphComputation
 from repro.core.executor import CollectionRunResult, ExecutionMode
 from repro.core.system import Graphsurge
@@ -74,50 +60,22 @@ from repro.timely.worker import canonical_order_key
 
 
 def build_computation(name: str, args: argparse.Namespace) -> GraphComputation:
-    """Instantiate a computation by CLI name."""
+    """Instantiate a computation by CLI name: flags → params → the table."""
+    flags = vars(args)
+    params = {flag: flags[flag] for flag in registry.PARAM_TYPES
+              if flags.get(flag) is not None}
     name = name.lower()
-    if name == "wcc":
-        return Wcc()
-    if name == "scc":
-        return Scc()
-    if name == "bfs":
-        return Bfs(source=args.source)
-    if name in ("bf", "sssp", "bellman-ford"):
-        return BellmanFord(source=args.source)
-    if name in ("pagerank", "pr"):
-        return PageRank(iterations=args.iterations)
-    if name == "mpsp":
-        if not args.pairs:
-            raise GraphsurgeError(
-                "mpsp needs --pairs, e.g. --pairs 1:5,1:9")
-        pairs = []
-        for chunk in args.pairs.split(","):
-            src_text, _, dst_text = chunk.partition(":")
-            pairs.append((int(src_text), int(dst_text)))
-        return Mpsp(pairs)
-    if name == "kcore":
-        return KCore(args.k)
-    if name == "ktruss":
-        return KTruss(args.k)
-    if name == "triangles":
-        return Triangles()
-    if name == "degrees":
-        return OutDegrees()
-    if name == "maxdegree":
-        return MaxDegree()
-    if name in ("labelprop", "lpa"):
-        return LabelPropagation(rounds=args.rounds)
-    if name == "ppr":
-        if not args.seeds:
-            raise GraphsurgeError("ppr needs --seeds, e.g. --seeds 1,5")
-        seeds = [int(part) for part in args.seeds.split(",") if part]
-        return PersonalizedPageRank(seeds, iterations=args.iterations)
-    if name == "score":
-        return CompositeScore(degree_weight=args.degree_weight,
-                              triangle_weight=args.triangle_weight,
-                              rank_weight=args.rank_weight,
-                              iterations=args.iterations)
-    raise GraphsurgeError(f"unknown computation {name!r}")
+    if name == "mpsp" and not params.get("pairs"):
+        raise GraphsurgeError("mpsp needs --pairs, e.g. --pairs 1:5,1:9")
+    if name == "ppr" and not params.get("seeds"):
+        raise GraphsurgeError("ppr needs --seeds, e.g. --seeds 1,5")
+    if "pairs" in params:
+        params["pairs"] = [chunk.split(":", 1)
+                           for chunk in params["pairs"].split(",")]
+    if "seeds" in params:
+        params["seeds"] = [part for part in params["seeds"].split(",")
+                           if part]
+    return registry.build_computation(name, params)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,9 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_computation_args(sub) -> None:
         sub.add_argument("computation",
-                         help="wcc|scc|bfs|bf|pagerank|mpsp|kcore|"
-                              "triangles|degrees|maxdegree|labelprop|"
-                              "ppr|ktruss|score")
+                         help="|".join(sorted(registry.ALGORITHMS)))
         sub.add_argument("target", help="graph, view, or collection name")
         sub.add_argument("--mode", default="adaptive",
                          choices=[m.value for m in ExecutionMode],

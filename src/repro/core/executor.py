@@ -10,6 +10,12 @@ one of three policies:
   is inherent to the engine), but nothing is shared between views.
 * ``ADAPTIVE`` — the splitting optimizer picks per batch of views.
 
+Each run drives one :class:`~repro.core.resident.ResidentDataflow` (the
+epoch driver, ``docs/engine.md``): a differential view is
+``advance_by(view diff)``, a scratch view ``reset()`` +
+``advance_by(full view)``. Building, feeding, failing and releasing the
+dataflow all live there; this module decides *what* to feed.
+
 Long collection runs are made fault tolerant by the resilience layer
 (:mod:`repro.core.resilience`): pass ``checkpoint_path=`` to journal every
 completed view, ``resume_from=`` to restart an interrupted run at view *k*
@@ -23,9 +29,10 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.core.computation import GraphComputation
+from repro.core.resident import ResidentDataflow
 from repro.core.resilience import (
     CheckpointWriter,
     FaultPlan,
@@ -41,9 +48,7 @@ from repro.core.view_collection import MaterializedCollection
 from repro.observe.profile import CollectionProfile, ViewProfile, \
     profile_view
 from repro.observe.tracer import TraceSink
-from repro.differential.dataflow import Dataflow
 from repro.differential.multiset import Diff
-from repro.differential.operators.io import CaptureOp
 from repro.errors import BudgetExceededError, CheckpointError, ComputationError
 from repro.graph.edge_stream import EdgeStream, edge_diff_to_input
 
@@ -198,7 +203,6 @@ class AnalyticsExecutor:
         #: the first divergent (operator, timestamp, shard) address. See
         #: :mod:`repro.verify.sanitize`.
         self.sanitize = sanitize
-        self._strict_cleared: set = set()
 
     # -- single views -----------------------------------------------------------
 
@@ -209,19 +213,16 @@ class AnalyticsExecutor:
                     budget: Optional[RunBudget] = None,
                     fault_plan: Optional[FaultPlan] = None) -> ViewRunResult:
         """Run a computation on one materialized view (paper §3.1.2)."""
-        dataflow, capture = self._fresh_dataflow(computation, budget,
-                                                 fault_plan)
+        started = time.perf_counter()
+        resident = self._resident(computation, fault_plan)
         try:
-            started = time.perf_counter()
-            before = dataflow.meter.snapshot()
             mark = self.tracer.mark() if self.tracer is not None else 0
-            diff = edges.as_input_diff(directed=computation.directed)
-            epoch = dataflow.step({"edges": diff})
-            after = dataflow.meter.snapshot()
-            spent = before.delta(after)
-            output = capture.value_at_epoch(epoch)
+            spent = resident.advance_by(
+                edges.as_input_diff(directed=computation.directed),
+                budget=budget, tracer=self.tracer).work
+            output = resident.output()
         finally:
-            dataflow.close()
+            resident.close()
         profile = None
         if self.tracer is not None:
             profile = profile_view(self.tracer, view_name, mark,
@@ -274,8 +275,7 @@ class AnalyticsExecutor:
         splitter = AdaptiveSplitter(batch_size=batch_size)
         results: List[ViewRunResult] = []
         split_points: List[int] = []
-        dataflow: Optional[Dataflow] = None
-        capture: Optional[CaptureOp] = None
+        resident = self._resident(computation, fault_plan)
         total_started = time.perf_counter()
 
         header = {
@@ -316,13 +316,7 @@ class AnalyticsExecutor:
                     split_points.append(record["index"])
             start_index = len(results)
             if 0 < start_index < collection.num_views:
-                # Rebuild dataflow state: the cumulative diff of all views
-                # up to the resume index, collapsed into one epoch, leaves
-                # the engine in the same accumulated state the interrupted
-                # run had after view ``start_index - 1``.
-                dataflow, capture = self._replay_dataflow(
-                    computation, collection, start_index - 1, budget,
-                    fault_plan)
+                self._replay(resident, collection, start_index - 1, budget)
 
         try:
             if checkpoint_path is not None:
@@ -336,12 +330,12 @@ class AnalyticsExecutor:
                 view_size = collection.view_sizes[index]
                 diff_size = collection.diff_sizes[index]
                 planned = self._choose(mode, splitter, index, view_size,
-                                       diff_size, dataflow)
-                result, dataflow, capture = self._run_view_with_retries(
-                    computation, collection, index, planned, dataflow,
-                    capture, keep_outputs=keep_outputs,
+                                       diff_size, resident)
+                result = self._run_view_with_retries(
+                    resident, collection, index, planned,
+                    keep_outputs=keep_outputs,
                     keep_output_diffs=keep_output_diffs, budget=budget,
-                    fault_plan=fault_plan, retry_policy=retry_policy)
+                    retry_policy=retry_policy)
                 executed = result.strategy
                 split = executed is SplitDecision.SCRATCH and index > 0
                 if split:
@@ -360,9 +354,11 @@ class AnalyticsExecutor:
                 if writer is not None:
                     writer.append_view(self._view_record(
                         index, result, split, observation))
+            # Gather counts before close: on the process backend they come
+            # from the still-running workers over the exchange channels.
+            trace_memory = (resident.record_counts() if resident.built
+                            else None)
         except BudgetExceededError as error:
-            if dataflow is not None:
-                dataflow.close()
             error.partial = CollectionRunResult(
                 computation=computation.name,
                 collection=collection.name,
@@ -376,16 +372,11 @@ class AnalyticsExecutor:
             )
             raise
         finally:
-            if writer is not None:
-                writer.close()
-        trace_memory = None
-        if dataflow is not None:
-            from repro.differential.debug import operator_record_counts
-
-            # Gather counts before close: on the process backend they come
-            # from the still-running workers over the exchange channels.
-            trace_memory = operator_record_counts(dataflow)
-            dataflow.close()
+            try:
+                if writer is not None:
+                    writer.close()
+            finally:
+                resident.close()
         profile = None
         if self.tracer is not None:
             profile = CollectionProfile(
@@ -407,20 +398,17 @@ class AnalyticsExecutor:
     # -- per-view execution with recovery ---------------------------------------
 
     def _run_view_with_retries(
-            self, computation: GraphComputation,
+            self, resident: ResidentDataflow,
             collection: MaterializedCollection, index: int,
-            planned: SplitDecision, dataflow: Optional[Dataflow],
-            capture: Optional[CaptureOp], *, keep_outputs: bool,
+            planned: SplitDecision, *, keep_outputs: bool,
             keep_output_diffs: bool, budget: Optional[RunBudget],
-            fault_plan: Optional[FaultPlan],
-            retry_policy: Optional[RetryPolicy]
-    ) -> Tuple[ViewRunResult, Dataflow, CaptureOp]:
+            retry_policy: Optional[RetryPolicy]) -> ViewRunResult:
         """Run one view; on failure retry, then degrade differential→scratch.
 
-        Every retry rebuilds a fresh dataflow (the failed one may hold
-        half-applied state): a differential retry replays the cumulative
-        diff up to the previous view first, a scratch attempt feeds the
-        full view. ``BudgetExceededError`` is never retried.
+        Every retry starts from a reset resident (the failed dataflow may
+        hold half-applied state): a differential retry replays the
+        cumulative diff up to the previous view first, a scratch attempt
+        feeds the full view. ``BudgetExceededError`` is never retried.
         """
         failures: List[str] = []
         attempts = 0
@@ -437,114 +425,80 @@ class AnalyticsExecutor:
                     retry_policy.pause(attempts)
                 attempts += 1
                 try:
-                    result, dataflow, capture = self._attempt_view(
-                        computation, collection, index, attempt_strategy,
-                        dataflow, capture, keep_outputs=keep_outputs,
-                        keep_output_diffs=keep_output_diffs, budget=budget,
-                        fault_plan=fault_plan)
+                    result = self._attempt_view(
+                        resident, collection, index, attempt_strategy,
+                        keep_outputs=keep_outputs,
+                        keep_output_diffs=keep_output_diffs, budget=budget)
                     result.attempts = attempts
                     result.failures = failures
                     result.degraded = attempt_strategy is not planned
-                    return result, dataflow, capture
+                    return result
                 except BudgetExceededError:
                     raise
                 except Exception as error:
                     failures.append(f"{type(error).__name__}: {error}")
                     last_error = error
-                    # The failed dataflow may be mid-epoch: poison it
-                    # (releasing its worker processes, if any).
-                    if dataflow is not None:
-                        dataflow.close()
-                    dataflow = capture = None
+                    # Whatever failed, the next attempt must not feed a
+                    # dataflow that may already hold part of this view.
+                    resident.reset()
                     if retry_policy is None:
                         raise
         assert last_error is not None
         raise last_error
 
-    def _attempt_view(self, computation: GraphComputation,
+    def _attempt_view(self, resident: ResidentDataflow,
                       collection: MaterializedCollection, index: int,
-                      strategy: SplitDecision, dataflow: Optional[Dataflow],
-                      capture: Optional[CaptureOp], *, keep_outputs: bool,
-                      keep_output_diffs: bool, budget: Optional[RunBudget],
-                      fault_plan: Optional[FaultPlan]
-                      ) -> Tuple[ViewRunResult, Dataflow, CaptureOp]:
+                      strategy: SplitDecision, *, keep_outputs: bool,
+                      keep_output_diffs: bool, budget: Optional[RunBudget]
+                      ) -> ViewRunResult:
         started = time.perf_counter()
-        incoming = dataflow
-        if strategy is SplitDecision.DIFFERENTIAL and dataflow is None:
-            # Rebuilt differential attempt (retry or resume continuation).
-            dataflow, capture = self._replay_dataflow(
-                computation, collection, index - 1, budget, fault_plan)
-        if strategy is SplitDecision.SCRATCH or dataflow is None:
-            if dataflow is not None:
-                # A scratch view replaces the running dataflow; release
-                # the old one's worker processes before rebuilding.
-                dataflow.close()
-            dataflow, capture = self._fresh_dataflow(computation, budget,
-                                                     fault_plan)
-            feed = edge_diff_to_input(
-                collection.full_view_edges(index),
-                directed=computation.directed)
+        directed = resident.computation.directed
+        if strategy is SplitDecision.SCRATCH:
+            # A scratch view replaces the running dataflow.
+            resident.reset()
+            feed = edge_diff_to_input(collection.full_view_edges(index),
+                                      directed=directed)
         else:
-            feed = collection.input_diff_for_view(
-                index, directed=computation.directed)
-        before = dataflow.meter.snapshot()
+            if not resident.built:
+                # Rebuilt differential attempt (retry or resume).
+                self._replay(resident, collection, index - 1, budget)
+            feed = collection.input_diff_for_view(index, directed=directed)
         mark = self.tracer.mark() if self.tracer is not None else 0
-        try:
-            epoch = dataflow.step({"edges": feed})
-        except BaseException:
-            # A dataflow built inside this attempt would otherwise leak its
-            # worker processes: the caller only knows about ``incoming``.
-            if dataflow is not incoming:
-                dataflow.close()
-            raise
-        after = dataflow.meter.snapshot()
-        spent = before.delta(after)
-        assert capture is not None
-        output_diff = capture.diff_at((epoch,))
+        step = resident.advance_by(feed, budget=budget, tracer=self.tracer)
         profile = None
         if self.tracer is not None:
             profile = profile_view(self.tracer,
                                    collection.view_names[index], mark,
                                    self.tracer.mark())
-        result = ViewRunResult(
+        return ViewRunResult(
             view_name=collection.view_names[index],
             strategy=strategy,
             wall_seconds=time.perf_counter() - started,
-            work=spent.total_work,
-            parallel_time=spent.parallel_time,
+            work=step.work.total_work,
+            parallel_time=step.work.parallel_time,
             view_size=collection.view_sizes[index],
             diff_size=collection.diff_sizes[index],
-            output_diff_size=len(output_diff),
-            output=(capture.value_at_epoch(epoch)
-                    if keep_outputs else None),
-            output_diff=(output_diff if keep_output_diffs else None),
+            output_diff_size=len(step.output_delta),
+            output=resident.output() if keep_outputs else None,
+            output_diff=step.output_delta if keep_output_diffs else None,
             profile=profile,
         )
-        return result, dataflow, capture
 
-    def _replay_dataflow(self, computation: GraphComputation,
-                         collection: MaterializedCollection,
-                         upto_index: int, budget: Optional[RunBudget],
-                         fault_plan: Optional[FaultPlan]
-                         ) -> Tuple[Dataflow, CaptureOp]:
-        """Fresh dataflow advanced to the accumulated state of a view.
+    def _replay(self, resident: ResidentDataflow,
+                collection: MaterializedCollection, upto_index: int,
+                budget: Optional[RunBudget]) -> None:
+        """Bring a reset resident to the accumulated state of a view.
 
         Feeds the cumulative edge difference of views ``0..upto_index``
-        collapsed into epoch 0. Differential semantics guarantee the
-        accumulated collections (and hence every later view's outputs)
-        match a run that fed the views one epoch at a time.
+        collapsed into one epoch, whose work is charged to the budget but
+        to no view. Differential semantics guarantee the accumulated
+        collections (and hence every later view's outputs) match a run
+        that fed the views one epoch at a time.
         """
-        dataflow, capture = self._fresh_dataflow(computation, budget,
-                                                 fault_plan)
-        replay = edge_diff_to_input(
-            collection.full_view_edges(upto_index),
-            directed=computation.directed)
-        try:
-            dataflow.step({"edges": replay})
-        except BaseException:
-            dataflow.close()
-            raise
-        return dataflow, capture
+        resident.advance_by(
+            edge_diff_to_input(collection.full_view_edges(upto_index),
+                               directed=resident.computation.directed),
+            budget=budget, tracer=self.tracer)
 
     # -- checkpoint record (de)serialization -------------------------------------
 
@@ -608,42 +562,20 @@ class AnalyticsExecutor:
 
     def _choose(self, mode: ExecutionMode, splitter: AdaptiveSplitter,
                 index: int, view_size: int, diff_size: int,
-                dataflow: Optional[Dataflow]) -> SplitDecision:
+                resident: ResidentDataflow) -> SplitDecision:
         if mode is ExecutionMode.DIFF_ONLY:
             # The very first view necessarily computes from nothing; calling
             # it differential keeps the single-dataflow semantics.
-            return (SplitDecision.SCRATCH if dataflow is None
-                    else SplitDecision.DIFFERENTIAL)
+            return (SplitDecision.DIFFERENTIAL if resident.built
+                    else SplitDecision.SCRATCH)
         if mode is ExecutionMode.SCRATCH:
             return SplitDecision.SCRATCH
         return splitter.decide(index, view_size, diff_size)
 
-    def _fresh_dataflow(self, computation: GraphComputation,
-                        budget: Optional[RunBudget] = None,
-                        fault_plan: Optional[FaultPlan] = None):
-        dataflow = Dataflow(workers=self.workers, budget=budget,
-                            fault_plan=fault_plan, tracer=self.tracer,
-                            backend=self.backend)
-        edges = dataflow.new_input("edges")
-        result = computation.build(dataflow, edges)
-        if result.scope is not dataflow.root:
-            raise ComputationError(
-                f"{computation.name}: build() must return a root-scope "
-                f"collection")
-        capture = dataflow.capture(result, "results")
-        if self.strict and id(computation) not in self._strict_cleared:
-            from repro.analyze import analyze
-            from repro.errors import AnalysisError
-
-            report = analyze(dataflow,
-                             concurrency=(self.backend == "process"))
-            if not report.ok:
-                raise AnalysisError(report)
-            # Retries and scratch views rebuild the same plan; one clean
-            # analysis per computation object is enough.
-            self._strict_cleared.add(id(computation))
-        if self.sanitize:
-            from repro.verify.sanitize import attach_shadow
-
-            attach_shadow(dataflow, computation)
-        return dataflow, capture
+    def _resident(self, computation: GraphComputation,
+                  fault_plan: Optional[FaultPlan]) -> ResidentDataflow:
+        """The one resident dataflow a run drives (``docs/engine.md``)."""
+        return ResidentDataflow(
+            computation, workers=self.workers, fault_plan=fault_plan,
+            backend=self.backend, strict=self.strict,
+            sanitize=self.sanitize)

@@ -38,6 +38,7 @@ from repro.errors import (
     ConfigError,
     InjectedFault,
 )
+from repro.timely.worker import canonical_order_key
 
 PathLike = Union[str, Path]
 
@@ -297,6 +298,20 @@ def decode_diff(encoded: Optional[list]) -> Optional[Dict[Any, int]]:
     if encoded is None:
         return None
     return {decode_value(rec): int(mult) for rec, mult in encoded}
+
+
+def render_output(output: Dict[Any, int]) -> List[List[Any]]:
+    """JSON-safe, deterministically ordered ``[record, multiplicity]``.
+
+    Ordered by the canonical record order, not ``repr``: records that
+    compare equal across numeric spellings (``3`` vs ``3.0``, which
+    ``stable_hash`` canonicalizes) must render in the same position no
+    matter which spelling a run's dict representative holds.
+    """
+    return [[encode_value(record), mult]
+            for record, mult in sorted(
+                output.items(),
+                key=lambda item: canonical_order_key(item[0]))]
 
 
 # -- the checkpoint journal --------------------------------------------------

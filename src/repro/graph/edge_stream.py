@@ -7,6 +7,7 @@ module provides the conversions in both directions.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.differential.multiset import Diff
@@ -45,14 +46,7 @@ class EdgeStream:
         With ``directed=False`` each edge contributes both directions, which
         is what the symmetric computations (WCC) consume.
         """
-        diff: Diff = {}
-        for _eid, src, dst, w in self.edges:
-            rec = (src, (dst, w))
-            diff[rec] = diff.get(rec, 0) + 1
-            if not directed:
-                rev = (dst, (src, w))
-                diff[rev] = diff.get(rev, 0) + 1
-        return diff
+        return edges_to_input(zip(self.edges, repeat(1)), directed)
 
     def vertices(self) -> set:
         out = set()
@@ -62,14 +56,24 @@ class EdgeStream:
         return out
 
 
-def edge_diff_to_input(edge_diff: Dict[EdgeTuple, int],
-                       directed: bool = True) -> Diff:
-    """Convert an edge-tuple difference set to dataflow input records."""
+def edges_to_input(weighted: Iterable[Tuple[EdgeTuple, int]],
+                   directed: bool = True) -> Diff:
+    """Dataflow input records for ``(edge tuple, multiplicity)`` pairs.
+
+    The one edge→input conversion: ``directed=False`` mirrors every edge,
+    and records whose multiplicities cancel are dropped.
+    """
     diff: Diff = {}
-    for (_eid, src, dst, w), mult in edge_diff.items():
+    for (_eid, src, dst, w), mult in weighted:
         rec = (src, (dst, w))
         diff[rec] = diff.get(rec, 0) + mult
         if not directed:
             rev = (dst, (src, w))
             diff[rev] = diff.get(rev, 0) + mult
     return {rec: mult for rec, mult in diff.items() if mult != 0}
+
+
+def edge_diff_to_input(edge_diff: Dict[EdgeTuple, int],
+                       directed: bool = True) -> Diff:
+    """Convert an edge-tuple difference set to dataflow input records."""
+    return edges_to_input(edge_diff.items(), directed)

@@ -10,10 +10,11 @@ drive the meter, so the sink's per-frame worker totals are — by
 construction — the very dicts whose maxima the meter sums into
 ``parallel_time``.
 
-The sink is attached to a dataflow (``Dataflow(tracer=...)``); when it is
-``None`` (the default) every hook is a single ``is None`` test, and the
-metered counters are byte-identical with tracing on or off: the sink only
-observes, it never feeds back into the meter.
+The sink is attached to a dataflow (``Dataflow(tracer=...)``, or around
+single epochs with :func:`attached`); when it is ``None`` (the default)
+every hook is a single ``is None`` test, and the metered counters are
+byte-identical with tracing on or off: the sink only observes, it never
+feeds back into the meter.
 """
 
 from __future__ import annotations
@@ -217,24 +218,50 @@ class TraceSink:
         self._serial = None
 
 
+class _Tee:
+    """Forward every tracer hook to two sinks."""
+
+    def __init__(self, first, second):
+        self._sinks = (first, second)
+
+    def enter_operator(self, name, scope_depth, time) -> None:
+        for sink in self._sinks:
+            sink.enter_operator(name, scope_depth, time)
+
+    def exit_operator(self) -> None:
+        for sink in self._sinks:
+            sink.exit_operator()
+
+    def begin_step(self) -> None:
+        for sink in self._sinks:
+            sink.begin_step()
+
+    def end_step(self) -> None:
+        for sink in self._sinks:
+            sink.end_step()
+
+    def record(self, worker, units, key=None) -> None:
+        for sink in self._sinks:
+            sink.record(worker, units, key)
+
+
 @contextmanager
 def attached(dataflow, sink: Optional[TraceSink]):
-    """Temporarily attach ``sink`` to a live dataflow (per-request tracing).
+    """Temporarily attach ``sink`` to a live dataflow (per-epoch tracing).
 
-    The serving layer keeps dataflows resident across requests; a request
-    that asks for a profile attaches a fresh sink around its ``step`` and
-    detaches it afterwards, so other requests on the same session pay the
-    zero-overhead ``is None`` path. With ``sink=None`` this is a no-op.
+    Resident dataflows outlive any one run or request; whoever wants an
+    epoch traced attaches a sink around its ``step`` and detaches it
+    afterwards, so every other epoch pays the zero-overhead ``is None``
+    path. A sink the dataflow already carries (the shadow sanitizer's)
+    keeps observing alongside. With ``sink=None`` this is a no-op.
     """
     if sink is None:
         yield
         return
-    previous_dataflow = dataflow.tracer
-    previous_meter = dataflow.meter.tracer
-    dataflow.tracer = sink
-    dataflow.meter.tracer = sink
+    previous = dataflow.tracer
+    both = sink if previous is None else _Tee(previous, sink)
+    dataflow.tracer = dataflow.meter.tracer = both
     try:
         yield
     finally:
-        dataflow.tracer = previous_dataflow
-        dataflow.meter.tracer = previous_meter
+        dataflow.tracer = dataflow.meter.tracer = previous

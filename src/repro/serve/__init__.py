@@ -21,12 +21,11 @@ from repro.serve.breakers import BreakerBoard, BreakerState, CircuitBreaker
 from repro.serve.cache import CacheEntry, CacheStats, ResultCache
 from repro.serve.httpd import HttpServer, Request, Response
 from repro.serve.lifecycle import ServerLifecycle, ServerState, run_server
+from repro.core.resident import ResidentDataflow, multiset_delta
 from repro.serve.session import (
-    ResidentDataflow,
     ServeSession,
     build_request_computation,
     computation_signature,
-    multiset_delta,
 )
 
 __all__ = [

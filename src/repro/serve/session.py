@@ -20,282 +20,31 @@ checkpoints through the PR 1 journal format.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.algorithms import (
-    BellmanFord,
-    Bfs,
-    CompositeScore,
-    KCore,
-    KTruss,
-    LabelPropagation,
-    MaxDegree,
-    Mpsp,
-    OutDegrees,
-    PageRank,
-    PersonalizedPageRank,
-    Scc,
-    Triangles,
-    Wcc,
+# build_request_computation and computation_signature are re-exported:
+# request handlers and external harnesses import them from here.
+from repro.algorithms.registry import (  # noqa: F401
+    build_request_computation,
+    computation_signature,
 )
 from repro.core.computation import GraphComputation
+from repro.core.resident import ResidentDataflow
 from repro.core.resilience import (
     CheckpointState,
     CheckpointWriter,
     FaultPlan,
     RunBudget,
-    encode_value,
     load_checkpoint,
+    render_output,
 )
 from repro.core.system import Graphsurge
-from repro.differential.dataflow import Dataflow
-from repro.differential.multiset import Diff
 from repro.errors import CheckpointError, RequestError, UnknownGraphError
 from repro.graph.edge_stream import EdgeStream, edge_diff_to_input
 from repro.graph.store import ViewStore
-from repro.observe.tracer import TraceSink, attached
-from repro.timely.meter import WorkSnapshot
-from repro.timely.worker import canonical_order_key
-
-#: Computation names the server accepts, with their parameter builders.
-_BUILDERS = {
-    "wcc": lambda p: Wcc(),
-    "scc": lambda p: Scc(),
-    "bfs": lambda p: Bfs(source=p.get("source")),
-    "bf": lambda p: BellmanFord(source=p.get("source")),
-    "sssp": lambda p: BellmanFord(source=p.get("source")),
-    "bellman-ford": lambda p: BellmanFord(source=p.get("source")),
-    "pagerank": lambda p: PageRank(iterations=int(p.get("iterations", 10))),
-    "pr": lambda p: PageRank(iterations=int(p.get("iterations", 10))),
-    "mpsp": lambda p: Mpsp([(int(s), int(d))
-                            for s, d in p.get("pairs", ())]),
-    "kcore": lambda p: KCore(int(p.get("k", 2))),
-    "triangles": lambda p: Triangles(),
-    "degrees": lambda p: OutDegrees(),
-    "maxdegree": lambda p: MaxDegree(),
-    # Community & scoring pack (docs/algorithms.md).
-    "labelprop": lambda p: LabelPropagation(
-        rounds=int(p.get("rounds", 8))),
-    "lpa": lambda p: LabelPropagation(rounds=int(p.get("rounds", 8))),
-    "ppr": lambda p: PersonalizedPageRank(
-        [int(s) for s in p.get("seeds", ())],
-        iterations=int(p.get("iterations", 10))),
-    "ktruss": lambda p: KTruss(int(p.get("k", 3))),
-    "score": lambda p: CompositeScore(
-        degree_weight=int(p.get("degree_weight", 1)),
-        triangle_weight=int(p.get("triangle_weight", 1)),
-        rank_weight=int(p.get("rank_weight", 1)),
-        iterations=int(p.get("iterations", 5))),
-}
-
-_KNOWN_PARAMS = {"source", "iterations", "k", "pairs", "rounds", "seeds",
-                 "degree_weight", "triangle_weight", "rank_weight"}
-
-
-def build_request_computation(name: str,
-                              params: Optional[Dict[str, Any]] = None
-                              ) -> GraphComputation:
-    """Instantiate a computation from a request's name + parameter dict."""
-    params = params or {}
-    if not isinstance(params, dict):
-        raise RequestError("'params' must be a JSON object")
-    unknown = set(params) - _KNOWN_PARAMS
-    if unknown:
-        raise RequestError(
-            f"unknown computation parameter(s): {sorted(unknown)}")
-    builder = _BUILDERS.get(str(name).lower())
-    if builder is None:
-        raise RequestError(
-            f"unknown computation {name!r}; expected one of "
-            f"{sorted(set(_BUILDERS))}")
-    return builder(params)
-
-
-def computation_signature(name: str,
-                          params: Optional[Dict[str, Any]] = None) -> str:
-    """A canonical string identity for (computation, parameters)."""
-    return json.dumps({"computation": str(name).lower(),
-                       "params": params or {}},
-                      sort_keys=True, separators=(",", ":"))
-
-
-def multiset_delta(current: Diff, target: Diff) -> Diff:
-    """The difference that advances multiset ``current`` to ``target``."""
-    delta: Diff = {}
-    for record, mult in target.items():
-        change = mult - current.get(record, 0)
-        if change:
-            delta[record] = change
-    for record, mult in current.items():
-        if record not in target and mult:
-            delta[record] = -mult
-    return delta
-
-
-def render_output(output: Diff) -> List[List[Any]]:
-    """JSON-safe, deterministically ordered ``[record, multiplicity]``.
-
-    Ordered by the canonical record order, not ``repr``: records that
-    compare equal across numeric spellings (``3`` vs ``3.0``, which
-    ``stable_hash`` canonicalizes) must render in the same position no
-    matter which spelling a run's dict representative holds.
-    """
-    return [[encode_value(record), mult]
-            for record, mult in sorted(
-                output.items(),
-                key=lambda item: canonical_order_key(item[0]))]
-
-
-class ResidentDataflow:
-    """One built dataflow kept hot across requests for one computation.
-
-    ``current`` is the input multiset the dataflow has absorbed; a failed
-    ``step`` may leave operator state mid-epoch, so any exception poisons
-    the instance — the next ``advance`` rebuilds from an empty dataflow
-    and feeds the full target (the same rebuild discipline the batch
-    executor applies to retries).
-    """
-
-    def __init__(self, computation: GraphComputation, workers: int = 1,
-                 fault_plan: Optional[FaultPlan] = None,
-                 backend: str = "inline"):
-        self.computation = computation
-        self.workers = workers
-        self.backend = backend
-        self.fault_plan = fault_plan
-        self.current: Diff = {}
-        self.dataflow: Optional[Dataflow] = None
-        self.capture = None
-        self.epochs_fed = 0
-        self.rebuilds = 0
-        #: Whether the *current build* has been stepped at least once.
-        #: The zero-delta shortcut in :meth:`advance` is gated on this,
-        #: not on the lifetime ``epochs_fed`` counter: a rebuilt dataflow
-        #: has no epoch to read output from until it has been stepped.
-        self._stepped = False
-
-    def _build(self) -> None:
-        dataflow = Dataflow(workers=self.workers,
-                            fault_plan=self.fault_plan,
-                            backend=self.backend)
-        edges = dataflow.new_input("edges")
-        result = self.computation.build(dataflow, edges)
-        self.capture = dataflow.capture(result, "results")
-        self.dataflow = dataflow
-        self.current = {}
-        self._stepped = False
-        self.rebuilds += 1
-
-    def poison(self) -> None:
-        # Detach state *before* closing: close() may itself fail (e.g. a
-        # wedged worker cluster), and the resident must not keep serving
-        # off a half-closed dataflow in that case.
-        dataflow, self.dataflow = self.dataflow, None
-        self.capture = None
-        self.current = {}
-        self._stepped = False
-        if dataflow is not None:
-            # Release the resident worker processes (process backend).
-            dataflow.close()
-
-    def advance(self, target: Diff, budget: Optional[RunBudget] = None,
-                tracer: Optional[TraceSink] = None
-                ) -> Tuple[Diff, WorkSnapshot]:
-        """Step the dataflow to the ``target`` input multiset.
-
-        Returns the accumulated output and the work spent on this step
-        alone. The step is skipped entirely when the delta is empty (the
-        dataflow is already *at* the target) — zero work, by construction.
-        """
-        if self.dataflow is None:
-            self._build()
-        dataflow = self.dataflow
-        delta = multiset_delta(self.current, target)
-        before = dataflow.meter.snapshot()
-        if not delta and self._stepped:
-            output = self.capture.value_at_epoch(dataflow.epoch)
-            return output, before.delta(dataflow.meter.snapshot())
-        dataflow.set_budget(budget)
-        try:
-            with attached(dataflow, tracer):
-                epoch = dataflow.step({"edges": delta})
-        except BaseException:
-            self.poison()
-            raise
-        finally:
-            if self.dataflow is not None:
-                self.dataflow.set_budget(None)
-        self.current = dict(target)
-        self.epochs_fed += 1
-        self._stepped = True
-        output = self.capture.value_at_epoch(epoch)
-        return output, before.delta(dataflow.meter.snapshot())
-
-    def advance_by(self, delta: Diff, budget: Optional[RunBudget] = None,
-                   tracer: Optional[TraceSink] = None,
-                   want_output: bool = False
-                   ) -> Tuple[Optional[Diff], Diff, WorkSnapshot]:
-        """Absorb an incremental input ``delta`` as one epoch.
-
-        The streaming path: the caller already knows the change, so no
-        multiset diffing against ``current`` happens and — unlike
-        :meth:`advance` — reading the full accumulated output is opt-in
-        (``want_output``), keeping per-epoch cost proportional to the
-        batch rather than the graph. Returns ``(output or None,
-        output_delta, work)`` where ``output_delta`` is the consolidated
-        result change this epoch emitted.
-
-        Raises :class:`~repro.errors.DataflowError` when the resident has
-        no built dataflow: an incremental delta is only meaningful
-        relative to state this build has absorbed, so after a poison the
-        caller must re-seed via :meth:`advance` with the full target.
-        """
-        from repro.differential.multiset import consolidate
-
-        from repro.errors import DataflowError
-
-        if self.dataflow is None:
-            raise DataflowError(
-                "advance_by on an unbuilt resident dataflow; re-seed with "
-                "advance(full_target) after a rebuild")
-        dataflow = self.dataflow
-        delta = consolidate(dict(delta))
-        before = dataflow.meter.snapshot()
-        if not delta and self._stepped:
-            return (self.capture.value_at_epoch(dataflow.epoch)
-                    if want_output else None,
-                    {}, before.delta(dataflow.meter.snapshot()))
-        dataflow.set_budget(budget)
-        try:
-            with attached(dataflow, tracer):
-                epoch = dataflow.step({"edges": delta})
-        except BaseException:
-            self.poison()
-            raise
-        finally:
-            if self.dataflow is not None:
-                self.dataflow.set_budget(None)
-        for record, mult in delta.items():
-            count = self.current.get(record, 0) + mult
-            if count:
-                self.current[record] = count
-            else:
-                self.current.pop(record, None)
-        self.epochs_fed += 1
-        self._stepped = True
-        output_delta = self.capture.diff_at((epoch,))
-        output = (self.capture.value_at_epoch(epoch)
-                  if want_output else None)
-        return output, output_delta, before.delta(dataflow.meter.snapshot())
-
-    def record_counts(self) -> Dict[str, int]:
-        """Stored trace entries per operator (resident-memory figure)."""
-        if self.dataflow is None:
-            return {}
-        from repro.differential.debug import operator_record_counts
-
-        return operator_record_counts(self.dataflow)
+from repro.observe.profile import profile_view
+from repro.observe.tracer import TraceSink
+from repro.stream import StreamBatch, StreamEngine
 
 
 class ServeSession:
@@ -403,8 +152,9 @@ class ServeSession:
         total_parallel = 0
         for view_name, target_input in view_targets:
             mark = tracer.mark() if tracer is not None else 0
-            output, spent = resident.advance(target_input, budget=budget,
-                                             tracer=tracer)
+            spent = resident.advance_to(target_input, budget=budget,
+                                        tracer=tracer).work
+            output = resident.output()
             total_work += spent.total_work
             total_parallel += spent.parallel_time
             view_payload = {
@@ -416,8 +166,6 @@ class ServeSession:
             if include_output:
                 view_payload["output"] = render_output(output)
             if tracer is not None:
-                from repro.observe.profile import profile_view
-
                 profile = profile_view(tracer, view_name, mark,
                                        tracer.mark())
                 view_payload["profile"] = {
@@ -443,14 +191,11 @@ class ServeSession:
         instead of leaking past the daemon's exit.
         """
         for resident in self._residents.values():
-            resident.poison()
+            resident.close()
         self._residents.clear()
         self.stream_close()
 
     # -- streaming -------------------------------------------------------------
-    #
-    # The imports are deferred: repro.stream builds on ResidentDataflow
-    # from this module, so importing it at module scope would be a cycle.
 
     def _require_stream(self):
         if self._stream is None:
@@ -462,8 +207,6 @@ class ServeSession:
     def stream_open(self, graph: Optional[str],
                     queries: List[Tuple[str, dict]]) -> dict:
         """Open the daemon's streaming session against a base graph."""
-        from repro.stream import StreamEngine
-
         if self._stream is not None:
             raise RequestError(
                 "a stream session is already open; close it first")
@@ -483,8 +226,6 @@ class ServeSession:
 
     def stream_ingest(self, appends, retracts) -> dict:
         """Absorb one append/retract batch as the next stream epoch."""
-        from repro.stream import StreamBatch
-
         engine = self._require_stream()
         return engine.ingest(
             StreamBatch(appends=appends, retracts=retracts))

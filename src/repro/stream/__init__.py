@@ -12,7 +12,6 @@ from repro.stream.engine import (
     ContinuousQuery,
     EpochResult,
     StreamEngine,
-    triples_to_input,
 )
 from repro.stream.source import (
     StreamBatch,
@@ -33,5 +32,4 @@ __all__ = [
     "cumulative_batches",
     "replay_batches",
     "sliding_batches",
-    "triples_to_input",
 ]

@@ -5,7 +5,7 @@ executes its difference sets as dataflow epochs. Streaming turns that
 inside out: the difference sets *arrive over time* as
 :class:`~repro.stream.source.StreamBatch` appends/retracts against a
 live property graph, and every registered query keeps one resident
-differential dataflow (:class:`repro.serve.session.ResidentDataflow`)
+differential dataflow (:class:`repro.core.resident.ResidentDataflow`)
 that absorbs each batch as one epoch. Results are reported as per-epoch
 output deltas; full snapshots are computed on demand from the capture
 trace. Because each epoch's cost is driven by the batch's difference —
@@ -14,7 +14,7 @@ the same total work as the batch executor doing one collection whose
 views are the stream's prefixes.
 
 Memory stays bounded through frontier-driven trace compaction
-(:meth:`repro.differential.dataflow.Dataflow.compact`): every
+(:meth:`repro.core.resident.ResidentDataflow.compact`): every
 ``compact_every`` epochs, history older than ``keep_epochs`` epochs
 folds into epoch-0 representatives, on both backends.
 
@@ -30,35 +30,28 @@ from __future__ import annotations
 import time as _time
 from typing import Any, Dict, List, Optional
 
+from repro.algorithms.registry import (
+    build_request_computation,
+    computation_signature,
+)
+from repro.analyze import analyze_computation
+from repro.core.resident import ResidentDataflow
 from repro.core.resilience import (
     CheckpointWriter,
     FaultPlan,
     load_checkpoint,
-)
-from repro.differential.multiset import Diff
-from repro.errors import CheckpointError, RequestError, StreamError
-from repro.graph.edge_stream import EdgeStream
-from repro.observe.stream_metrics import EpochMetric, StreamMeter
-from repro.serve.session import (
-    ResidentDataflow,
-    build_request_computation,
-    computation_signature,
     render_output,
 )
+from repro.differential.multiset import Diff
+from repro.errors import (
+    AnalysisError,
+    CheckpointError,
+    RequestError,
+    StreamError,
+)
+from repro.graph.edge_stream import EdgeStream, edges_to_input
+from repro.observe.stream_metrics import EpochMetric, StreamMeter
 from repro.stream.source import EdgeTriple, StreamBatch
-
-
-def triples_to_input(delta: Dict[EdgeTriple, int],
-                     directed: bool = True) -> Diff:
-    """Convert an edge-triple difference to dataflow input records."""
-    diff: Diff = {}
-    for (src, dst, w), mult in delta.items():
-        rec = (src, (dst, w))
-        diff[rec] = diff.get(rec, 0) + mult
-        if not directed:
-            rev = (dst, (src, w))
-            diff[rev] = diff.get(rev, 0) + mult
-    return {rec: mult for rec, mult in diff.items() if mult}
 
 
 class ContinuousQuery:
@@ -74,6 +67,12 @@ class ContinuousQuery:
         self.resident = ResidentDataflow(
             self.computation, workers=workers,
             fault_plan=fault_plan, backend=backend)
+
+    def input_for(self, triples: Dict[EdgeTriple, int]) -> Diff:
+        """Dataflow input records for an edge-triple difference."""
+        return edges_to_input(
+            (((None,) + triple, mult) for triple, mult in triples.items()),
+            directed=self.computation.directed)
 
 
 class EpochResult:
@@ -153,9 +152,6 @@ class StreamEngine:
         seeded, so a continuous query that would leak memory or corrupt
         retractions never starts serving.
         """
-        from repro.analyze import analyze_computation
-        from repro.errors import AnalysisError
-
         query = ContinuousQuery(name, params or {}, self.workers,
                                 self.backend, self.fault_plan)
         if query.signature in self.queries:
@@ -166,8 +162,7 @@ class StreamEngine:
             concurrency=(self.backend == "process"))
         if not report.ok:
             raise AnalysisError(report)
-        query.resident.advance(
-            triples_to_input(self.edges, query.computation.directed))
+        query.resident.advance_by(query.input_for(self.edges))
         self.queries[query.signature] = query
         return query.signature
 
@@ -220,39 +215,31 @@ class StreamEngine:
                        delta: Dict[EdgeTriple, int],
                        batch_size: int) -> EpochResult:
         resident = query.resident
-        directed = query.computation.directed
         started = _time.perf_counter()
-        if resident.dataflow is None:
-            # A prior epoch poisoned this resident (fault injection,
-            # budget breach). Re-seed with the full accumulated state —
-            # the rebuild discipline advance() already implements.
-            _output, spent = resident.advance(
-                triples_to_input(self.edges, directed))
-            output_delta = resident.capture.diff_at(
-                (resident.dataflow.epoch,))
-        else:
-            _out, output_delta, spent = resident.advance_by(
-                triples_to_input(delta, directed))
+        feed = query.input_for(delta)
+        output_delta, work, parallel_time = {}, 0, 0
+        if feed or not resident.built:
+            # A resident dropped by a failed epoch (fault injection,
+            # budget breach) rebuilds itself from everything absorbed so
+            # far and reports a true delta against its last reported
+            # output, so summed deltas stay equal to the snapshot.
+            output_delta, spent = resident.advance_by(feed)
+            work, parallel_time = spent.total_work, spent.parallel_time
         latency = _time.perf_counter() - started
-        result = EpochResult(self.epoch, query.signature,
-                             output_delta, spent.total_work,
-                             spent.parallel_time, latency)
         self.meter.record(EpochMetric(
             epoch=self.epoch, query=query.signature,
             batch_size=batch_size,
             delta_records=sum(abs(m) for m in delta.values()),
             output_delta_size=len(output_delta),
-            work=spent.total_work, parallel_time=spent.parallel_time,
-            latency_s=latency))
-        return result
+            work=work, parallel_time=parallel_time, latency_s=latency))
+        return EpochResult(self.epoch, query.signature, output_delta,
+                           work, parallel_time, latency)
 
     def _maybe_compact(self) -> None:
         if self.compact_every <= 0 or self.epoch % self.compact_every:
             return
         for query in self.queries.values():
-            dataflow = query.resident.dataflow
-            if dataflow is not None:
-                dataflow.compact(dataflow.epoch - self.keep_epochs)
+            query.resident.compact(self.keep_epochs)
 
     # -- reads ----------------------------------------------------------------
 
@@ -263,12 +250,7 @@ class StreamEngine:
             raise RequestError(
                 f"unknown stream query {signature!r}; registered: "
                 f"{sorted(self.queries)}")
-        resident = query.resident
-        if resident.dataflow is None:
-            output, _spent = resident.advance(
-                triples_to_input(self.edges, query.computation.directed))
-            return output
-        return resident.capture.value_at_epoch(resident.dataflow.epoch)
+        return query.resident.output()
 
     def describe(self) -> Dict[str, Any]:
         return {
@@ -284,12 +266,9 @@ class StreamEngine:
         """Stored trace records per query (the bounded-memory figure)."""
         out = {}
         for signature, query in sorted(self.queries.items()):
-            counts = query.resident.record_counts()
-            capture = query.resident.capture
             out[signature] = {
-                "records": sum(counts.values()),
-                "capture_times": (len(capture.trace)
-                                  if capture is not None else 0),
+                "records": sum(query.resident.record_counts().values()),
+                "capture_times": query.resident.capture_times(),
             }
         return out
 
@@ -355,7 +334,7 @@ class StreamEngine:
     def close(self) -> None:
         """Release every resident dataflow and the journal. Idempotent."""
         for query in self.queries.values():
-            query.resident.poison()
+            query.resident.close()
         writer, self._writer = self._writer, None
         if writer is not None:
             writer.close()

@@ -30,8 +30,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.serve.session import ResidentDataflow, render_output
-from repro.stream import StreamEngine, churn_batches, triples_to_input
+from repro.core.resident import ResidentDataflow
+from repro.core.resilience import render_output
+from repro.stream import StreamEngine, churn_batches
 from repro.verify.oracles import describe_map_mismatch, output_map, \
     resolve_algorithms
 
@@ -108,21 +109,20 @@ def run_stream(backend: str, journal=None, stop_after=None,
                     check(detail is None,
                           f"epoch {engine.epoch} {name} snapshot "
                           f"diverged from the reference: {detail}")
-                query = engine.queries[signature]
-                capture = query.resident.capture
-                check(len(capture.trace) <= COMPACT_EVERY + KEEP_EPOCHS + 1,
+                times = engine.queries[signature].resident.capture_times()
+                check(times <= COMPACT_EVERY + KEEP_EPOCHS + 1,
                       f"epoch {engine.epoch} {name}: capture holds "
-                      f"{len(capture.trace)} distinct times; compaction "
-                      f"is not bounding memory")
+                      f"{times} distinct times; compaction is not "
+                      f"bounding memory")
             if against_oracle:
-                scratch = ResidentDataflow(
-                    specs["wcc"].computation({}), workers=WORKERS)
+                wcc = next(query for query in engine.queries.values()
+                           if query.name == "wcc")
+                scratch = ResidentDataflow(wcc.computation, workers=WORKERS)
                 try:
-                    _out, spent = scratch.advance(triples_to_input(
-                        engine.edges, directed=False))
-                    scratch_work += spent.total_work
+                    scratch_work += scratch.advance_by(
+                        wcc.input_for(engine.edges)).work.total_work
                 finally:
-                    scratch.poison()
+                    scratch.close()
             rows.append(row)
     finally:
         engine.close()

@@ -324,14 +324,12 @@ def check_analysis(collection: MaterializedCollection, spec: AlgorithmSpec,
     under a permuted view order leaves a fresh plan's verdict unchanged.
     """
     from repro.analyze import analyze, analyze_computation
-    from repro.differential.dataflow import Dataflow
+    from repro.core.resident import build_plan
     from repro.graph.edge_stream import EdgeStream
 
     check = {"invariant": "analysis", "perm_seed": perm_seed}
     computation = spec.computation(params)
-    dataflow = Dataflow()
-    result = computation.build(dataflow, dataflow.new_input("edges"))
-    dataflow.capture(result, "results")
+    dataflow, _capture = build_plan(computation)
     before = analyze(dataflow)
     if not before.ok:
         head = before.errors()[0]

@@ -18,23 +18,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.algorithms import (
-    BellmanFord,
-    Bfs,
-    ClusteringCoefficient,
-    CompositeScore,
-    KCore,
-    KTruss,
-    LabelPropagation,
-    MaxDegree,
-    Mpsp,
-    OutDegrees,
-    PageRank,
-    PersonalizedPageRank,
-    Scc,
-    Triangles,
-    Wcc,
-)
+from repro.algorithms import registry
 from repro.algorithms.reference import (
     reference_bellman_ford,
     reference_bfs,
@@ -133,31 +117,32 @@ class AlgorithmSpec:
         return self.oracle(triples, **params)
 
 
+def _spec(name: str, oracle: Callable[..., Dict[Any, Any]],
+          sample_params=_no_params) -> AlgorithmSpec:
+    """An oracle for a row of the name table (which owns the factory)."""
+    return AlgorithmSpec(name, registry.ALGORITHMS[name].factory, oracle,
+                         sample_params)
+
+
 #: Every oracle-backed algorithm, keyed by its fuzzer name.
 ALGORITHMS: Dict[str, AlgorithmSpec] = {
     spec.name: spec for spec in (
-        AlgorithmSpec("wcc", Wcc, reference_wcc),
-        AlgorithmSpec("bfs", Bfs, reference_bfs, _source_param),
-        AlgorithmSpec("sssp", BellmanFord, reference_bellman_ford,
-                      _source_param),
-        AlgorithmSpec("pagerank", PageRank, reference_pagerank,
-                      _pagerank_params),
-        AlgorithmSpec("scc", Scc, reference_scc),
-        AlgorithmSpec("kcore", KCore, reference_kcore, _kcore_params),
-        AlgorithmSpec("triangles", Triangles, reference_triangles),
-        AlgorithmSpec("clustering", ClusteringCoefficient,
-                      reference_clustering),
-        AlgorithmSpec("degrees", OutDegrees, reference_out_degrees),
-        AlgorithmSpec("maxdegree", MaxDegree, reference_max_degree),
-        AlgorithmSpec("mpsp", Mpsp, reference_mpsp, _mpsp_params),
+        _spec("wcc", reference_wcc),
+        _spec("bfs", reference_bfs, _source_param),
+        _spec("sssp", reference_bellman_ford, _source_param),
+        _spec("pagerank", reference_pagerank, _pagerank_params),
+        _spec("scc", reference_scc),
+        _spec("kcore", reference_kcore, _kcore_params),
+        _spec("triangles", reference_triangles),
+        _spec("clustering", reference_clustering),
+        _spec("degrees", reference_out_degrees),
+        _spec("maxdegree", reference_max_degree),
+        _spec("mpsp", reference_mpsp, _mpsp_params),
         # The community & scoring pack (docs/algorithms.md).
-        AlgorithmSpec("labelprop", LabelPropagation,
-                      reference_label_propagation, _lpa_params),
-        AlgorithmSpec("ppr", PersonalizedPageRank,
-                      reference_personalized_pagerank, _ppr_params),
-        AlgorithmSpec("ktruss", KTruss, reference_ktruss, _ktruss_params),
-        AlgorithmSpec("score", CompositeScore, reference_composite_score,
-                      _score_params),
+        _spec("labelprop", reference_label_propagation, _lpa_params),
+        _spec("ppr", reference_personalized_pagerank, _ppr_params),
+        _spec("ktruss", reference_ktruss, _ktruss_params),
+        _spec("score", reference_composite_score, _score_params),
     )
 }
 

@@ -38,33 +38,6 @@ from repro.observe.tracer import StepRecord, TraceSink
 from repro.timely.worker import canonical_order_key, shard_for
 
 
-class _Tee:
-    """Forward every tracer hook to two sinks (user tracer + sanitizer)."""
-
-    def __init__(self, first, second):
-        self._sinks = (first, second)
-
-    def enter_operator(self, name, scope_depth, time) -> None:
-        for sink in self._sinks:
-            sink.enter_operator(name, scope_depth, time)
-
-    def exit_operator(self) -> None:
-        for sink in self._sinks:
-            sink.exit_operator()
-
-    def begin_step(self) -> None:
-        for sink in self._sinks:
-            sink.begin_step()
-
-    def end_step(self) -> None:
-        for sink in self._sinks:
-            sink.end_step()
-
-    def record(self, worker, units, key=None) -> None:
-        for sink in self._sinks:
-            sink.record(worker, units, key)
-
-
 class ShadowSanitizer:
     """Inline shadow execution + first-divergence frame diffing."""
 
@@ -155,18 +128,16 @@ class ShadowSanitizer:
         self.shadow.close()
 
 
-def attach_shadow(primary, computation,
-                  input_name: str = "edges") -> ShadowSanitizer:
+def attach_shadow(primary, computation) -> ShadowSanitizer:
     """Build an inline shadow of ``computation`` and wire it to ``primary``.
 
-    ``primary`` must be a freshly built (never stepped) dataflow whose
-    plan came from the same ``computation`` via the executor's standard
-    build (one ``input_name`` input, one root capture per output). The
-    shadow gets its own :class:`~repro.timely.meter.WorkMeter` at the
-    same worker count, so nothing it does can perturb the primary's
-    counters.
+    ``primary`` must be a freshly built (never stepped) dataflow that
+    :func:`repro.core.resident.build_plan` made from the same
+    ``computation``. The shadow gets its own
+    :class:`~repro.timely.meter.WorkMeter` at the same worker count, so
+    nothing it does can perturb the primary's counters.
     """
-    from repro.differential.dataflow import Dataflow
+    from repro.core.resident import build_plan
 
     if primary.epoch != -1:
         raise SanitizerError(
@@ -174,23 +145,12 @@ def attach_shadow(primary, computation,
             "the shadow must attach before the first step so both "
             "backends replay identical histories")
     workers = primary.meter.workers
-    shadow = Dataflow(workers=workers)
-    edges = shadow.new_input(input_name)
-    result = computation.build(shadow, edges)
-    shadow.capture(result, "results")
-
+    shadow, _capture = build_plan(computation, workers=workers)
     shadow_sink = TraceSink(workers)
-    shadow.tracer = shadow_sink
-    shadow.meter.tracer = shadow_sink
-
+    shadow.tracer = shadow.meter.tracer = shadow_sink
+    # Per-epoch user sinks tee in beside this one (observe.tracer.attached).
     primary_sink = TraceSink(workers)
-    if primary.tracer is None:
-        primary.tracer = primary_sink
-        primary.meter.tracer = primary_sink
-    else:
-        tee = _Tee(primary.tracer, primary_sink)
-        primary.tracer = tee
-        primary.meter.tracer = tee
+    primary.tracer = primary.meter.tracer = primary_sink
 
     walk = PlanWalk(primary)
     paths: Dict[str, List[str]] = {}

@@ -32,6 +32,22 @@ def chain_collection(num_views=4):
     return collection_from_diffs("chain", diffs)
 
 
+@pytest.fixture
+def analyzed(monkeypatch):
+    """Every dataflow handed to ``repro.analyze.analyze``, in order."""
+    import repro.analyze as analyze_module
+
+    seen = []
+    real_analyze = analyze_module.analyze
+
+    def counting_analyze(dataflow, **kwargs):
+        seen.append(dataflow)
+        return real_analyze(dataflow, **kwargs)
+
+    monkeypatch.setattr(analyze_module, "analyze", counting_analyze)
+    return seen
+
+
 class TestStrictMode:
     def test_strict_refuses_planted_negate(self):
         stream = EdgeStream([(0, 0, 1, 1)])
@@ -52,6 +68,39 @@ class TestStrictMode:
         result = AnalyticsExecutor(strict=True).run_on_collection(
             Wcc(), collection, mode=ExecutionMode.ADAPTIVE)
         assert len(result.views) == collection.num_views
+
+    def test_reused_strict_executor_analyzes_every_computation(
+            self, analyzed):
+        """The verdict lives on the run's resident, not in an id() set.
+
+        A strict executor used to remember "already analyzed" by
+        ``id(computation)`` without keeping the object alive, so a later
+        computation inheriting a freed id skipped the gate.
+        """
+        executor = AnalyticsExecutor(strict=True)
+        stream = EdgeStream([(0, 0, 1, 1)])
+        clean = Bfs()
+        freed_id = id(clean)
+        executor.run_on_view(clean, stream)
+        del clean
+        # CPython hands a freed address to the next same-sized object;
+        # hold the misses so the allocator keeps walking its free list.
+        misses = []
+        for _ in range(256):
+            bad = BadLoop()
+            if id(bad) == freed_id:
+                break
+            misses.append(bad)
+        with pytest.raises(AnalysisError):
+            executor.run_on_view(bad, stream)
+        assert len(analyzed) == 2
+
+    def test_strict_analyzes_once_per_run_across_rebuilds(self, analyzed):
+        collection = chain_collection()
+        result = AnalyticsExecutor(strict=True).run_on_collection(
+            Wcc(), collection, mode=ExecutionMode.SCRATCH)
+        assert result.split_points == [1, 2, 3]  # four separate builds
+        assert len(analyzed) == 1
 
     def test_non_strict_runs_planted_defect(self):
         # Without --strict the defect is the user's problem, as before.

@@ -167,7 +167,7 @@ class TestServeSessionBackend:
 
         def drain(session):
             for resident in session._residents.values():
-                resident.poison()
+                resident.close()
 
         session = build_session("process")
         assert session.backend == "process"

@@ -1,6 +1,10 @@
 """Edge streams and diff-to-input conversion."""
 
-from repro.graph.edge_stream import EdgeStream, edge_diff_to_input
+from repro.graph.edge_stream import (
+    EdgeStream,
+    edge_diff_to_input,
+    edges_to_input,
+)
 
 
 class TestEdgeStream:
@@ -46,3 +50,24 @@ class TestEdgeDiffToInput:
     def test_cancellation_dropped(self):
         diff = {(0, 1, 2, 5): 1, (1, 1, 2, 5): -1}
         assert edge_diff_to_input(diff) == {}
+
+
+class TestOneConversion:
+    def test_every_edge_shape_renders_identically(self):
+        from repro.stream.engine import ContinuousQuery
+
+        edges = [(0, 1, 2, 5), (1, 2, 1, 5), (2, 3, 3, 1)]
+        query = ContinuousQuery("wcc", {}, workers=1, backend="inline")
+        for directed in (True, False):
+            query.computation.directed = directed
+            want = edges_to_input(((edge, 1) for edge in edges), directed)
+            assert EdgeStream(edges).as_input_diff(directed) == want
+            assert edge_diff_to_input(
+                {edge: 1 for edge in edges}, directed) == want
+            assert query.input_for(
+                {edge[1:]: 1 for edge in edges}) == want
+
+    def test_mirrored_retraction_cancels(self):
+        # Undirected: +(1,2) and -(2,1) are the same two records.
+        assert edges_to_input(
+            [((0, 1, 2, 5), 1), ((1, 2, 1, 5), -1)], directed=False) == {}

@@ -18,12 +18,11 @@ from repro.errors import (
     RequestError,
     UnknownGraphError,
 )
+from repro.core.resident import ResidentDataflow, multiset_delta
 from repro.serve.session import (
-    ResidentDataflow,
     ServeSession,
     build_request_computation,
     computation_signature,
-    multiset_delta,
 )
 
 WCC = computation_signature("wcc", {})
@@ -94,7 +93,7 @@ class TestRenderOutput:
     """Regression: repr is not a canonical total order for records."""
 
     def test_mixed_type_keys_sort_by_canonical_order(self):
-        from repro.serve.session import render_output
+        from repro.core.resilience import render_output
 
         # repr-sorting puts ("a", 2) before (1, "b") (quote < digit) and
         # (10, ...) before (9, ...) (string compare); the canonical order
@@ -109,7 +108,7 @@ class TestRenderOutput:
         ]
 
     def test_equal_valued_numeric_spellings_sort_identically(self):
-        from repro.serve.session import render_output
+        from repro.core.resilience import render_output
         from repro.timely.worker import canonical_order_key
 
         # 3 and 3.0 compare (and stable_hash) equal, so whichever spelling
@@ -136,34 +135,34 @@ class TestPoisonHardening:
 
     def test_poison_clears_state_even_when_close_raises(self):
         resident = ResidentDataflow(build_request_computation("wcc", {}))
-        resident.advance(_wcc_input((1, 2)))
+        resident.advance_to(_wcc_input((1, 2)))
 
         def exploding_close():
             raise RuntimeError("close failed")
 
         resident.dataflow.close = exploding_close
         with pytest.raises(RuntimeError, match="close failed"):
-            resident.poison()
+            resident.reset()
         # Even though close() raised, the resident must not keep a
         # reference to the half-closed dataflow: the next advance has to
         # rebuild from scratch, not step a poisoned instance.
         assert resident.dataflow is None
         assert resident.capture is None
         assert resident.current == {}
-        output, _ = resident.advance(_wcc_input((1, 2)))
-        assert output
+        resident.advance_to(_wcc_input((1, 2)))
+        assert resident.output()
         assert resident.rebuilds == 2
 
     def test_fresh_rebuild_steps_even_for_empty_delta(self):
         resident = ResidentDataflow(build_request_computation("wcc", {}))
-        resident.advance(_wcc_input((1, 2)))
-        resident.poison()
+        resident.advance_to(_wcc_input((1, 2)))
+        resident.reset()
         # The zero-delta shortcut must be gated on *this build* having
         # been stepped, not on the lifetime epochs_fed counter — else a
         # rebuilt dataflow reads output off epoch -1 it never computed.
-        output, _ = resident.advance({})
+        resident.advance_to({})
         assert resident.dataflow.epoch == 0
-        assert output == {}
+        assert resident.output() == {}
 
     def test_injected_fault_releases_process_workers(self):
         import multiprocessing
@@ -175,19 +174,19 @@ class TestPoisonHardening:
             backend="process", fault_plan=plan)
         first = _wcc_input((1, 2))
         second = _wcc_input((1, 2), (2, 3))
-        resident.advance(first)
+        resident.advance_to(first)
         with pytest.raises(InjectedFault):
-            resident.advance(second)
+            resident.advance_to(second)
         assert resident.dataflow is None
         # The worker children forked for the poisoned dataflow must be
         # gone — poison() closes the cluster, it does not abandon it.
         leaked = set(multiprocessing.active_children()) - before
         assert not leaked
         # The rebuilt resident absorbs the full target and answers.
-        output, _ = resident.advance(second)
-        assert output == {(1, 1): 1, (2, 1): 1, (3, 1): 1}
+        resident.advance_to(second)
+        assert resident.output() == {(1, 1): 1, (2, 1): 1, (3, 1): 1}
         assert resident.rebuilds == 2
-        resident.poison()
+        resident.close()
 
 
 class TestResidentEconomy:

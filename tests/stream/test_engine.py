@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.resilience import FaultPlan
+from repro.core.resilience import FaultPlan, decode_diff
 from repro.core.system import Graphsurge
 from repro.errors import (
     CheckpointError,
@@ -10,6 +10,7 @@ from repro.errors import (
     RequestError,
     StreamError,
 )
+from repro.differential.multiset import add_into
 from repro.graph.property_graph import PropertyGraph
 from repro.stream import StreamBatch, StreamEngine, churn_batches
 from repro.verify.oracles import output_map, resolve_algorithms
@@ -131,6 +132,34 @@ class TestFaultRecovery:
             assert resident.rebuilds == 2
             assert output_map(engine.snapshot(WCC)) == \
                 expected_wcc(engine)
+        finally:
+            engine.close()
+
+
+    @pytest.mark.parametrize("snapshot_before_rebuild", [False, True])
+    def test_summed_deltas_equal_snapshot_across_a_poisoned_epoch(
+            self, snapshot_before_rebuild):
+        # Register is "epoch" invocation 0; the second ingest faults.
+        engine = wcc_engine(fault_plan=FaultPlan.single("epoch", 2))
+        try:
+            payloads = [engine.ingest(StreamBatch(appends=((1, 2, 1),)))]
+            with pytest.raises(InjectedFault):
+                engine.ingest(StreamBatch(appends=((2, 3, 1),)))
+            if snapshot_before_rebuild:
+                # A read rebuilds the resident too; it must not swallow
+                # the delta the delta consumer is still owed.
+                assert output_map(engine.snapshot(WCC)) == \
+                    expected_wcc(engine)
+            payloads.append(engine.ingest(StreamBatch(appends=((4, 5, 1),))))
+            summed = {}
+            for payload in payloads:
+                add_into(summed, decode_diff(
+                    payload["results"][WCC]["output_delta"]))
+            # The epoch after the rebuild reports a true delta against
+            # the last reported output, not the rebuilt dataflow's whole
+            # output: a client summing deltas lands on the snapshot.
+            assert summed == engine.snapshot(WCC)
+            assert output_map(summed) == expected_wcc(engine)
         finally:
             engine.close()
 

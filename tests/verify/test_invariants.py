@@ -65,7 +65,8 @@ class TestChecksPassOnHealthyEngine:
     def test_stream_vacuous_for_unservable_spec(self, collection):
         from repro.algorithms import ClusteringCoefficient
 
-        unservable = AlgorithmSpec("clustering", ClusteringCoefficient,
+        # A spec whose name is not in the name table cannot register.
+        unservable = AlgorithmSpec("not-in-the-table", ClusteringCoefficient,
                                    lambda edges: {})
         assert check_stream(collection, unservable, {}) is None
 
