@@ -80,8 +80,10 @@ SHARD_RULES: Dict[str, Rule] = {rule.id: rule for rule in (
          "reaches the coordinator's streams."),
 )}
 
-#: Roles whose callables execute on the key's owning worker process (the
-#: operators ``Dataflow._start_cluster`` registers with the cluster).
+#: Roles whose callables run inside a keyed operator's kernel, hence on the
+#: key's owning worker process. Every ``KeyedOperator`` is registered with
+#: the cluster, but only reduce and the joins (plain and arranged, both
+#: role "join") carry a user callable.
 _SHIPPABLE_ROLES = {"reduce", "join"}
 
 #: Roles whose callables produce records (and therefore keys) that reach

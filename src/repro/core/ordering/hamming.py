@@ -41,6 +41,6 @@ def hamming_distance_matrix(matrix: np.ndarray, workers: int = 1,
         total += partial
         # Each worker touches its row block once per view pair; meter the
         # dominant matmul cost.
-        meter.record(worker_id, int(rows.size) * (k + 1))
+        meter.record(worker_id, int(rows.size) * (k + 1), worker=worker_id)
     meter.end_step()
     return total

@@ -14,6 +14,7 @@ from repro.differential.collection import Collection
 from repro.differential.multiset import Diff
 from repro.differential.operators.base import Operator
 from repro.differential.operators.io import CaptureOp, InputOp
+from repro.differential.operators.keyed import KeyedOperator
 from repro.errors import DataflowError
 from repro.timely.cluster import ProcessCluster, validate_backend
 from repro.timely.meter import WorkMeter
@@ -82,7 +83,8 @@ class Dataflow:
         self.backend = backend
         #: The live :class:`~repro.timely.cluster.ProcessCluster`, or
         #: ``None`` on the inline backend (and before the first step).
-        #: Keyed operators branch on this to route their per-key kernels.
+        #: The keyed-operator shell branches on this to place key state
+        #: and route per-key kernels.
         self.cluster = None
         #: Optional :class:`repro.observe.tracer.TraceSink`. When set, the
         #: scope drivers and :meth:`Operator.send` bracket every operator
@@ -237,20 +239,9 @@ class Dataflow:
         accumulates only on the owning workers, so memory is genuinely
         sharded.
         """
-        from repro.differential.operators.arrange import (
-            ArrangeOp,
-            JoinArrangedOp,
-        )
-        from repro.differential.operators.iterate import VariableOp
-        from repro.differential.operators.join import JoinOp
-        from repro.differential.operators.reduce import ReduceOp
-
-        registry = {}
-        for ops in self._ops_by_scope.values():
-            for op in ops:
-                if isinstance(op, (JoinOp, JoinArrangedOp, ReduceOp,
-                                   VariableOp, ArrangeOp)):
-                    registry[op.index] = op
+        registry = {op.index: op
+                    for ops in self._ops_by_scope.values() for op in ops
+                    if isinstance(op, KeyedOperator)}
         self.cluster = ProcessCluster(
             self.meter.workers, registry,
             superstep=lambda: self.meter.supersteps)

@@ -17,16 +17,13 @@ from typing import Dict, List, Optional
 
 from repro.differential.dataflow import Dataflow, Scope
 from repro.differential.multiset import consolidate
-from repro.differential.operators.arrange import (
-    ArrangeEnterOp,
-    ArrangeOp,
-    JoinArrangedOp,
-)
 from repro.differential.operators.base import Operator
 from repro.differential.operators.iterate import IterateOp, VariableOp
 from repro.differential.operators.join import JoinOp
+from repro.differential.operators.keyed import KeyedOperator
 from repro.differential.operators.reduce import ReduceOp
 from repro.differential.timestamp import Time
+from repro.errors import DataflowError
 
 
 def _scope_ops(dataflow: Dataflow) -> Dict[Scope, List[Operator]]:
@@ -110,82 +107,52 @@ class OperatorStats:
     pending: int
 
 
+def _keyed_operators(dataflow: Dataflow) -> List[KeyedOperator]:
+    return [op for ops in _scope_ops(dataflow).values() for op in ops
+            if isinstance(op, KeyedOperator)]
+
+
 def trace_stats(dataflow: Dataflow) -> List[OperatorStats]:
-    """Per-operator state sizes, largest first."""
-    stats: List[OperatorStats] = []
-    for ops in _scope_ops(dataflow).values():
-        for op in ops:
-            if isinstance(op, ReduceOp):
-                keys = sum(1 for _ in op.in_trace.keys())
-                entries = op.in_trace.record_count() + \
-                    op.out_trace.record_count()
-                pending = sum(1 for _ in op.pending_times())
-                stats.append(OperatorStats(op.name, "reduce", keys,
-                                           entries, pending))
-            elif isinstance(op, VariableOp):
-                keys = sum(1 for _ in op.out_trace.keys())
-                entries = (op.in_trace.record_count()
-                           + op.body_trace.record_count()
-                           + op.out_trace.record_count())
-                pending = sum(1 for _ in op.pending_times())
-                stats.append(OperatorStats(op.name, "variable", keys,
-                                           entries, pending))
-            elif isinstance(op, JoinOp):
-                keys = sum(1 for _ in op.traces[0].keys()) + \
-                    sum(1 for _ in op.traces[1].keys())
-                entries = op.traces[0].record_count() + \
-                    op.traces[1].record_count()
-                stats.append(OperatorStats(op.name, "join", keys,
-                                           entries, 0))
-            elif isinstance(op, ArrangeOp):
-                keys = sum(1 for _ in op.trace.keys())
-                stats.append(OperatorStats(op.name, "arrange", keys,
-                                           op.trace.record_count(), 0))
-            elif isinstance(op, JoinArrangedOp):
-                # The arranged side's trace is reported at its ArrangeOp;
-                # only the private stream-side trace is this op's state.
-                keys = sum(1 for _ in op.left_trace.keys())
-                stats.append(OperatorStats(op.name, "join_arranged", keys,
-                                           op.left_trace.record_count(), 0))
+    """Per-operator state sizes, largest first (a shared arrangement is
+    reported once, at its ``ArrangeOp``).
+
+    On the process backend the traces live on the workers, so the sizes
+    come over the exchange channels, summed across the cluster.
+    """
+    keyed = _keyed_operators(dataflow)
+    if dataflow.cluster is None:
+        # The same reply a worker gives, so the backends cannot disagree.
+        resident = {op.index: op.remote_stats() for op in keyed}
+    else:
+        resident = dataflow.cluster.stats()
+    stats = []
+    for op in keyed:
+        keys, entries = resident[op.index]
+        stats.append(OperatorStats(op.name, op.role, keys, entries,
+                                   sum(1 for _ in op.pending_times())))
     stats.sort(key=lambda s: -s.entries)
     return stats
 
 
-def _operator_traces(op: Operator):
-    if isinstance(op, ReduceOp):
-        return [op.in_trace, op.out_trace]
-    if isinstance(op, VariableOp):
-        return [op.in_trace, op.body_trace, op.out_trace]
-    if isinstance(op, JoinOp):
-        return [op.traces[0], op.traces[1]]
-    if isinstance(op, ArrangeOp) and not isinstance(op, ArrangeEnterOp):
-        return [op.trace]
-    if isinstance(op, JoinArrangedOp):
-        return [op.left_trace]  # the arranged trace belongs to its ArrangeOp
-    return []
-
-
 def operator_record_counts(dataflow: Dataflow) -> Dict[str, int]:
-    """Stored trace entries per operator (shared arrangements counted once,
-    at their ``ArrangeOp``). Feeds ``explain``'s trace-memory report.
+    """Stored trace entries per keyed operator. Feeds ``explain``'s
+    trace-memory report."""
+    if dataflow.cluster is None:
+        return {op.name: op.record_count()
+                for op in _keyed_operators(dataflow)}
+    resident = dataflow.cluster.stats()
+    return {op.name: resident[op.index][1]
+            for op in _keyed_operators(dataflow)}
 
-    On the process backend keyed traces live on the worker processes, so
-    the counts are gathered over the exchange channels (each operator's
-    ``remote_stats`` mirrors the trace selection below) and summed across
-    workers.
-    """
-    counts: Dict[str, int] = {}
-    cluster = getattr(dataflow, "cluster", None)
-    remote = cluster.stats() if cluster is not None else None
-    for ops in _scope_ops(dataflow).values():
-        for op in ops:
-            traces = _operator_traces(op)
-            if traces:
-                if remote is not None:
-                    counts[op.name] = remote.get(op.index, 0)
-                else:
-                    counts[op.name] = sum(t.record_count() for t in traces)
-    return counts
+
+def _require_local_state(dataflow: Dataflow, check: str) -> None:
+    """The trace checkers read key state in this process; on a live
+    cluster it is on the workers and a scan here would pass vacuously."""
+    if dataflow.cluster is not None:
+        raise DataflowError(
+            f"{check} reads keyed traces in this process, but on "
+            f"backend={dataflow.backend!r} they live on the worker "
+            f"processes; run the check on an inline dataflow")
 
 
 def check_consolidated(dataflow: Dataflow) -> List[str]:
@@ -198,20 +165,20 @@ def check_consolidated(dataflow: Dataflow) -> List[str]:
     checks downstream are no longer trustworthy. Returns human-readable
     violations (empty = invariant holds).
     """
+    _require_local_state(dataflow, "check_consolidated")
     problems: List[str] = []
-    for ops in _scope_ops(dataflow).values():
-        for op in ops:
-            for trace in _operator_traces(op):
-                for key in trace.keys():
-                    for time, diff in trace.get(key).entries.items():
-                        if not diff:
-                            problems.append(
-                                f"{op.name} ({trace.name}): key {key!r} "
-                                f"stores an empty diff at {time}")
-                        elif any(mult == 0 for mult in diff.values()):
-                            problems.append(
-                                f"{op.name} ({trace.name}): key {key!r} "
-                                f"stores zero multiplicities at {time}")
+    for op in _keyed_operators(dataflow):
+        for trace in op.local_traces():
+            for key in trace.keys():
+                for time, diff in trace.get(key).entries.items():
+                    if not diff:
+                        problems.append(
+                            f"{op.name} ({trace.name}): key {key!r} "
+                            f"stores an empty diff at {time}")
+                    elif any(mult == 0 for mult in diff.values()):
+                        problems.append(
+                            f"{op.name} ({trace.name}): key {key!r} "
+                            f"stores zero multiplicities at {time}")
     return problems
 
 
@@ -222,6 +189,7 @@ def check_consistency(dataflow: Dataflow,
     Returns a list of human-readable violation descriptions (empty when
     consistent). The probe time defaults to the last completed epoch.
     """
+    _require_local_state(dataflow, "check_consistency")
     if time is None:
         time = (dataflow.epoch,)
     problems: List[str] = []

@@ -11,6 +11,10 @@ Operators are nodes of the dataflow DAG. Three families exist:
 * **Keyed** operators (the reduce family and the loop variable) keep per-key
   traces and recompute a key's output only at timestamps scheduled by the
   lub-closure scheduler in :mod:`repro.differential.trace`.
+
+Joins, arrangements and the keyed family are all partitioned by record
+key; they share one shell, :mod:`repro.differential.operators.keyed`,
+which owns grouping, key-state placement, kernel dispatch and metering.
 """
 
 from repro.differential.operators.base import Operator

@@ -12,65 +12,35 @@ reads the arranged side from the shared trace.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict
+from typing import Any, Callable
 
-from repro.differential.multiset import Diff, consolidate
+from repro.differential.multiset import Diff
 from repro.differential.operators.base import Operator
-from repro.differential.timestamp import Time, lub
+from repro.differential.operators.keyed import KeyedOperator, pair_key
+from repro.differential.timestamp import Time
 from repro.differential.trace import Trace
 
 
-class ArrangeOp(Operator):
+class ArrangeOp(KeyedOperator):
     """Materialize a keyed collection's trace; forward its differences."""
 
+    role = "arrange"
+
     def __init__(self, dataflow, scope, name, source):
-        super().__init__(dataflow, scope, name, [source])
         self.trace = Trace(name + ".trace")
+        super().__init__(dataflow, scope, name, [source],
+                         {"trace": self.trace})
 
     def on_delta(self, port: int, time: Time, diff: Diff) -> None:
-        grouped: Dict[Any, Diff] = {}
-        for rec, mult in diff.items():
-            try:
-                key, value = rec
-            except (TypeError, ValueError):
-                raise TypeError(
-                    f"arrange input records must be (key, value) pairs; "
-                    f"operator {self.name} got {rec!r}"
-                ) from None
-            slot = grouped.get(key)
-            if slot is None:
-                grouped[key] = {value: mult}
-            else:
-                slot[value] = slot.get(value, 0) + mult
-        cluster = self.dataflow.cluster
-        if cluster is None:
-            self.trace.update_batch(time, grouped)
-        else:
-            # Route each key's update to its owning worker. FIFO pipes
-            # guarantee it lands before the probe tasks the forwarded diff
-            # triggers downstream, preserving exactly-once pairing.
-            cluster.post_updates(self.index, "arrange", time, grouped)
+        # Stored before forwarding, so the probes the forwarded diff
+        # triggers downstream already see it — exactly-once pairing.
+        self.store("trace", time, self.group(diff))
         # Deliberately unmetered: the cost model charges index maintenance
         # at the joins that read a trace, so a dataflow using one shared
         # arrangement reports the same total_work/parallel_time as the
         # same dataflow with private per-join traces. Sharing shows up as
         # memory (record_count) and wall clock, not as model work.
         self.send(time, diff)
-
-    # -- process-backend entry points (run inside the worker) -----------------
-
-    def remote_update(self, payload) -> None:
-        _tag, time, grouped = payload
-        self.trace.update_batch(time, grouped)
-
-    def remote_task(self, payload):
-        raise AssertionError("arrange has no per-key tasks")
-
-    def remote_stats(self) -> int:
-        return self.trace.record_count()
-
-    def local_traces(self):
-        return (self.trace,)
 
 
 class ArrangeEnterOp(Operator):
@@ -90,7 +60,7 @@ class ArrangeEnterOp(Operator):
         self.send(time + (0,), diff)
 
 
-class JoinArrangedOp(Operator):
+class JoinArrangedOp(KeyedOperator):
     """Join a stream (port 0) against a shared arrangement (port 1).
 
     Port 0 differences pair against the arrangement's full trace; the
@@ -100,119 +70,32 @@ class JoinArrangedOp(Operator):
     side's trace is stored once no matter how many joins read it.
     """
 
+    role = "join_arranged"
+
     def __init__(self, dataflow, scope, name, left, arrange_op,
                  f: Callable[[Any, Any, Any], Any]):
-        super().__init__(dataflow, scope, name, [left, arrange_op])
+        self.left_trace = Trace(name + ".left")
+        # The arranged side is owned (compacted, counted) by its ArrangeOp.
+        super().__init__(dataflow, scope, name, [left, arrange_op],
+                         {"left": self.left_trace})
         self.f = f
         self.arranged = arrange_op.trace
-        self.left_trace = Trace(name + ".left")
 
     def on_delta(self, port: int, time: Time, diff: Diff) -> None:
-        meter = self.dataflow.meter
-        grouped: Dict[Any, Diff] = {}
-        for rec, mult in diff.items():
-            try:
-                key, value = rec
-            except (TypeError, ValueError):
-                raise TypeError(
-                    f"join input records must be (key, value) pairs; "
-                    f"operator {self.name} got {rec!r}"
-                ) from None
-            slot = grouped.get(key)
-            if slot is None:
-                grouped[key] = {value: mult}
-            else:
-                slot[value] = slot.get(value, 0) + mult
-        outputs: Dict[Time, Diff] = {}
-        cluster = self.dataflow.cluster
-        record = meter.record
-        if cluster is None:
-            for key, values in grouped.items():
-                self._probe_key(port, time, key, values, record, outputs)
-        else:
-            replies = cluster.run_tasks(self.index, ("delta", port, time),
-                                        grouped.items())
-            for key in grouped:
-                events, key_outputs = replies[key]
-                for units in events:
-                    record(key, units)
-                for out_time, emitted in key_outputs.items():
-                    slot = outputs.setdefault(out_time, {})
-                    for rec, mult in emitted.items():
-                        slot[rec] = slot.get(rec, 0) + mult
-        for out_time in sorted(outputs):
-            self.send(out_time, consolidate(outputs[out_time]))
+        self.run_keys((port, time), self.group(diff).items())
 
-    def _probe_key(self, port: int, time: Time, key: Any, values: Diff,
-                   record, outputs: Dict[Time, Diff]) -> None:
-        """Per-key probe kernel (runs on the key's owner)."""
-        f = self.f
-        epoch = time[0]
-        tlen = len(time)
+    def kernel(self, header, key, values, record, outputs) -> None:
+        port, time = header
         if port == 0:
             # Store first so later arranged diffs at this time pair
             # against it; then match the arrangement as of now (which
             # includes arranged diffs that arrived earlier, and not
             # ones still to come — exactly-once pairing).
             self.left_trace.update(key, time, values)
-            self.arranged.maybe_compact(key, epoch)
-            other = self.arranged.get(key)
-            record(key, len(values))
-            if other is None:
-                return
-            pairs = 0
-            for t2, vals in other.entries.items():
-                if len(t2) != tlen:
-                    # The arrangement was entered from an outer scope:
-                    # its times are shorter and behave as if padded
-                    # with zero loop coordinates.
-                    t2 = t2 + (0,) * (tlen - len(t2))
-                out_time = lub(time, t2)
-                slot = outputs.setdefault(out_time, {})
-                pairs += len(vals)
-                for value, mult in values.items():
-                    for v2, m2 in vals.items():
-                        out = f(key, value, v2)
-                        slot[out] = slot.get(out, 0) + mult * m2
-            if pairs:
-                record(key, pairs * len(values))
+            pair_key(self.f, key, values, time, self.arranged, False,
+                     record, outputs)
         else:
             # The ArrangeOp already stored this diff before forwarding;
             # pair it against the private left trace only.
-            self.left_trace.maybe_compact(key, epoch)
-            mine = self.left_trace.get(key)
-            record(key, len(values))
-            if mine is None:
-                return
-            pairs = 0
-            for t2, vals in mine.entries.items():
-                out_time = lub(time, t2)
-                slot = outputs.setdefault(out_time, {})
-                pairs += len(vals)
-                for value, mult in values.items():
-                    for v2, m2 in vals.items():
-                        out = f(key, v2, value)
-                        slot[out] = slot.get(out, 0) + mult * m2
-            if pairs:
-                record(key, pairs * len(values))
-
-    # -- process-backend entry points (run inside the worker) -----------------
-
-    def remote_task(self, payload):
-        (_kind, port, time), items = payload
-        out = {}
-        for key, values in items:
-            events = []
-            key_outputs: Dict[Time, Diff] = {}
-            self._probe_key(port, time, key, values,
-                            lambda _key, units: events.append(units),
-                            key_outputs)
-            out[key] = (tuple(events), key_outputs)
-        return out
-
-    def remote_stats(self) -> int:
-        return self.left_trace.record_count()
-
-    def local_traces(self):
-        # The arranged side is owned (and compacted) by its ArrangeOp.
-        return (self.left_trace,)
+            pair_key(self.f, key, values, time, self.left_trace, True,
+                     record, outputs)

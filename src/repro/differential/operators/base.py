@@ -73,25 +73,14 @@ class Operator:
 
     # -- trace maintenance --------------------------------------------------
 
-    def local_traces(self) -> Iterable:
-        """The difference traces this operator owns (for compaction).
-
-        Keyed operators override this. On the process backend the traces
-        live in the worker that owns each key, so the coordinator's copy
-        of this list compacts empty traces — the real sweep happens when
-        the cluster broadcasts ``compact`` to the workers.
-        """
-        return ()
-
     def compact_below(self, epoch: int) -> None:
-        """Compact all owned trace history below ``epoch``.
+        """Compact all owned history below ``epoch`` (stateful ops only).
 
-        Called by :meth:`Dataflow.compact` on the coordinator and by the
-        worker message loop on the process backend; safe to run twice on
-        the same bound (per-key guards make the re-run cheap).
+        Called by :meth:`Dataflow.compact` on the coordinator and, for
+        keyed operators, by the worker message loop on the process
+        backend; safe to run twice on the same bound (per-key guards make
+        the re-run cheap).
         """
-        for trace in self.local_traces():
-            trace.compact_below(epoch)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name}#{self.index}>"

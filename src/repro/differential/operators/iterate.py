@@ -19,12 +19,13 @@ variable "at iteration infinity".
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.differential.multiset import Diff, add_into, consolidate
 from repro.differential.operators.base import Operator
+from repro.differential.operators.keyed import ScheduledOperator
 from repro.differential.timestamp import Time
-from repro.differential.trace import TimeSchedule, Trace
+from repro.differential.trace import Trace
 from repro.errors import DataflowError
 
 #: Hard cap on loop iterations when the user supplies no ``max_iters`` —
@@ -48,7 +49,7 @@ class EnterOp(Operator):
         self.send(time + (0,), diff)
 
 
-class VariableOp(Operator):
+class VariableOp(ScheduledOperator):
     """The loop variable ``V`` of an iterate scope.
 
     Keyed operator with two logical inputs:
@@ -62,12 +63,14 @@ class VariableOp(Operator):
     target is ``B`` accumulated at ``(e, i-1)``.
     """
 
+    role = "variable"
+
     def __init__(self, dataflow, child_scope, name):
-        super().__init__(dataflow, child_scope, name, [])
         self.in_trace = Trace(name + ".in")
         self.body_trace = Trace(name + ".body")
-        self.out_trace = Trace(name + ".out")
-        self.schedule = TimeSchedule()
+        super().__init__(dataflow, child_scope, name, [],
+                         {"in": self.in_trace, "body": self.body_trace,
+                          "out": Trace(name + ".out")})
 
     def connect_body(self, body_op: Operator) -> None:
         if len(self.inputs) > 0:
@@ -79,12 +82,8 @@ class VariableOp(Operator):
         """Deliver the initial-value diff (from the parent scope)."""
         time = parent_time + (0,)
         switch = parent_time + (1,)
-        grouped = self._group(diff)
-        cluster = self.dataflow.cluster
-        if cluster is None:
-            self.in_trace.update_batch(time, grouped)
-        else:
-            cluster.post_updates(self.index, "in", time, grouped)
+        grouped = self.group(diff)
+        self.store("in", time, grouped)
         schedule = self.schedule.schedule
         for key in grouped:
             schedule(key, time)
@@ -98,62 +97,13 @@ class VariableOp(Operator):
         if port != 1:
             raise AssertionError("variable body deltas arrive on port 1")
         shifted = time[:-1] + (time[-1] + 1,)
-        grouped = self._group(diff)
-        cluster = self.dataflow.cluster
-        if cluster is None:
-            self.body_trace.update_batch(time, grouped)
-        else:
-            cluster.post_updates(self.index, "body", time, grouped)
+        grouped = self.group(diff)
+        self.store("body", time, grouped)
         schedule = self.schedule.schedule
         for key in grouped:
             schedule(key, shifted)
 
-    @staticmethod
-    def _group(diff: Diff) -> Dict[Any, Diff]:
-        grouped: Dict[Any, Diff] = {}
-        for rec, mult in diff.items():
-            try:
-                key, value = rec
-            except (TypeError, ValueError):
-                raise TypeError(
-                    f"iterate collections must carry (key, value) records; "
-                    f"got {rec!r}"
-                ) from None
-            slot = grouped.get(key)
-            if slot is None:
-                grouped[key] = {value: mult}
-            else:
-                slot[value] = slot.get(value, 0) + mult
-        return grouped
-
-    def flush(self, time: Time) -> None:
-        keys = self.schedule.tasks_at(time)
-        if not keys:
-            return
-        meter = self.dataflow.meter
-        cluster = self.dataflow.cluster
-        out_diff: Diff = {}
-        if cluster is None:
-            for key in keys:
-                emit = self._flush_key(key, time, meter.record)
-                for value, mult in emit.items():
-                    rec = (key, value)
-                    out_diff[rec] = out_diff.get(rec, 0) + mult
-        else:
-            ordered = list(keys)
-            replies = cluster.run_tasks(self.index, ("flush", time),
-                                        [(key, None) for key in ordered])
-            for key in ordered:
-                events, emit = replies[key]
-                for units in events:
-                    meter.record(key, units)
-                for value, mult in emit.items():
-                    rec = (key, value)
-                    out_diff[rec] = out_diff.get(rec, 0) + mult
-        self.send(time, consolidate(out_diff))
-
-    def _flush_key(self, key: Any, time: Time, record) -> Diff:
-        """Per-key loop-variable kernel (runs on the key's owner)."""
+    def kernel(self, time, key, _payload, record, outputs) -> None:
         iteration = time[-1]
         epoch = time[0]
         self.in_trace.maybe_compact(key, epoch)
@@ -166,56 +116,7 @@ class VariableOp(Operator):
             target = self.body_trace.accumulate(key, body_time)
         consolidate(target)
         record(key, max(1, len(target)))
-        current = self.out_trace.accumulate_strict(key, time)
-        delta = dict(target)
-        add_into(delta, current, factor=-1)
-        prior = self.out_trace.get(key)
-        stored = prior.take(time) if prior is not None else {}
-        emit = dict(delta)
-        add_into(emit, stored, factor=-1)
-        if delta:
-            self.out_trace.update(key, time, delta)
-        if emit:
-            record(key, len(emit))
-        return emit
-
-    # -- process-backend entry points (run inside the worker) -----------------
-
-    def remote_update(self, payload) -> None:
-        tag, time, grouped = payload
-        if tag == "in":
-            self.in_trace.update_batch(time, grouped)
-        else:
-            self.body_trace.update_batch(time, grouped)
-
-    def remote_task(self, payload):
-        (_kind, time), items = payload
-        out = {}
-        for key, _none in items:
-            events: List[int] = []
-            emit = self._flush_key(key, time,
-                                   lambda _key, units: events.append(units))
-            out[key] = (tuple(events), emit)
-        return out
-
-    def remote_stats(self) -> int:
-        return (self.in_trace.record_count()
-                + self.body_trace.record_count()
-                + self.out_trace.record_count())
-
-    def local_traces(self):
-        return (self.in_trace, self.body_trace, self.out_trace)
-
-    def pending_times(self) -> Iterable[Time]:
-        return self.schedule.pending_times()
-
-    def discard_pending_beyond(self, prefix: Time, max_iter: int) -> None:
-        drop = [
-            t for t in self.schedule.pending_times()
-            if t[:len(prefix)] == prefix and t[len(prefix)] > max_iter
-        ]
-        for t in drop:
-            self.schedule.tasks_at(t)
+        self.correct_output(key, time, target, record, outputs[time])
 
 
 class _LeaveTap(Operator):

@@ -13,123 +13,43 @@ the join correct under partially ordered times: e.g. an edge added at view
 neither input carries a difference (cf. the Bellman-Ford trace in the
 paper's Table 1).
 
-The per-key work — trace update, compaction probe, pairing — lives in
-:meth:`JoinOp._join_key`, a kernel that runs in-process on the inline
-backend and on the key's owning worker on the process backend (see
-``docs/parallel.md``). The kernel reports its meter events through a
-callback so the coordinator can replay them in original key order,
-keeping counters byte-identical across backends.
+The per-key work — trace update, then pairing against the other side —
+is :meth:`JoinOp.kernel`; grouping, dispatch to the key's owner and
+metering are the shell's (:mod:`repro.differential.operators.keyed`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable
 
-from repro.differential.multiset import Diff, consolidate
-from repro.differential.operators.base import Operator
-from repro.differential.timestamp import Time, lub
+from repro.differential.multiset import Diff
+from repro.differential.operators.keyed import KeyedOperator, pair_key
+from repro.differential.timestamp import Time
 from repro.differential.trace import Trace
 
 
-class JoinOp(Operator):
+class JoinOp(KeyedOperator):
     """``left.join(right)`` with a result-builder ``f(key, va, vb)``."""
+
+    role = "join"
 
     def __init__(self, dataflow, scope, name, left, right,
                  f: Callable[[Any, Any, Any], Any]):
-        super().__init__(dataflow, scope, name, [left, right])
-        self.f = f
         self.traces = (Trace(name + ".left"), Trace(name + ".right"))
+        super().__init__(dataflow, scope, name, [left, right],
+                         {"left": self.traces[0], "right": self.traces[1]})
+        self.f = f
 
     def on_delta(self, port: int, time: Time, diff: Diff) -> None:
-        # Group the incoming batch by key: one trace touch, one compaction
-        # probe and one meter call per key instead of one per record. The
-        # pairing below is bilinear, so pairing the whole per-key value
-        # diff at once produces exactly the per-record pairs.
-        grouped: Dict[Any, Diff] = {}
-        for rec, mult in diff.items():
-            try:
-                key, value = rec
-            except (TypeError, ValueError):
-                raise TypeError(
-                    f"join input records must be (key, value) pairs; "
-                    f"operator {self.name} got {rec!r}"
-                ) from None
-            slot = grouped.get(key)
-            if slot is None:
-                grouped[key] = {value: mult}
-            else:
-                slot[value] = slot.get(value, 0) + mult
-        outputs: Dict[Time, Diff] = {}
-        cluster = self.dataflow.cluster
-        record = self.dataflow.meter.record
-        if cluster is None:
-            for key, values in grouped.items():
-                self._join_key(port, time, key, values, record, outputs)
-        else:
-            replies = cluster.run_tasks(self.index, ("delta", port, time),
-                                        grouped.items())
-            for key in grouped:
-                events, key_outputs = replies[key]
-                for units in events:
-                    record(key, units)
-                for out_time, emitted in key_outputs.items():
-                    slot = outputs.setdefault(out_time, {})
-                    for rec, mult in emitted.items():
-                        slot[rec] = slot.get(rec, 0) + mult
-        for out_time in sorted(outputs):
-            self.send(out_time, consolidate(outputs[out_time]))
+        # The pairing is bilinear, so pairing a key's whole value diff at
+        # once produces exactly the per-record pairs.
+        self.run_keys((port, time), self.group(diff).items())
 
-    def _join_key(self, port: int, time: Time, key: Any, values: Diff,
-                  record: Callable[[Any, int], None],
-                  outputs: Dict[Time, Diff]) -> None:
-        """Per-key join kernel (runs on the key's owner)."""
-        mine = self.traces[port]
-        other = self.traces[1 - port]
-        f = self.f
-        epoch = time[0]
+    def kernel(self, header, key, values, record, outputs) -> None:
+        port, time = header
         # First incorporate into our own trace so the opposite side's
         # future deltas at this timestamp pair against it (each pair of
         # diffs is thus counted exactly once).
-        mine.update(key, time, values)
-        other.maybe_compact(key, epoch)
-        other_key = other.get(key)
-        record(key, len(values))
-        if other_key is None:
-            return
-        pairs = 0
-        for t2, vals in other_key.entries.items():
-            out_time = lub(time, t2)
-            slot = outputs.setdefault(out_time, {})
-            pairs += len(vals)
-            if port == 0:
-                for value, mult in values.items():
-                    for v2, m2 in vals.items():
-                        out = f(key, value, v2)
-                        slot[out] = slot.get(out, 0) + mult * m2
-            else:
-                for value, mult in values.items():
-                    for v2, m2 in vals.items():
-                        out = f(key, v2, value)
-                        slot[out] = slot.get(out, 0) + mult * m2
-        if pairs:
-            record(key, pairs * len(values))
-
-    # -- process-backend entry points (run inside the worker) -----------------
-
-    def remote_task(self, payload) -> Dict[Any, Tuple[tuple, Dict]]:
-        (_kind, port, time), items = payload
-        out: Dict[Any, Tuple[tuple, Dict]] = {}
-        for key, values in items:
-            events: List[int] = []
-            key_outputs: Dict[Time, Diff] = {}
-            self._join_key(port, time, key, values,
-                           lambda _key, units: events.append(units),
-                           key_outputs)
-            out[key] = (tuple(events), key_outputs)
-        return out
-
-    def remote_stats(self) -> int:
-        return sum(trace.record_count() for trace in self.traces)
-
-    def local_traces(self):
-        return self.traces
+        self.traces[port].update(key, time, values)
+        pair_key(self.f, key, values, time, self.traces[1 - port],
+                 port == 1, record, outputs)

@@ -9,15 +9,15 @@ differential computation provides across the views of a collection.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Tuple
+from typing import Any, Callable, Dict, Iterable
 
-from repro.differential.multiset import Diff, add_into, consolidate
-from repro.differential.operators.base import Operator
+from repro.differential.multiset import Diff, consolidate
+from repro.differential.operators.keyed import ScheduledOperator
 from repro.differential.timestamp import Time
-from repro.differential.trace import TimeSchedule, Trace
+from repro.differential.trace import Trace
 
 
-class ReduceOp(Operator):
+class ReduceOp(ScheduledOperator):
     """Generic keyed reduction.
 
     ``logic(key, values)`` receives the accumulated input values for the key
@@ -27,73 +27,23 @@ class ReduceOp(Operator):
     output is empty — ``logic`` is not called.
     """
 
+    role = "reduce"
+
     def __init__(self, dataflow, scope, name, source,
                  logic: Callable[[Any, Dict[Any, int]], Iterable[Any]]):
-        super().__init__(dataflow, scope, name, [source])
-        self.logic = logic
         self.in_trace = Trace(name + ".in")
-        self.out_trace = Trace(name + ".out")
-        self.schedule = TimeSchedule()
+        super().__init__(dataflow, scope, name, [source],
+                         {"in": self.in_trace, "out": Trace(name + ".out")})
+        self.logic = logic
 
     def on_delta(self, port: int, time: Time, diff: Diff) -> None:
-        # Batched path: one trace touch and one schedule call per key
-        # instead of one per record.
-        grouped: Dict[Any, Diff] = {}
-        for rec, mult in diff.items():
-            try:
-                key, value = rec
-            except (TypeError, ValueError):
-                raise TypeError(
-                    f"reduce input records must be (key, value) pairs; "
-                    f"operator {self.name} got {rec!r}"
-                ) from None
-            slot = grouped.get(key)
-            if slot is None:
-                grouped[key] = {value: mult}
-            else:
-                slot[value] = slot.get(value, 0) + mult
-        cluster = self.dataflow.cluster
-        if cluster is None:
-            self.in_trace.update_batch(time, grouped)
-        else:
-            # Keyed state lives on the key's owning worker; the schedule
-            # stays on the coordinator so pass structure is backend
-            # independent. Pipes are FIFO, so this update lands before any
-            # flush task that reads it.
-            cluster.post_updates(self.index, "in", time, grouped)
+        grouped = self.group(diff)
+        self.store("in", time, grouped)
         schedule = self.schedule.schedule
         for key in grouped:
             schedule(key, time)
 
-    def flush(self, time: Time) -> None:
-        keys = self.schedule.tasks_at(time)
-        if not keys:
-            return
-        meter = self.dataflow.meter
-        cluster = self.dataflow.cluster
-        out_diff: Diff = {}
-        if cluster is None:
-            for key in keys:
-                emit = self._flush_key(key, time, meter.record)
-                for value, mult in emit.items():
-                    rec = (key, value)
-                    out_diff[rec] = out_diff.get(rec, 0) + mult
-        else:
-            ordered = list(keys)
-            replies = cluster.run_tasks(self.index, ("flush", time),
-                                        [(key, None) for key in ordered])
-            for key in ordered:
-                events, emit = replies[key]
-                for units in events:
-                    meter.record(key, units)
-                for value, mult in emit.items():
-                    rec = (key, value)
-                    out_diff[rec] = out_diff.get(rec, 0) + mult
-        self.send(time, consolidate(out_diff))
-
-    def _flush_key(self, key: Any, time: Time,
-                   record: Callable[[Any, int], None]) -> Diff:
-        """Per-key reduction kernel (runs on the key's owner)."""
+    def kernel(self, time, key, _payload, record, outputs) -> None:
         epoch = time[0]
         self.in_trace.maybe_compact(key, epoch)
         self.out_trace.maybe_compact(key, epoch)
@@ -111,50 +61,4 @@ class ReduceOp(Operator):
                     )
             for out_value in self.logic(key, acc_in):
                 target[out_value] = target.get(out_value, 0) + 1
-        current = self.out_trace.accumulate_strict(key, time)
-        # Desired diff at `time`: target minus what earlier times give.
-        delta = dict(target)
-        add_into(delta, current, factor=-1)
-        # Replace whatever we previously stored at exactly `time`.
-        prior = self.out_trace.get(key)
-        stored = prior.take(time) if prior is not None else {}
-        emit = dict(delta)
-        add_into(emit, stored, factor=-1)
-        if delta:
-            self.out_trace.update(key, time, delta)
-        if emit:
-            record(key, len(emit))
-        return emit
-
-    # -- process-backend entry points (run inside the worker) -----------------
-
-    def remote_update(self, payload) -> None:
-        _tag, time, grouped = payload
-        self.in_trace.update_batch(time, grouped)
-
-    def remote_task(self, payload) -> Dict[Any, Tuple[tuple, Diff]]:
-        (_kind, time), items = payload
-        out: Dict[Any, Tuple[tuple, Diff]] = {}
-        for key, _none in items:
-            events: List[int] = []
-            emit = self._flush_key(key, time,
-                                   lambda _key, units: events.append(units))
-            out[key] = (tuple(events), emit)
-        return out
-
-    def remote_stats(self) -> int:
-        return self.in_trace.record_count() + self.out_trace.record_count()
-
-    def local_traces(self):
-        return (self.in_trace, self.out_trace)
-
-    def pending_times(self) -> Iterable[Time]:
-        return self.schedule.pending_times()
-
-    def discard_pending_beyond(self, prefix: Time, max_iter: int) -> None:
-        drop = [
-            t for t in self.schedule.pending_times()
-            if t[:len(prefix)] == prefix and t[len(prefix)] > max_iter
-        ]
-        for t in drop:
-            self.schedule.tasks_at(t)
+        self.correct_output(key, time, target, record, outputs[time])

@@ -15,7 +15,8 @@ fault plans, the :class:`~repro.timely.meter.WorkMeter`, and all linear
 kernels on the worker that owns the key (``shard_for(key, W)``); a kernel
 returns its outputs **plus the meter events it would have recorded**, and
 the coordinator replays those events into the real meter in the original
-key order. This is what makes the two backends observationally identical:
+key order. The one caller of this data plane is the keyed-operator shell
+(:mod:`repro.differential.operators.keyed`). This is what makes the two backends observationally identical:
 ``total_work``, ``parallel_time``, superstep counts, fault-plan firing and
 tracer streams are all byte-for-byte the same as the inline loop, because
 the exact same sequence of ``meter.record`` calls happens on the
@@ -42,7 +43,7 @@ Every frame is a pickled 3-tuple ``(kind, op_index, payload)``:
     Run the operator's per-key kernel for each ``(key, payload)`` in
     ``items``. Replies ``("ok", {key: (events, result)})``.
 ``("stats", None, None)``
-    Replies ``("ok", {op_index: resident_record_count})``.
+    Replies ``("ok", {op_index: (resident_keys, resident_records)})``.
 ``("compact", None, epoch)``
     Fire-and-forget: compact every registered operator's trace history
     below ``epoch`` (streaming GC). FIFO ordering makes it safe to
@@ -180,8 +181,8 @@ class ProcessCluster:
     """W forked workers plus the coordinator-side exchange machinery.
 
     ``registry`` maps a stable operator index to the operator object whose
-    ``remote_update`` / ``remote_task`` / ``remote_stats`` methods the
-    worker dispatches to. The registry is captured by fork: construct the
+    ``remote_update`` / ``remote_task`` / ``remote_stats`` methods (and
+    ``compact_below``) the worker dispatches to. The registry is captured by fork: construct the
     cluster only once the dataflow graph is complete (and, for byte-
     identical sharded state, before any keyed trace holds records).
 
@@ -271,23 +272,20 @@ class ProcessCluster:
             self._send(worker, ("update", op_index, (tag, time, sub)))
 
     def run_tasks(self, op_index: int, header: Any,
-                  items: Iterable[Tuple[Any, Any]],
-                  route: Optional[Callable[[Any], int]] = None,
-                  ) -> Dict[Any, Any]:
+                  items: Iterable[Tuple[Any, Any]]) -> Dict[Any, Any]:
         """Fan a keyed task batch out to its owners; merge the replies.
 
-        ``items`` is an ordered ``[(key, payload)]`` sequence; each key is
-        routed via ``route`` (default: ``shard_for``). Returns the union of
-        the per-worker ``{key: (events, result)}`` replies. On error, every
+        ``items`` is an ordered ``[(key, payload)]`` sequence; each key
+        goes to worker ``shard_for(key, W)``. Returns the union of the
+        per-worker ``{key: (events, result)}`` replies. On error, every
         outstanding reply is drained first and the first failure (in
         worker-index order) is raised, so the exchange channels stay
         frame-aligned for the caller's cleanup path.
         """
         batches: Dict[int, List[Tuple[Any, Any]]] = {}
         for key, payload in items:
-            worker = route(key) if route is not None else shard_for(
-                key, self.workers)
-            batches.setdefault(worker, []).append((key, payload))
+            batches.setdefault(shard_for(key, self.workers),
+                               []).append((key, payload))
         for worker in sorted(batches):
             self._send(worker, ("task", op_index, (header, batches[worker])))
         merged: Dict[Any, Any] = {}
@@ -312,16 +310,19 @@ class ProcessCluster:
         for worker in range(self.workers):
             self._send(worker, ("compact", None, epoch))
 
-    def stats(self) -> Dict[int, int]:
-        """Sum each registered operator's resident record count over workers."""
+    def stats(self) -> Dict[int, Tuple[int, int]]:
+        """Each registered operator's resident ``(keys, records)``, summed
+        over workers (keys are sharded, so per-worker counts are disjoint)."""
         for worker in range(self.workers):
             self._send(worker, ("stats", None, None))
-        totals: Dict[int, int] = {}
+        totals: Dict[int, Tuple[int, int]] = {}
         error: Optional[BaseException] = None
         for worker in range(self.workers):
             try:
-                for op_index, count in self._recv(worker).items():
-                    totals[op_index] = totals.get(op_index, 0) + count
+                for op_index, (keys, records) in self._recv(worker).items():
+                    seen_keys, seen_records = totals.get(op_index, (0, 0))
+                    totals[op_index] = (seen_keys + keys,
+                                        seen_records + records)
             except BaseException as exc:
                 if error is None:
                     error = exc

@@ -1,12 +1,15 @@
 """A timely-dataflow-style batch layer for acyclic data-parallel jobs.
 
 The paper's Graphsurge uses Timely Dataflow *directly* (without the
-differential layer) for the embarrassingly parallel steps: evaluating view
-predicates over edges (the EBM), computing aggregate views, and the
-Hamming-distance step of Algorithm 1. This module provides that layer: a
-small BSP dataflow where every stream is sharded across W simulated
-workers, operators process shards independently, and ``exchange`` moves
-records between workers by key hash (the cost model of a timely cluster).
+differential layer) for the embarrassingly parallel steps. This module
+provides that layer for two of them — evaluating view predicates over
+edges (the EBM) and computing aggregate views: a small BSP dataflow where
+every stream is sharded across W simulated workers, operators process
+shards independently, and ``exchange`` moves records between workers by
+key hash (the cost model of a timely cluster). It always runs in this
+process; shard ``w``'s work is charged to worker ``w`` of the meter. (The
+Hamming-distance step of Algorithm 1 is a blocked matrix product in
+:mod:`repro.core.ordering.hamming`, metered the same way.)
 
 Iterative/incremental computations do NOT belong here — they run on
 :mod:`repro.differential`, which layers differential semantics on the same
@@ -29,7 +32,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import DataflowError
-from repro.timely.cluster import ProcessCluster, validate_backend
 from repro.timely.meter import WorkMeter
 from repro.timely.worker import shard_for
 
@@ -38,11 +40,6 @@ Shards = List[List[Any]]
 
 class _TOperator:
     """A node of the batch dataflow graph."""
-
-    #: Whether the operator processes shards independently and can run on
-    #: a remote worker (see :class:`_ShardedOp`). Operators that touch
-    #: cross-shard or coordinator-resident state stay inline.
-    shardable = False
 
     def __init__(self, dataflow: "TimelyDataflow", name: str,
                  inputs: Sequence["_TOperator"]):
@@ -64,17 +61,10 @@ class _ShardedOp(_TOperator):
 
     Subclasses implement :meth:`shard_kernel`, which maps one worker's
     input shard(s) to ``(events, payload)`` where ``events`` is a tuple of
-    meter batch sizes (each entry meaning "that many unit-cost
-    ``meter.record(worker)`` calls, in order") and ``payload`` is the
-    shard's output. The inline backend runs the kernel in-process; the
-    process backend ships the shard to the owning worker and replays the
-    returned events into the coordinator's meter — producing the identical
-    ``meter.record`` call sequence either way, which is what keeps
-    ``total_work``/``parallel_time``/traces byte-identical across
-    backends.
+    meter batch sizes (each entry meaning "that many unit-cost records
+    touched by this worker, in order") and ``payload`` is the shard's
+    output.
     """
-
-    shardable = True
 
     def shard_kernel(self, worker: int,
                      shard_inputs: List[List[Any]]) -> Tuple[tuple, Any]:
@@ -91,19 +81,12 @@ class _ShardedOp(_TOperator):
                 worker, [shards[worker] for shards in input_shards])
             for count in events:
                 for _record in range(count):
-                    meter.record(worker)
+                    # Shard w runs on worker w: charge its frame directly.
+                    # Hashing the index as if it were a key would pile
+                    # several shards onto one worker.
+                    meter.record(worker, worker=worker)
             self.merge_shard(worker, payload, out)
         return out
-
-    # -- process-backend entry points (run inside the worker) -----------------
-
-    def remote_task(self, payload):
-        _header, items = payload
-        return {worker: self.shard_kernel(worker, shard_inputs)
-                for worker, shard_inputs in items}
-
-    def remote_stats(self) -> int:
-        return 0  # batch operators hold no resident state
 
 
 class _InputOp(_TOperator):
@@ -293,20 +276,10 @@ class TStream:
 
 
 class TimelyDataflow:
-    """A runnable batch dataflow over simulated or real workers.
+    """A runnable batch dataflow over ``workers`` simulated workers."""
 
-    ``backend="inline"`` (default) runs every shard in-process;
-    ``backend="process"`` forks one OS process per worker at :meth:`run`
-    and ships shards over exchange channels (see
-    :mod:`repro.timely.cluster` and ``docs/parallel.md``). Counters and
-    outputs are byte-identical between backends.
-    """
-
-    def __init__(self, workers: int = 1, meter: Optional[WorkMeter] = None,
-                 backend: str = "inline"):
+    def __init__(self, workers: int = 1, meter: Optional[WorkMeter] = None):
         self.workers = max(1, workers)
-        validate_backend(backend, self.workers)
-        self.backend = backend
         self.meter = meter if meter is not None else WorkMeter(self.workers)
         self._operators: List[_TOperator] = []
         self._inputs: Dict[str, _InputOp] = {}
@@ -332,53 +305,13 @@ class TimelyDataflow:
             if op is None:
                 raise DataflowError(f"unknown input {name!r}")
             op.pending = list(records)
-        cluster = None
-        if self.backend == "process":
-            # Fork one worker per shard for this run; batch dataflows are
-            # one-shot, so the cluster's lifetime is the run's.
-            registry = {index: op
-                        for index, op in enumerate(self._operators)
-                        if op.shardable}
-            cluster = ProcessCluster(
-                self.workers, registry,
-                superstep=lambda: self.meter.supersteps)
-        try:
-            for op_index, op in enumerate(self._operators):
-                shards = [upstream.output for upstream in op.inputs]
-                for upstream, shard in zip(op.inputs, shards):
-                    if shard is None:
-                        raise DataflowError(
-                            f"operator {op.name} ran before its input "
-                            f"{upstream.name}")
-                self.meter.begin_step()
-                if cluster is not None and op.shardable:
-                    op.output = self._evaluate_remote(
-                        cluster, op_index, op, shards)
-                else:
-                    op.output = op.evaluate(shards)
-                self.meter.end_step()
-        finally:
-            if cluster is not None:
-                cluster.close()
-
-    def _evaluate_remote(self, cluster: ProcessCluster, op_index: int,
-                         op: _ShardedOp, input_shards: List[Shards]) -> Shards:
-        """Run one sharded operator pass on the process cluster.
-
-        Ships each worker its shard(s), then replays the returned meter
-        events and merges outputs in worker order 0..W-1 — the same
-        ``meter.record`` sequence and output layout as the inline loop.
-        """
-        items = [(worker, [shards[worker] for shards in input_shards])
-                 for worker in range(self.workers)]
-        replies = cluster.run_tasks(op_index, None, items,
-                                    route=lambda worker: worker)
-        meter = self.meter
-        out = op._empty()
-        for worker in range(self.workers):
-            events, payload = replies[worker]
-            for count in events:
-                for _record in range(count):
-                    meter.record(worker)
-            op.merge_shard(worker, payload, out)
-        return out
+        for op in self._operators:
+            shards = [upstream.output for upstream in op.inputs]
+            for upstream, shard in zip(op.inputs, shards):
+                if shard is None:
+                    raise DataflowError(
+                        f"operator {op.name} ran before its input "
+                        f"{upstream.name}")
+            self.meter.begin_step()
+            op.output = op.evaluate(shards)
+            self.meter.end_step()

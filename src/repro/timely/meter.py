@@ -19,7 +19,7 @@ individual views of a collection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Optional
 
 from repro.timely.worker import shard_for
 
@@ -47,6 +47,7 @@ class WorkMeter:
     Usage from operators::
 
         meter.record(key, units)      # inside a superstep
+        meter.record(w, units, worker=w)   # batch layer: shard w's work
 
     Usage from the driver::
 
@@ -78,8 +79,15 @@ class WorkMeter:
         # frame.
         self._frames: list = []
 
-    def record(self, key: Any, units: int = 1) -> None:
-        """Attribute ``units`` of work for ``key``'s worker."""
+    def record(self, key: Any, units: int = 1,
+               worker: Optional[int] = None) -> None:
+        """Attribute ``units`` of work to ``key``'s worker.
+
+        The worker is ``shard_for(key, workers)`` unless the caller has
+        already sharded its data and names the ``worker`` (shard index)
+        that did the work — the batch layer, where ``key`` is then only
+        a label for fault contexts and trace spans.
+        """
         if units <= 0:
             return
         if self.fault_plan is not None:
@@ -95,7 +103,10 @@ class WorkMeter:
                     extra += 999
             units += extra
         self.total_work += units
-        worker = shard_for(key, self.workers)
+        if worker is None:
+            worker = shard_for(key, self.workers)
+        else:
+            worker %= self.workers
         if self._frames:
             frame = self._frames[-1]
             frame[worker] = frame.get(worker, 0) + units

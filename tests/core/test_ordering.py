@@ -122,6 +122,18 @@ class TestHamming:
         assert np.array_equal(hamming_distance_matrix(matrix, workers=1),
                               hamming_distance_matrix(matrix, workers=7))
 
+    def test_row_blocks_are_charged_to_their_own_workers(self):
+        # Regression: block w was metered with the block index as the key,
+        # so the meter re-hashed it and two blocks shared one worker.
+        from repro.timely.meter import WorkMeter
+
+        matrix = np.ones((40, 5), dtype=bool)
+        for workers, longest_block in ((1, 40), (2, 20), (4, 10)):
+            meter = WorkMeter(workers)
+            hamming_distance_matrix(matrix, workers=workers, meter=meter)
+            assert meter.total_work == 40 * 6
+            assert meter.parallel_time == longest_block * 6
+
     @settings(max_examples=25, deadline=None)
     @given(small_matrices)
     def test_triangle_inequality(self, matrix):

@@ -13,8 +13,13 @@ import pytest
 from repro.core.executor import AnalyticsExecutor, ExecutionMode
 from repro.core.view_collection import collection_from_diffs
 from repro.differential import Dataflow
-from repro.differential.debug import operator_record_counts
-from repro.errors import ConfigError
+from repro.differential.debug import (
+    check_consistency,
+    check_consolidated,
+    operator_record_counts,
+    trace_stats,
+)
+from repro.errors import ConfigError, DataflowError
 
 WORKERS = 3
 
@@ -111,6 +116,46 @@ class TestDataflowEquality:
             Dataflow(workers=1, backend="process")
         with pytest.raises(ConfigError, match="unknown backend"):
             Dataflow(workers=4, backend="threads")
+
+
+class TestDebugReadsWorkerState:
+    """Keyed traces live on the workers after the fork; the debug tools
+    must report them (or refuse), never scan the coordinator's empty
+    copies."""
+
+    @staticmethod
+    def stepped(backend):
+        df = Dataflow(workers=2, backend=backend)
+        a = df.new_input("a")
+        b = df.new_input("b")
+        df.capture(a.reduce(lambda key, acc: [sum(acc.values())],
+                            name="deg"), "deg")
+        df.capture(a.join(b, name="ab"), "ab")
+        df.step({"a": {(k, k): 1 for k in range(50)},
+                 "b": {(k, -k): 1 for k in range(0, 50, 2)}})
+        return df
+
+    def test_trace_stats_identical_across_backends(self):
+        inline, process = self.stepped("inline"), self.stepped("process")
+        try:
+            want = trace_stats(inline)
+            assert {s.name: (s.keys, s.entries) for s in want} == \
+                {"deg": (50, 100), "ab": (50, 75)}
+            assert trace_stats(process) == want
+            assert operator_record_counts(process) == \
+                {s.name: s.entries for s in want}
+        finally:
+            process.close()
+
+    def test_checkers_refuse_on_a_live_cluster(self):
+        df = self.stepped("process")
+        try:
+            with pytest.raises(DataflowError, match="backend='process'"):
+                check_consolidated(df)
+            with pytest.raises(DataflowError, match="backend='process'"):
+                check_consistency(df)
+        finally:
+            df.close()
 
 
 def churn_collection():

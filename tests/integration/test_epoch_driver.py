@@ -121,3 +121,43 @@ def test_lower_layers_never_import_the_drivers_above_them():
                             (module, upper) not in ALLOWED:
                         violations.append(f"{module} imports {target}")
     assert not violations, "\n".join(sorted(set(violations)))
+
+
+# -- the keyed-operator shell -------------------------------------------------
+
+#: Touching the cluster's data plane: reading ``<x>.cluster`` or calling
+#: its ``run_tasks`` / ``post_updates``.
+CLUSTER_ATTRS = {"cluster", "run_tasks", "post_updates"}
+
+#: The only modules that may: the shell (the one dispatch site), the
+#: dataflow that owns the cluster's lifecycle, the debug tools that ask
+#: it for stats, and the cluster itself.
+CLUSTER_AWARE = {
+    "repro.differential.operators.keyed",
+    "repro.differential.dataflow",
+    "repro.differential.debug",
+    "repro.timely.cluster",
+}
+
+SHELL = "repro.differential.operators.keyed"
+
+
+def test_only_the_keyed_shell_places_state_and_dispatches_kernels():
+    """A sixth keyed operator must build on the shell, not regrow a
+    private ``if cluster is None`` fork or its own ``remote_*`` hooks."""
+    root = Path(repro.__file__).parent
+    violations = []
+    for path in sorted(root.rglob("*.py")):
+        module = ".".join(("repro",) + path.relative_to(root)
+                          .with_suffix("").parts)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and \
+                    node.attr in CLUSTER_ATTRS and \
+                    module not in CLUSTER_AWARE:
+                violations.append(
+                    f"{module}:{node.lineno} touches .{node.attr}")
+            if isinstance(node, ast.FunctionDef) and \
+                    node.name.startswith("remote_") and module != SHELL:
+                violations.append(
+                    f"{module}:{node.lineno} defines {node.name}")
+    assert not violations, "\n".join(violations)

@@ -1,17 +1,16 @@
 """The process backend's exchange machinery (`repro.timely.cluster`).
 
 Covers backend validation, cluster lifecycle, FIFO update-before-task
-ordering, error propagation, liveness under worker death (the
+ordering, error propagation and liveness under worker death (the
 coordinator must raise a typed ``WorkerFailedError`` naming the worker
-and superstep instead of hanging), and inline/process equality at the
-timely layer.
+and superstep instead of hanging).
 """
 
 import pytest
 
 from repro.errors import ConfigError, WorkerFailedError
 from repro.timely.cluster import BACKENDS, ProcessCluster, validate_backend
-from repro.timely.dataflow import TimelyDataflow
+from repro.timely.worker import shard_for
 
 
 class EchoOp:
@@ -35,7 +34,13 @@ class EchoOp:
                 for key, value in items}
 
     def remote_stats(self):
-        return len(self.state)
+        return len(self.state), len(self.state)  # (keys, records)
+
+
+def key_owned_by(worker, workers):
+    """A key the cluster routes to ``worker``."""
+    return next(key for key in range(1000)
+                if shard_for(key, workers) == worker)
 
 
 def make_cluster(workers=2, superstep=None, **kwargs):
@@ -92,19 +97,17 @@ class TestClusterExchange:
         finally:
             cluster.close()
 
-    def test_identity_routing(self):
+    def test_tasks_reach_every_owner(self):
         cluster = make_cluster(workers=3)
         try:
-            cluster.post_updates(0, "set", (0,), {w: w * 100
-                                                  for w in range(3)})
-            replies = cluster.run_tasks(0, "h", [(w, None)
-                                                 for w in range(3)],
-                                        route=lambda worker: worker)
-            # Each worker only holds the keys shard_for routed to it, so
-            # an identity-routed probe of key w must find w*100 only if
-            # shard_for(w) == w was also the update's route... instead
-            # verify the reply set covers every key exactly once.
-            assert set(replies) == {0, 1, 2}
+            keys = [key_owned_by(w, 3) for w in range(3)]
+            cluster.post_updates(0, "set", (0,), {k: k * 100 for k in keys})
+            replies = cluster.run_tasks(0, "h", [(k, None) for k in keys])
+            # One key per worker: the reply set covers every key exactly
+            # once, and each task ran where its key's update landed.
+            assert set(replies) == set(keys)
+            for k in keys:
+                assert replies[k][1] == ("h", k * 100, None)
         finally:
             cluster.close()
 
@@ -113,7 +116,7 @@ class TestClusterExchange:
         try:
             cluster.post_updates(0, "set", (0,),
                                  {f"k{i}": i for i in range(8)})
-            assert cluster.stats() == {0: 8}
+            assert cluster.stats() == {0: (8, 8)}
         finally:
             cluster.close()
 
@@ -174,8 +177,8 @@ class TestWorkerDeath:
             cluster._procs[victim].kill()
             cluster._procs[victim].join(timeout=10.0)
             with pytest.raises(WorkerFailedError) as excinfo:
-                cluster.run_tasks(0, "hdr", [(0, None), (1, None)],
-                                  route=lambda worker: worker)
+                cluster.run_tasks(0, "hdr", [(key_owned_by(0, 2), None),
+                                             (key_owned_by(1, 2), None)])
             assert excinfo.value.worker == victim
             assert excinfo.value.superstep == 7
             assert excinfo.value.code == "worker-failed"
@@ -193,40 +196,12 @@ class TestWorkerDeath:
                 pass
 
             def remote_stats(self):
-                return 0
+                return 0, 0
 
         cluster = ProcessCluster(2, {0: SleepOp()}, superstep=lambda: 3,
                                  task_timeout=1.0)
         try:
             with pytest.raises(WorkerFailedError, match="no reply"):
-                cluster.run_tasks(0, None, [(0, None)],
-                                  route=lambda worker: worker)
+                cluster.run_tasks(0, None, [(0, None)])
         finally:
             cluster.close(timeout=1.0)
-
-
-class TestTimelyBackendEquality:
-    @staticmethod
-    def build_and_run(backend):
-        td = TimelyDataflow(workers=4, backend=backend)
-        data = td.input("in")
-        mapped = data.map(lambda x: (x % 11, x))
-        grouped = mapped.aggregate(
-            lambda rec: rec[0], lambda recs: sum(v for _k, v in recs))
-        other = td.input("other").filter(lambda rec: rec[1] % 2 == 0)
-        out = grouped.join(other, lambda k, a, b: (k, a + b)).capture()
-        td.run({"in": list(range(200)),
-                "other": [(k, k) for k in range(11)]})
-        return (sorted(out.records), td.meter.total_work,
-                td.meter.parallel_time)
-
-    def test_counters_and_outputs_identical(self):
-        inline = self.build_and_run("inline")
-        process = self.build_and_run("process")
-        assert inline == process
-
-    def test_process_backend_validation_at_construction(self):
-        with pytest.raises(ConfigError):
-            TimelyDataflow(workers=1, backend="process")
-        with pytest.raises(ConfigError):
-            TimelyDataflow(workers=4, backend="gpu")

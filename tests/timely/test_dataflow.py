@@ -71,6 +71,33 @@ class TestOperators:
 
         assert parallel_time(8) < parallel_time(1)
 
+    def test_each_shard_is_charged_to_its_own_worker(self):
+        # Regression: shard w's units went through meter.record(w), which
+        # re-hashed the shard index as if it were a key — shard_for(w, W)
+        # is [0, 0] at W=2 and [0, 2, 1, 0] at W=4, so two shards piled
+        # onto one worker and parallel_time read 1000 / 1000 / 500.
+        def counters(workers):
+            td = TimelyDataflow(workers=workers)
+            td.input("in").map(lambda x: x + 1).capture()
+            td.run({"in": range(1000)})  # round-robin: 1000/W per shard
+            meter = td.meter
+            return meter.total_work, meter.supersteps, meter.parallel_time
+
+        assert counters(1) == (1000, 1, 1000)
+        assert counters(2) == (1000, 1, 500)
+        assert counters(4) == (1000, 1, 250)
+
+    def test_shard_spans_land_on_the_shard_worker(self):
+        from repro.observe.tracer import TraceSink
+        from repro.timely.meter import WorkMeter
+
+        tracer = TraceSink(4)
+        td = TimelyDataflow(workers=4, meter=WorkMeter(4, tracer=tracer))
+        td.input("in").map(lambda x: x + 1).capture()
+        td.run({"in": range(8)})
+        [step] = tracer.steps
+        assert step.worker_units == {0: 2, 1: 2, 2: 2, 3: 2}
+
 
 class TestErrors:
     def test_duplicate_input(self):
