@@ -17,6 +17,7 @@ from repro.core.ebm import (
     build_ebm_from_memberships,
 )
 from repro.gvdl.parser import parse
+from repro.gvdl.predicate import compile_predicate
 
 bool_matrices = st.integers(1, 8).flatmap(
     lambda k: st.lists(
@@ -125,3 +126,135 @@ class TestDiffStream:
         edge = (0, 0, 1, 1)
         with pytest.raises(ValueError, match="corrupt"):
             accumulate_view([{edge: 1}, {edge: 1}], 1)
+
+
+# -- build_ebm contract pins (numbers taken from the TimelyDataflow version) --
+
+def seeded_graph(seed=5, nodes=23, edges=157):
+    """A schema-less multigraph with a ``w`` edge property and a ``c`` node
+    property; parallel edges and self-loops included."""
+    import random
+
+    from repro.graph.property_graph import PropertyGraph
+
+    rng = random.Random(seed)
+    graph = PropertyGraph("g")
+    for node in range(nodes):
+        graph.add_node(node, {"c": rng.randrange(4)})
+    for _ in range(edges):
+        graph.add_edge(rng.randrange(nodes), rng.randrange(nodes),
+                       {"w": rng.randrange(1, 9)})
+    return graph
+
+
+def mutated_graph():
+    """``seeded_graph`` after removals and appends: edge ids have holes."""
+    graph = seeded_graph()
+    for edge in list(graph.edges[::7]):
+        graph.remove_edges(edge.src, edge.dst)
+    for node in range(5):
+        graph.add_edge(node, node + 1, {"w": node + 1})
+    ids = [edge.id for edge in graph.edges]
+    assert ids == sorted(ids) and ids != list(range(len(ids)))
+    return graph
+
+
+def pin_views():
+    sources = ["w <= 3", "src.c = 1 or dst.c = 2", "true", "w > 6 and src.c != 0"]
+    return ([f"v{i}" for i in range(len(sources))],
+            [parse(f"create view v on g edges where {src}").predicate
+             for src in sources])
+
+
+class TestBuildEbmContract:
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("make_graph", [seeded_graph, mutated_graph])
+    def test_meter_charges_two_supersteps(self, make_graph, workers):
+        from repro.timely.meter import WorkMeter
+        from repro.timely.worker import shard_for
+
+        graph = make_graph()
+        m = graph.num_edges
+        buckets = [0] * workers
+        for edge in graph.edges:
+            buckets[shard_for(edge.src, workers)] += 1
+        meter = WorkMeter(workers)
+        build_ebm(graph, *pin_views(), meter=meter, workers=workers)
+        assert meter.total_work == 2 * m
+        assert meter.supersteps == 2
+        assert meter.parallel_time == -(-m // workers) + max(buckets)
+
+    @pytest.mark.parametrize("weight", [None, "w"])
+    @pytest.mark.parametrize("make_graph", [seeded_graph, mutated_graph])
+    def test_edges_are_the_edge_stream(self, make_graph, weight):
+        from repro.graph.edge_stream import EdgeStream
+
+        graph = make_graph()
+        names, predicates = pin_views()
+        ebm = build_ebm(graph, names, predicates, weight_property=weight,
+                        workers=3)
+        assert ebm.edges == EdgeStream.from_graph(graph, weight).edges
+        evaluators = [compile_predicate(p) for p in predicates]
+        expected = [[bool(evaluate(edge.properties,
+                                   graph.nodes[edge.src].properties,
+                                   graph.nodes[edge.dst].properties))
+                     for evaluate in evaluators] for edge in graph.edges]
+        assert ebm.matrix.dtype == bool
+        assert ebm.matrix.tolist() == expected
+
+    def test_operator_fault_fires_at_its_unit(self):
+        """``WorkMeter.record`` fires the ``operator`` site once per unit,
+        so a fault placed in the second superstep (offset > m) lands on
+        the same unit, on the same worker's shard, however units are
+        batched."""
+        from repro.core.resilience import FaultPlan
+        from repro.errors import InjectedFault
+        from repro.timely.meter import WorkMeter
+        from repro.timely.worker import shard_for
+
+        graph = seeded_graph()
+        m, workers = graph.num_edges, 2
+        on_worker_0 = sum(shard_for(edge.src, workers) == 0
+                          for edge in graph.edges)
+        assert 0 < on_worker_0 < m - 1
+        at = m + on_worker_0 + 1    # second unit of worker 1's shard
+        plan = FaultPlan.single("operator", at=at)
+        with pytest.raises(InjectedFault) as caught:
+            build_ebm(graph, *pin_views(),
+                      meter=WorkMeter(workers, fault_plan=plan),
+                      workers=workers)
+        assert caught.value.invocation == at
+        assert caught.value.context == "1"
+        assert plan.invocations("operator") == at + 1
+
+    def test_corrupt_fault_inflates_one_unit(self):
+        from repro.core.resilience import FaultPlan
+        from repro.timely.meter import WorkMeter
+
+        graph = seeded_graph()
+        m = graph.num_edges
+        plan = FaultPlan.single("operator", at=m + 5, kind="corrupt")
+        meter = WorkMeter(2, fault_plan=plan)
+        build_ebm(graph, *pin_views(), meter=meter, workers=2)
+        assert meter.total_work == 2 * m + 999
+        assert plan.invocations("operator") == 2 * m
+
+    def test_predicate_errors_surface_unwrapped(self):
+        from repro.errors import GvdlTypeError, UnknownPropertyError
+        from repro.graph.property_graph import PropertyGraph
+        from repro.graph.schema import PropertyType, Schema
+
+        def predicate(source):
+            return parse(
+                f"create view v on g edges where {source}").predicate
+
+        graph = seeded_graph()
+        with pytest.raises(UnknownPropertyError, match="no property 'nope'"):
+            build_ebm(graph, ["a"], [predicate("nope = 1")], workers=2)
+        with pytest.raises(GvdlTypeError, match="cannot compare"):
+            build_ebm(graph, ["a"], [predicate("w < 'x'")], workers=2)
+        # A graph with a schema rejects the reference at compile time.
+        typed = PropertyGraph("t",
+                              edge_schema=Schema({"w": PropertyType.INT}))
+        with pytest.raises(UnknownPropertyError, match="unknown edge"):
+            build_ebm(typed, ["a"], [predicate("nope = 1")])
