@@ -37,8 +37,7 @@ fuzz-soak:
 		--keep-going --quiet
 
 bench:
-	$(PYTHON) benchmarks/bench_hotpath.py --check BENCH_engine.json \
-		--tolerance 0.25
+	$(PYTHON) benchmarks/bench_hotpath.py --check BENCH_engine.json
 
 # Backend-equality + speedup gate for the process backend (the CI
 # parallel-smoke job). Counters and output digests must be identical

@@ -25,8 +25,9 @@ Usage::
         --compare-backends --workers 4 --min-speedup 2.0
 
 ``--check`` is the regression gate used by the CI ``perf-smoke`` job: it
-exits non-zero when any scenario's score or work regresses past the
-tolerance (default 25%) against the committed baseline.
+exits non-zero when any scenario's ``work`` or ``parallel_time`` differs
+from the committed baseline (the counters are deterministic; wall clock
+and score are printed, not gated).
 
 ``--compare-backends`` is the gate behind ``make bench-parallel`` and
 the CI ``parallel-smoke`` job: it runs the suite on the inline backend
@@ -394,11 +395,8 @@ def main(argv=None) -> int:
     parser.add_argument("--emit", metavar="PATH",
                         help="write this run as a JSON baseline")
     parser.add_argument("--check", metavar="PATH",
-                        help="compare against a JSON baseline; exit 1 on "
-                             "regression")
-    parser.add_argument("--tolerance", type=float, default=0.25,
-                        help="allowed fractional regression for --check "
-                             "(default 0.25)")
+                        help="compare work/parallel_time against a JSON "
+                             "baseline; exit 1 on any difference")
     parser.add_argument("--compare-backends", action="store_true",
                         help="run inline AND process backends; fail on "
                              "any counter/output divergence")
@@ -434,14 +432,13 @@ def main(argv=None) -> int:
             print(f"\nWARNING: baseline recorded at scale "
                   f"{baseline.get('scale')}, this run at {args.scale}; "
                   f"work comparisons are not meaningful", file=sys.stderr)
-        problems = compare_benchmarks(payload, baseline,
-                                      tolerance=args.tolerance)
+        problems = compare_benchmarks(payload, baseline)
         if problems:
-            print("\nREGRESSIONS vs " + str(args.check))
+            print("\nDIFFERENCES vs " + str(args.check))
             for problem in problems:
                 print("  " + problem)
             return 1
-        print(f"\nOK: within {args.tolerance:.0%} of {args.check}")
+        print(f"\nOK: work and parallel_time equal {args.check}")
     return 0
 
 

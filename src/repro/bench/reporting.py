@@ -153,9 +153,9 @@ def bench_to_json(payload: Dict[str, object], path: PathLike) -> None:
                                       "work": ..., "parallel_time": ...}}}
 
     ``backend``/``workers`` record the execution configuration of the
-    run; the regression gate compares only per-scenario ``score`` and
-    ``work``, so baselines written before those fields existed still
-    load and compare.
+    run; the regression gate compares only per-scenario ``work`` and
+    ``parallel_time``, so baselines written before those fields existed
+    still load and compare.
 
     The write is atomic (temp file + ``os.replace``), so a crash or an
     interrupted ``--update-baseline`` run never leaves a torn baseline
@@ -180,26 +180,23 @@ def load_bench_json(path: PathLike) -> Dict[str, object]:
 
 
 def compare_benchmarks(current: Dict[str, object],
-                       baseline: Dict[str, object],
-                       tolerance: float = 0.25) -> List[str]:
-    """Compare a benchmark run against a baseline; return regressions.
+                       baseline: Dict[str, object]) -> List[str]:
+    """Compare a benchmark run against a baseline; return problems.
 
-    Wall clock is compared through the calibration-normalized ``score``
-    (scenario seconds divided by the run's pure-Python calibration loop
-    seconds), which absorbs machine-speed differences between the laptop
-    that committed the baseline and the CI runner. The deterministic cost
-    counters (``work``, ``parallel_time``) are compared directly.
+    The deterministic cost counters (``work``, ``parallel_time``) must
+    equal the baseline exactly: they do not depend on the host, so any
+    difference — up or down — is a change to the engine, and a deliberate
+    one re-records the baseline in its own commit. Wall clock
+    (``wall_seconds`` and the calibration-normalized ``score``) is
+    reported by the suite but not gated: on shared CI hosts it moves by
+    more than any bound worth enforcing.
 
-    A scenario regresses when its score or work exceeds the baseline by
-    more than ``tolerance`` (fractional, e.g. ``0.25`` = 25%). Missing
-    scenarios are regressions too — a gate that silently stops measuring
-    is not a gate — and so are scenarios present in the current run but
-    absent from the baseline: an unbaselined scenario is unguarded until
-    someone reruns ``--update-baseline``, and the gate must say so rather
-    than silently pass it. A zero or near-zero baseline value (below
-    ``1e-9``) cannot anchor a meaningful ratio, so it is reported as a
-    problem instead of being skipped or dividing to ``inf``. Returns
-    human-readable problem messages (empty = pass).
+    Missing scenarios are problems too — a gate that silently stops
+    measuring is not a gate — and so are scenarios present in the current
+    run but absent from the baseline: an unbaselined scenario is
+    unguarded until someone re-records the baseline, and the gate must
+    say so rather than silently pass it. Returns human-readable problem
+    messages (empty = pass).
     """
     problems: List[str] = []
     base_scenarios = baseline.get("scenarios", {})
@@ -209,23 +206,12 @@ def compare_benchmarks(current: Dict[str, object],
         if cur is None:
             problems.append(f"{name}: scenario missing from current run")
             continue
-        for metric in ("score", "work"):
-            base_value = base.get(metric)
-            cur_value = cur.get(metric)
-            if base_value is None or cur_value is None:
-                continue
-            if not base_value > 1e-9:
+        for metric in ("work", "parallel_time"):
+            if metric in base and cur.get(metric) != base[metric]:
                 problems.append(
-                    f"{name}: baseline {metric} is {base_value!r}; a zero "
-                    f"or near-zero baseline cannot gate regressions — "
-                    f"re-record it with --update-baseline")
-                continue
-            ratio = cur_value / base_value
-            if ratio > 1.0 + tolerance:
-                problems.append(
-                    f"{name}: {metric} regressed {ratio:.2f}x "
-                    f"({base_value:g} -> {cur_value:g}, "
-                    f"tolerance {tolerance:.0%})")
+                    f"{name}: {metric} changed ({base[metric]} -> "
+                    f"{cur.get(metric)}); the counter is deterministic, "
+                    f"so re-record the baseline if this is deliberate")
     for name in sorted(set(cur_scenarios) - set(base_scenarios)):
         problems.append(
             f"{name}: scenario has no baseline entry — run "

@@ -54,112 +54,6 @@ def _collect(specs: Iterable[AggSpec], rows: List[Dict[str, Any]]) -> Dict[str, 
     return out
 
 
-def compute_aggregate_view_dataflow(graph: PropertyGraph,
-                                    statement: AggregateViewStmt,
-                                    workers: int = 1) -> PropertyGraph:
-    """Evaluate an aggregate view as a timely batch dataflow (paper §6:
-    "evaluated in TD using a dataflow that consists of aggregation
-    operators").
-
-    Pipeline: nodes are mapped to their group key and aggregated into
-    super-nodes; edges are joined twice against the node->group assignment
-    (once per endpoint) and aggregated into super-edges. Results are
-    identical to :func:`compute_aggregate_view` (tests cross-check).
-    """
-    from repro.timely.dataflow import TimelyDataflow
-
-    group_key_fn = _group_key_fn(graph, statement)
-    td = TimelyDataflow(workers=workers)
-    nodes_in = td.input("nodes")    # (node_id, props)
-    edges_in = td.input("edges")    # (src, dst, props)
-
-    grouped = nodes_in.flat_map(
-        lambda rec: [(group_key_fn(rec[1]), rec)]
-        if group_key_fn(rec[1]) is not None else [],
-        name="agg.assign")
-    super_nodes = grouped.aggregate(
-        lambda rec: rec[0],
-        lambda records: _collect(statement.node_aggregates,
-                                 [props for _key, (_id, props) in records]),
-        name="agg.supernodes")
-    node_groups = grouped.map(
-        lambda rec: (rec[1][0], rec[0]), name="agg.nodegroup")
-
-    by_src = edges_in.map(lambda rec: (rec[0], rec), name="agg.bysrc")
-    with_src = by_src.join(
-        node_groups, lambda _k, edge, group: (edge[1], (group, edge[2])),
-        name="agg.joinsrc")
-    with_both = with_src.join(
-        node_groups,
-        lambda _k, src_edge, dst_group: (
-            (src_edge[0], dst_group), src_edge[1]),
-        name="agg.joindst")
-    super_edges = with_both.aggregate(
-        lambda rec: rec[0],
-        lambda records: {
-            "count": len(records),
-            **_collect(statement.edge_aggregates,
-                       [props for _pair, props in records]),
-        },
-        name="agg.superedges")
-
-    nodes_capture = super_nodes.capture("agg.nodes")
-    edges_capture = super_edges.capture("agg.edges")
-    td.run({
-        "nodes": [(node.id, node.properties)
-                  for node in graph.nodes.values()],
-        "edges": [(edge.src, edge.dst, edge.properties)
-                  for edge in graph.edges],
-    })
-
-    label_of = _group_labeler(statement)
-    groups = sorted((key for key, _aggs in nodes_capture.records), key=repr)
-    super_id = {key: idx for idx, key in enumerate(groups)}
-    view = PropertyGraph(statement.name)
-    for key, aggs in sorted(nodes_capture.records, key=lambda kv: repr(kv[0])):
-        props = {"group": label_of(key)}
-        if isinstance(statement.group_by, GroupByProperties):
-            for prop, value in zip(statement.group_by.properties, key):
-                props[prop] = value
-        props.update(aggs)
-        view.add_node(super_id[key], props)
-    for (src_key, dst_key), aggs in sorted(
-            edges_capture.records, key=lambda kv: repr(kv[0])):
-        view.add_edge(super_id[src_key], super_id[dst_key], dict(aggs))
-    return view
-
-
-def _group_key_fn(graph: PropertyGraph, statement: AggregateViewStmt):
-    """Build props -> group-key (or None when the node matches no group)."""
-    if isinstance(statement.group_by, GroupByProperties):
-        props_list = statement.group_by.properties
-        for prop in props_list:
-            if len(graph.node_schema) and prop not in graph.node_schema:
-                raise UnknownPropertyError(
-                    f"group by references unknown node property {prop!r}")
-
-        def by_properties(props):
-            return tuple(props.get(p) for p in props_list)
-
-        return by_properties
-    evaluators = [compile_node_predicate(p, graph.node_schema)
-                  for p in statement.group_by.predicates]
-
-    def by_predicates(props):
-        for index, evaluate in enumerate(evaluators):
-            if evaluate(props):
-                return index
-        return None
-
-    return by_predicates
-
-
-def _group_labeler(statement: AggregateViewStmt):
-    if isinstance(statement.group_by, GroupByProperties):
-        return lambda key: ",".join(str(v) for v in key)
-    return lambda key: f"group-{key}"
-
-
 def compute_aggregate_view(graph: PropertyGraph,
                            statement: AggregateViewStmt) -> PropertyGraph:
     """Evaluate an aggregate-view statement against a base graph."""

@@ -8,14 +8,17 @@ edges; we shard it over the simulated workers and meter the work.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import ConfigError
+from repro.graph.edge_stream import EdgeStream
+from repro.graph.property_graph import PropertyGraph
 from repro.gvdl.ast import Predicate
 from repro.gvdl.predicate import compile_predicate
-from repro.graph.property_graph import PropertyGraph
 from repro.timely.meter import WorkMeter
+from repro.timely.worker import shard_for
 
 EdgeKey = Tuple[int, int, int, int]  # (edge_id, src, dst, weight)
 
@@ -26,7 +29,7 @@ class EdgeBooleanMatrix:
     def __init__(self, edges: Sequence[EdgeKey], view_names: Sequence[str],
                  matrix: np.ndarray):
         if matrix.shape != (len(edges), len(view_names)):
-            raise ValueError(
+            raise ConfigError(
                 f"matrix shape {matrix.shape} does not match "
                 f"{len(edges)} edges x {len(view_names)} views")
         self.edges: List[EdgeKey] = list(edges)
@@ -44,8 +47,9 @@ class EdgeBooleanMatrix:
     def reorder(self, order: Sequence[int]) -> "EdgeBooleanMatrix":
         """Return a new EBM with columns permuted by ``order``."""
         order = list(order)
-        if sorted(order) != list(range(self.num_views)):
-            raise ValueError(f"invalid column order {order}")
+        if len(order) != self.num_views or \
+                set(order) != set(range(self.num_views)):
+            raise ConfigError(f"invalid column order {order}")
         return EdgeBooleanMatrix(
             self.edges,
             [self.view_names[j] for j in order],
@@ -64,49 +68,38 @@ def build_ebm(graph: PropertyGraph, view_names: Sequence[str],
               workers: int = 1) -> EdgeBooleanMatrix:
     """Evaluate every view predicate on every edge of the base graph.
 
-    Runs as a timely batch dataflow (paper §3.2 step 1: "an embarrassingly
-    parallelizable computation ... performed by a TD dataflow"): edges are
-    sharded across workers, each worker evaluates every predicate on its
-    shard.
+    Paper §3.2 step 1 ("an embarrassingly parallelizable computation"):
+    rows follow ``graph.edges``. The meter is charged as the W-worker
+    cluster would work — one superstep in which worker ``i % W`` routes
+    edge ``i`` to its source's shard, one in which each shard evaluates
+    its edges — so ``total_work`` is ``2m``.
     """
-    from repro.timely.dataflow import TimelyDataflow
-
     if len(view_names) != len(predicates):
-        raise ValueError("one predicate per view is required")
-    evaluators: List[Callable] = [
+        raise ConfigError("one predicate per view is required")
+    evaluators = [
         compile_predicate(p, graph.edge_schema, graph.node_schema)
         for p in predicates
     ]
     meter = meter or WorkMeter(workers)
-
-    def edge_record(edge):
-        if weight_property is not None:
-            weight = int(edge.properties.get(weight_property, 1))
-        else:
-            weight = 1
-        return (edge.id, edge.src, edge.dst, weight, edge.properties,
-                graph.nodes[edge.src].properties,
-                graph.nodes[edge.dst].properties)
-
-    def evaluate_row(record):
-        edge_id, src, dst, weight, eprops, sprops, dprops = record
-        flags = tuple(evaluate(eprops, sprops, dprops)
-                      for evaluate in evaluators)
-        return (edge_id, src, dst, weight, flags)
-
-    td = TimelyDataflow(workers=workers, meter=meter)
-    stream = td.input("edges")
-    results = stream.exchange(lambda rec: rec[1], name="ebm.shard").map(
-        evaluate_row, name="ebm.evaluate")
-    capture = results.capture("ebm.rows")
-    td.run({"edges": [edge_record(edge) for edge in graph.edges]})
-
-    edges: List[EdgeKey] = []
-    rows = np.zeros((graph.num_edges, len(predicates)), dtype=bool)
-    for row, (edge_id, src, dst, weight, flags) in enumerate(
-            sorted(capture.records)):
-        edges.append((edge_id, src, dst, weight))
-        rows[row] = flags
+    workers = max(1, workers)
+    edges = EdgeStream.from_graph(graph, weight_property).edges
+    nodes = graph.nodes
+    rows = np.zeros((len(edges), len(evaluators)), dtype=bool)
+    # Input arrives round-robin, like records read from partitioned files.
+    routed = [len(range(w, len(edges), workers)) for w in range(workers)]
+    evaluated = [0] * workers
+    for row, edge in enumerate(graph.edges):
+        eprops = edge.properties
+        sprops = nodes[edge.src].properties
+        dprops = nodes[edge.dst].properties
+        rows[row] = [evaluate(eprops, sprops, dprops)
+                     for evaluate in evaluators]
+        evaluated[shard_for(edge.src, workers)] += 1
+    for shard_units in (routed, evaluated):
+        meter.begin_step()
+        for worker, units in enumerate(shard_units):
+            meter.record(worker, units, worker=worker)
+        meter.end_step()
     return EdgeBooleanMatrix(edges, view_names, rows)
 
 
@@ -118,5 +111,5 @@ def build_ebm_from_memberships(edges: Sequence[EdgeKey],
     synthetic workloads)."""
     matrix = np.asarray(memberships, dtype=bool)
     if matrix.ndim != 2:
-        raise ValueError("memberships must be a 2-D row-per-edge structure")
+        raise ConfigError("memberships must be a 2-D row-per-edge structure")
     return EdgeBooleanMatrix(edges, view_names, matrix)

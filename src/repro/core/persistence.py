@@ -190,16 +190,6 @@ def _decode_payload(payload: dict) -> MaterializedCollection:
     diffs = []
     for encoded in payload["diffs"]:
         diffs.append({edge_table[index]: mult for index, mult in encoded})
-    from repro.core.diff_stream import diff_sizes, view_sizes_from_diffs
-
-    return MaterializedCollection(
-        name=payload["name"],
-        source=payload["source"],
-        view_names=list(payload["view_names"]),
-        diffs=diffs,
-        view_sizes=view_sizes_from_diffs(diffs),
-        diff_sizes=diff_sizes(diffs),
-        creation_seconds=float(payload.get("creation_seconds", 0.0)),
-        ordering=None,
-        ebm=None,
-    )
+    return MaterializedCollection.from_diffs(
+        payload["name"], payload["source"], payload["view_names"], diffs,
+        creation_seconds=float(payload.get("creation_seconds", 0.0)))

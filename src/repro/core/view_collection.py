@@ -15,6 +15,8 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.diff_stream import (
     EdgeDiff,
     compute_diff_stream,
@@ -29,7 +31,6 @@ from repro.errors import ConfigError
 from repro.graph.edge_stream import edge_diff_to_input
 from repro.graph.property_graph import PropertyGraph
 from repro.gvdl.ast import Predicate
-from repro.timely.meter import WorkMeter
 
 
 @dataclass
@@ -45,6 +46,17 @@ class MaterializedCollection:
     creation_seconds: float
     ordering: Optional[OrderingResult] = None
     ebm: Optional[EdgeBooleanMatrix] = field(default=None, repr=False)
+
+    @classmethod
+    def from_diffs(cls, name: str, source: str, view_names: Sequence[str],
+                   diffs: List[EdgeDiff], creation_seconds: float = 0.0,
+                   ordering: Optional[OrderingResult] = None,
+                   ebm: Optional[EdgeBooleanMatrix] = None
+                   ) -> "MaterializedCollection":
+        """A collection whose size columns are derived from ``diffs``."""
+        return cls(name, source, list(view_names), diffs,
+                   view_sizes_from_diffs(diffs), diff_sizes(diffs),
+                   creation_seconds, ordering, ebm)
 
     @property
     def num_views(self) -> int:
@@ -72,6 +84,23 @@ class MaterializedCollection:
         return view
 
 
+def _order_and_diff(name: str, source: str, ebm: EdgeBooleanMatrix,
+                    order_method: str, workers: int, seed: int,
+                    started: float) -> MaterializedCollection:
+    """Steps 2 and 3: order the EBM's views (``identity`` keeps the given
+    order and records no ordering), then render the difference stream."""
+    ordering = None
+    if order_method != "identity":
+        ordering = order_collection(ebm.matrix, method=order_method,
+                                    workers=workers, seed=seed)
+        ebm = ebm.reorder(ordering.order)
+    diffs = compute_diff_stream(ebm)
+    return MaterializedCollection.from_diffs(
+        name, source, ebm.view_names, diffs,
+        creation_seconds=time.perf_counter() - started,
+        ordering=ordering, ebm=ebm)
+
+
 @dataclass
 class ViewCollectionDefinition:
     """A parsed-but-unmaterialized view collection."""
@@ -80,45 +109,31 @@ class ViewCollectionDefinition:
     source: str
     views: Tuple[Tuple[str, Predicate], ...]
 
+    def __post_init__(self):
+        seen = set()
+        for name, _pred in self.views:
+            if name in seen:
+                raise ConfigError(f"view collection {self.name!r} declares "
+                                  f"view {name!r} more than once")
+            seen.add(name)
+
     def materialize(self, graph: PropertyGraph,
                     order_method: str = "identity",
                     workers: int = 1,
                     weight_property: Optional[str] = None,
-                    seed: int = 0,
-                    meter: Optional[WorkMeter] = None
-                    ) -> MaterializedCollection:
+                    seed: int = 0) -> MaterializedCollection:
         """Run the three materialization steps against a base graph.
 
         ``order_method`` is passed to the ordering optimizer; the default
         ``identity`` keeps the user-given order (the paper applies the
         optimizer only when a good manual order is unclear).
         """
-        meter = meter or WorkMeter(workers)
         started = time.perf_counter()
-        names = [name for name, _pred in self.views]
-        predicates = [pred for _name, pred in self.views]
-        ebm = build_ebm(graph, names, predicates,
-                        weight_property=weight_property, meter=meter,
-                        workers=workers)
-        ordering = None
-        if order_method != "identity":
-            ordering = order_collection(
-                ebm.matrix, method=order_method, workers=workers,
-                seed=seed, meter=meter)
-            ebm = ebm.reorder(ordering.order)
-        diffs = compute_diff_stream(ebm, meter=meter)
-        elapsed = time.perf_counter() - started
-        return MaterializedCollection(
-            name=self.name,
-            source=self.source,
-            view_names=list(ebm.view_names),
-            diffs=diffs,
-            view_sizes=view_sizes_from_diffs(diffs),
-            diff_sizes=diff_sizes(diffs),
-            creation_seconds=elapsed,
-            ordering=ordering,
-            ebm=ebm,
-        )
+        ebm = build_ebm(graph, [name for name, _pred in self.views],
+                        [pred for _name, pred in self.views],
+                        weight_property=weight_property, workers=workers)
+        return _order_and_diff(self.name, self.source, ebm, order_method,
+                               workers, seed, started)
 
 
 def reorder_collection(collection: MaterializedCollection,
@@ -132,43 +147,20 @@ def reorder_collection(collection: MaterializedCollection,
     the new order — useful when a collection was created with the
     optimizer off, or to compare orderings of a loaded collection.
     """
-    import time as _time
-
-    import numpy as np
-
-    started = _time.perf_counter()
+    started = time.perf_counter()
     edge_index: dict = {}
     for diff in collection.diffs:
         for edge in diff:
             edge_index.setdefault(edge, len(edge_index))
-    edges = [None] * len(edge_index)
-    for edge, row in edge_index.items():
-        edges[row] = edge
     matrix = np.zeros((len(edge_index), collection.num_views), dtype=bool)
     current = np.zeros(len(edge_index), dtype=np.int8)
     for view, diff in enumerate(collection.diffs):
         for edge, mult in diff.items():
             current[edge_index[edge]] += mult
         matrix[:, view] = current > 0
-    from repro.core.ebm import EdgeBooleanMatrix
-    from repro.core.ordering.optimizer import order_collection as _order
-
-    ordering = _order(matrix, method=order_method, workers=workers,
-                      seed=seed)
-    ebm = EdgeBooleanMatrix(edges, collection.view_names, matrix).reorder(
-        ordering.order)
-    diffs = compute_diff_stream(ebm)
-    return MaterializedCollection(
-        name=collection.name,
-        source=collection.source,
-        view_names=list(ebm.view_names),
-        diffs=diffs,
-        view_sizes=view_sizes_from_diffs(diffs),
-        diff_sizes=diff_sizes(diffs),
-        creation_seconds=_time.perf_counter() - started,
-        ordering=ordering,
-        ebm=ebm,
-    )
+    ebm = EdgeBooleanMatrix(list(edge_index), collection.view_names, matrix)
+    return _order_and_diff(collection.name, collection.source, ebm,
+                           order_method, workers, seed, started)
 
 
 def collection_from_diffs(name: str, diffs: Sequence[EdgeDiff],
@@ -185,17 +177,7 @@ def collection_from_diffs(name: str, diffs: Sequence[EdgeDiff],
         f"view-{i}" for i in range(len(diffs))]
     if len(names) != len(diffs):
         raise ConfigError("one name per difference set is required")
-    return MaterializedCollection(
-        name=name,
-        source=source,
-        view_names=names,
-        diffs=diffs,
-        view_sizes=view_sizes_from_diffs(diffs),
-        diff_sizes=diff_sizes(diffs),
-        creation_seconds=0.0,
-        ordering=None,
-        ebm=None,
-    )
+    return MaterializedCollection.from_diffs(name, source, names, diffs)
 
 
 __all__ = [

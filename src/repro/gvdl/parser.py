@@ -135,6 +135,9 @@ class _Parser:
         while True:
             self.expect_symbol("[")
             view_name = self.expect_name()
+            if any(view_name == seen for seen, _pred in views):
+                raise self.error(f"view collection {name!r} declares view "
+                                 f"{view_name!r} more than once")
             self.expect_symbol(":")
             predicate = self.parse_predicate()
             self.expect_symbol("]")

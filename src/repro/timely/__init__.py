@@ -13,6 +13,9 @@ equivalent execution-model pieces for the Python engine:
 The dataflow-graph plumbing itself lives in :mod:`repro.differential`, since
 differential dataflow is a layer over timely and this reproduction collapses
 the two into one engine (the paper's analytics all run through DD anyway).
+There is no second, non-differential dataflow engine: the acyclic
+collection-creation steps the paper runs "directly on TD" are sharded
+loops in :mod:`repro.core` that charge the :class:`WorkMeter` per worker.
 """
 
 from repro.timely.meter import WorkMeter

@@ -47,7 +47,7 @@ class WorkMeter:
     Usage from operators::
 
         meter.record(key, units)      # inside a superstep
-        meter.record(w, units, worker=w)   # batch layer: shard w's work
+        meter.record(w, units, worker=w)   # pre-sharded loop: shard w's work
 
     Usage from the driver::
 
@@ -85,8 +85,8 @@ class WorkMeter:
 
         The worker is ``shard_for(key, workers)`` unless the caller has
         already sharded its data and names the ``worker`` (shard index)
-        that did the work — the batch layer, where ``key`` is then only
-        a label for fault contexts and trace spans.
+        that did the work — the collection-creation loops, where ``key``
+        is then only a label for fault contexts and trace spans.
         """
         if units <= 0:
             return

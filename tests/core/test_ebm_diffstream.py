@@ -1,5 +1,7 @@
 """EBM construction and edge-difference-stream invariants."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +18,15 @@ from repro.core.ebm import (
     build_ebm,
     build_ebm_from_memberships,
 )
+from repro.core.resilience import FaultPlan
+from repro.errors import GvdlTypeError, InjectedFault, UnknownPropertyError
+from repro.graph.edge_stream import EdgeStream
+from repro.graph.property_graph import PropertyGraph
+from repro.graph.schema import PropertyType, Schema
 from repro.gvdl.parser import parse
 from repro.gvdl.predicate import compile_predicate
+from repro.timely.meter import WorkMeter
+from repro.timely.worker import shard_for
 
 bool_matrices = st.integers(1, 8).flatmap(
     lambda k: st.lists(
@@ -133,10 +142,6 @@ class TestDiffStream:
 def seeded_graph(seed=5, nodes=23, edges=157):
     """A schema-less multigraph with a ``w`` edge property and a ``c`` node
     property; parallel edges and self-loops included."""
-    import random
-
-    from repro.graph.property_graph import PropertyGraph
-
     rng = random.Random(seed)
     graph = PropertyGraph("g")
     for node in range(nodes):
@@ -160,7 +165,8 @@ def mutated_graph():
 
 
 def pin_views():
-    sources = ["w <= 3", "src.c = 1 or dst.c = 2", "true", "w > 6 and src.c != 0"]
+    sources = ["w <= 3", "src.c = 1 or dst.c = 2", "true",
+               "w > 6 and src.c != 0"]
     return ([f"v{i}" for i in range(len(sources))],
             [parse(f"create view v on g edges where {src}").predicate
              for src in sources])
@@ -170,9 +176,6 @@ class TestBuildEbmContract:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("make_graph", [seeded_graph, mutated_graph])
     def test_meter_charges_two_supersteps(self, make_graph, workers):
-        from repro.timely.meter import WorkMeter
-        from repro.timely.worker import shard_for
-
         graph = make_graph()
         m = graph.num_edges
         buckets = [0] * workers
@@ -187,8 +190,6 @@ class TestBuildEbmContract:
     @pytest.mark.parametrize("weight", [None, "w"])
     @pytest.mark.parametrize("make_graph", [seeded_graph, mutated_graph])
     def test_edges_are_the_edge_stream(self, make_graph, weight):
-        from repro.graph.edge_stream import EdgeStream
-
         graph = make_graph()
         names, predicates = pin_views()
         ebm = build_ebm(graph, names, predicates, weight_property=weight,
@@ -207,11 +208,6 @@ class TestBuildEbmContract:
         so a fault placed in the second superstep (offset > m) lands on
         the same unit, on the same worker's shard, however units are
         batched."""
-        from repro.core.resilience import FaultPlan
-        from repro.errors import InjectedFault
-        from repro.timely.meter import WorkMeter
-        from repro.timely.worker import shard_for
-
         graph = seeded_graph()
         m, workers = graph.num_edges, 2
         on_worker_0 = sum(shard_for(edge.src, workers) == 0
@@ -228,9 +224,6 @@ class TestBuildEbmContract:
         assert plan.invocations("operator") == at + 1
 
     def test_corrupt_fault_inflates_one_unit(self):
-        from repro.core.resilience import FaultPlan
-        from repro.timely.meter import WorkMeter
-
         graph = seeded_graph()
         m = graph.num_edges
         plan = FaultPlan.single("operator", at=m + 5, kind="corrupt")
@@ -240,10 +233,6 @@ class TestBuildEbmContract:
         assert plan.invocations("operator") == 2 * m
 
     def test_predicate_errors_surface_unwrapped(self):
-        from repro.errors import GvdlTypeError, UnknownPropertyError
-        from repro.graph.property_graph import PropertyGraph
-        from repro.graph.schema import PropertyType, Schema
-
         def predicate(source):
             return parse(
                 f"create view v on g edges where {source}").predicate

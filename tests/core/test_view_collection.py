@@ -1,11 +1,18 @@
 """ViewCollectionDefinition materialization and MaterializedCollection."""
 
+import numpy as np
 import pytest
 
+from repro.core.ebm import (
+    EdgeBooleanMatrix,
+    build_ebm,
+    build_ebm_from_memberships,
+)
 from repro.core.view_collection import (
     ViewCollectionDefinition,
     collection_from_diffs,
 )
+from repro.errors import ConfigError, GraphsurgeError
 from repro.gvdl.parser import parse
 
 
@@ -56,6 +63,52 @@ class TestMaterialization:
         assert all(mult == 1 for mult in diff.values())
         undirected = collection.input_diff_for_view(0, directed=False)
         assert len(undirected) >= len(diff)
+
+
+class TestDuplicateViewNames:
+    def test_definition_rejects_repeated_name(self):
+        views = year_views(2013, 2017) + year_views(2013)
+        with pytest.raises(ConfigError,
+                           match="collection 'hist' declares view 'y2013'"):
+            ViewCollectionDefinition("hist", "Calls", views)
+
+    def test_window_builder_rejects_repeated_bound(self):
+        from repro.core.windows import cumulative_windows
+
+        with pytest.raises(ConfigError, match="'lt-2015' more than once"):
+            cumulative_windows("hist", "Calls", "year", [2013, 2015, 2015])
+
+    def test_execute_rejects_before_creating_anything(self, call_graph):
+        from repro import Graphsurge
+        from repro.errors import GvdlSyntaxError
+
+        gs = Graphsurge()
+        gs.graphs.add(call_graph, "Calls")
+        with pytest.raises(GvdlSyntaxError, match="view 'a' more than once"):
+            gs.execute("create view early on Calls edges where year = 2019; "
+                       "create view collection c on Calls "
+                       "[a: duration <= 1], [a: duration <= 2]")
+        assert not gs.views.has_view("early")
+
+
+class TestCreationErrorsAreTyped:
+    """The serve ladder maps ``GraphsurgeError`` to a payload with a
+    ``code``; a bare ``ValueError`` from creation became a 500."""
+
+    @pytest.mark.parametrize("site", [
+        lambda graph: build_ebm(graph, ["a"], []),
+        lambda graph: EdgeBooleanMatrix([(0, 0, 1, 1)], ["a", "b"],
+                                        np.zeros((1, 1), dtype=bool)),
+        lambda graph: build_ebm_from_memberships(
+            [(0, 0, 1, 1)], ["a", "b"], [[True, False]]).reorder([0, 0]),
+        lambda graph: build_ebm_from_memberships(
+            [(0, 0, 1, 1)], ["a"], [True]),
+    ], ids=["build_ebm", "init", "reorder", "from_memberships"])
+    def test_creation_site_raises_config_error(self, call_graph, site):
+        with pytest.raises(ValueError) as caught:
+            site(call_graph)
+        assert isinstance(caught.value, GraphsurgeError)
+        assert caught.value.to_payload()["error"] == "invalid-config"
 
 
 class TestCollectionFromDiffs:

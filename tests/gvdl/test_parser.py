@@ -89,6 +89,15 @@ class TestViewCollections:
         with pytest.raises(GvdlSyntaxError):
             parse("create view collection c on g only: x = 1")
 
+    def test_duplicate_view_name_rejected(self):
+        """Two views called ``a`` used to parse and materialize, and only
+        failed later in ``outputs_by_view()``; the CSV and serve payloads
+        carried two indistinguishable ``a`` blocks."""
+        with pytest.raises(GvdlSyntaxError,
+                           match="collection 'c' declares view 'a' more"):
+            parse("create view collection c on g "
+                  "[a: w <= 1], [b: w <= 2], [a: w <= 3]")
+
 
 class TestAggregateViews:
     def test_listing_4_city_calls(self):

@@ -161,3 +161,58 @@ def test_only_the_keyed_shell_places_state_and_dispatches_kernels():
                 violations.append(
                     f"{module}:{node.lineno} defines {node.name}")
     assert not violations, "\n".join(violations)
+
+
+# -- one engine, one creation path --------------------------------------------
+
+#: Opening a superstep frame is what an engine does. Besides the meter and
+#: the tracer tee that define ``begin_step``, only the differential driver
+#: and its iterate scope, and the three creation steps that charge their
+#: sharded loops to the meter, may.
+OPENS_SUPERSTEPS = {
+    "repro.timely.meter",
+    "repro.observe.tracer",
+    "repro.differential.dataflow",
+    "repro.differential.operators.iterate",
+    "repro.core.ebm",
+    "repro.core.ordering.hamming",
+    "repro.core.diff_stream",
+}
+
+
+def called_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+
+
+def test_no_second_batch_engine_and_one_collection_constructor():
+    """The TimelyDataflow batch layer is gone; it must not regrow as a
+    module, as an import, or as another ``begin_step`` driver. Collection
+    size columns are derived in one place
+    (``MaterializedCollection.from_diffs``)."""
+    package = Path(repro.__file__).parent
+    repo = package.parents[1]
+    assert not (package / "timely" / "dataflow.py").exists()
+    assert not (package / "timely" / "dataflow").exists()
+    step_openers, size_derivers, importers = set(), [], []
+    for top in (package, repo / "benchmarks", repo / "examples"):
+        for path in sorted(top.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            if any(within(target or "", "repro.timely.dataflow")
+                   for target in imported_modules(tree)):
+                importers.append(str(path))
+            if top is not package:
+                continue
+            module = ".".join(("repro",) + path.relative_to(package)
+                              .with_suffix("").parts)
+            names = list(called_names(tree))
+            if "begin_step" in names:
+                step_openers.add(module)
+            size_derivers += [module] * names.count("view_sizes_from_diffs")
+    assert not importers, importers
+    assert step_openers <= OPENS_SUPERSTEPS, \
+        sorted(step_openers - OPENS_SUPERSTEPS)
+    assert size_derivers == ["repro.core.view_collection"], size_derivers

@@ -75,6 +75,14 @@ class TestQueryAndExplain:
         assert response.status == 400
         assert response.payload["error"] == "gvdl-syntax"
 
+    def test_duplicate_view_name_maps_to_400(self, app):
+        response = run(call(app, "POST", "/query", {
+            "gvdl": "create view collection c on Calls "
+                    "[a: duration <= 1], [a: duration <= 2]"}))
+        assert response.status == 400
+        assert "view 'a' more than once" in response.payload["message"]
+        assert app.session.describe()["collections"] == []
+
     def test_explain_returns_text(self, app):
         run(call(app, "POST", "/query", {"gvdl": HIST_GVDL}))
         response = run(call(app, "GET", "/explain",
