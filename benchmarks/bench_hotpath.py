@@ -7,7 +7,10 @@ Measures the differential engine's hot paths at three granularities:
 * **iterate-heavy** — a long-diameter label propagation, where per-key
   trace accumulation dominates (the `KeyTrace` cache's home turf);
 * **collection-run** — the end-to-end Graphsurge workload: an iterative
-  computation executed differentially across a whole view collection.
+  computation executed differentially across a whole view collection;
+* **collection-create** — what the user pays before any analytics runs
+  (paper Table 4's "CC time"): EBM, Christofides ordering and the
+  difference stream for many views over few properties.
 
 Each scenario reports wall seconds, a calibration-normalized *score*
 (seconds divided by a fixed pure-Python calibration loop, so numbers are
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import os
 import random
 import sys
@@ -63,10 +67,16 @@ from repro.bench.reporting import (
     load_bench_json,
     render_backend_comparison,
 )
+from repro.core.diff_stream import compute_diff_stream
+from repro.core.ebm import build_ebm
 from repro.core.executor import AnalyticsExecutor, ExecutionMode
+from repro.core.ordering.optimizer import order_collection
 from repro.core.view_collection import collection_from_diffs
 from repro.differential import Dataflow
 from repro.errors import ConfigError
+from repro.graph.property_graph import PropertyGraph
+from repro.gvdl.parser import parse
+from repro.timely.meter import WorkMeter
 
 
 def _calibrate() -> float:
@@ -277,12 +287,66 @@ def scenario_collection_bfs(scale: float, workers: int = 1,
             "output_digest": _digest_views(result)}
 
 
+def scenario_collection_create(scale: float, workers: int = 1,
+                               backend: str = "inline"
+                               ) -> Dict[str, object]:
+    """Collection creation: 30 views over 4 boolean node properties —
+    14 community-removal views and 16 community-to-community views, all
+    built from the same 8 atoms (``src.c<i> = true``, ``dst.c<i> = true``)
+    — Christofides-ordered and rendered as a difference stream.
+
+    Creation always runs in-process (``backend`` is accepted for the
+    suite's calling convention only); one meter is threaded through the
+    three steps, so ``work`` / ``parallel_time`` are creation's own.
+    """
+    del backend
+    rng = random.Random(13)
+    communities = range(4)
+    num_nodes = int(300 * scale)
+    graph = PropertyGraph("g")
+    for node in range(num_nodes):
+        home = rng.choice(communities)
+        graph.add_node(node, {f"c{i}": i == home for i in communities})
+    for _ in range(int(2_000 * scale)):
+        graph.add_edge(rng.randrange(num_nodes), rng.randrange(num_nodes),
+                       {"w": rng.randrange(1, 9)})
+    views = {}
+    for size in (1, 2, 3):
+        for combo in itertools.combinations(communities, size):
+            atoms = " or ".join(f"{end}.c{i} = true"
+                                for i in combo for end in ("src", "dst"))
+            views["drop" + "".join(map(str, combo))] = f"not ({atoms})"
+    for i, j in itertools.product(communities, repeat=2):
+        views[f"from{i}to{j}"] = f"src.c{i} = true and dst.c{j} = true"
+    names = list(views)
+    predicates = [
+        parse(f"create view v on g edges where {source}").predicate
+        for source in views.values()]
+    meter = WorkMeter(workers)
+    started = time.perf_counter()
+    ebm = build_ebm(graph, names, predicates, meter=meter, workers=workers)
+    ordering = order_collection(ebm.matrix, method="christofides",
+                                workers=workers, meter=meter)
+    ebm = ebm.reorder(ordering.order)
+    diffs = compute_diff_stream(ebm, meter=meter)
+    wall = time.perf_counter() - started
+    digest = _digest((
+        hashlib.sha256(ebm.matrix.tobytes()).hexdigest(),
+        tuple(ordering.order),
+        tuple(tuple(diff.items()) for diff in diffs)))
+    return {"work": meter.total_work,
+            "parallel_time": meter.parallel_time,
+            "wall_seconds": wall,
+            "output_digest": digest}
+
+
 SCENARIOS: Dict[str, Callable[..., Dict[str, object]]] = {
     "join_heavy": scenario_join_heavy,
     "join_arranged_shared": scenario_join_arranged_shared,
     "iterate_heavy": scenario_iterate_heavy,
     "collection_run_wcc": scenario_collection_run,
     "collection_run_bfs": scenario_collection_bfs,
+    "collection_create": scenario_collection_create,
 }
 
 
@@ -328,12 +392,13 @@ def _render(payload: Dict[str, object]) -> str:
              f"{payload['backend']}, workers {payload['workers']}, "
              f"calibration {payload['calibration_seconds']}s)"]
     header = f"{'scenario':<24} {'wall(s)':>9} {'score':>8} " \
-             f"{'work':>12} {'ptime':>12}"
+             f"{'work':>12} {'ptime':>12}  digest"
     lines.append(header)
     for name, row in payload["scenarios"].items():
         lines.append(
             f"{name:<24} {row['wall_seconds']:>9.3f} {row['score']:>8.2f} "
-            f"{row['work']:>12} {row['parallel_time']:>12}")
+            f"{row['work']:>12} {row['parallel_time']:>12}  "
+            f"{row['output_digest']}")
     return "\n".join(lines)
 
 

@@ -247,3 +247,73 @@ class TestBuildEbmContract:
                               edge_schema=Schema({"w": PropertyType.INT}))
         with pytest.raises(UnknownPropertyError, match="unknown edge"):
             build_ebm(typed, ["a"], [predicate("nope = 1")])
+
+
+# -- compute_diff_stream contract pins (numbers taken from the per-cell loop) --
+
+class TestDiffStreamContract:
+    @staticmethod
+    def ordered_ebm(make_graph, workers):
+        """The pin views in a non-identity order, so retractions occur."""
+        ebm = build_ebm(make_graph(), *pin_views(), workers=workers)
+        return ebm.reorder([2, 0, 3, 1])
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("make_graph", [seeded_graph, mutated_graph])
+    def test_meter_charges_one_superstep(self, make_graph, workers):
+        ebm = self.ordered_ebm(make_graph, workers)
+        meter = WorkMeter(workers)
+        diffs = compute_diff_stream(ebm, meter=meter)
+        buckets = [0] * workers
+        for diff in diffs:
+            for _eid, src, _dst, _w in diff:
+                buckets[shard_for(src, workers)] += 1
+        assert any(mult < 0 for diff in diffs for mult in diff.values())
+        assert meter.total_work == total_diff_count(diffs)
+        assert meter.supersteps == 1
+        assert meter.parallel_time == max(buckets)
+
+    @pytest.mark.parametrize("make_graph", [seeded_graph, mutated_graph])
+    def test_iteration_order_and_value_types(self, make_graph):
+        """Each view's dict iterates its edges in ascending row order and
+        holds Python ints (the diffs are pickled, persisted and hashed)."""
+        ebm = self.ordered_ebm(make_graph, 1)
+        diffs = compute_diff_stream(ebm)
+        matrix = ebm.matrix.astype(int).tolist()
+        expected = []
+        for col in range(ebm.num_views):
+            items = []
+            for row, edge in enumerate(ebm.edges):
+                delta = matrix[row][col] - (matrix[row][col - 1] if col else 0)
+                if delta:
+                    items.append((edge, delta))
+            expected.append(items)
+        assert [list(d.items()) for d in diffs] == expected
+        assert all(type(mult) is int for d in diffs for mult in d.values())
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_no_differences_no_superstep(self, workers):
+        ebm = ebm_from_rows([[False, False], [False, False]])
+        meter = WorkMeter(workers)
+        assert compute_diff_stream(ebm, meter=meter) == [{}, {}]
+        assert (meter.total_work, meter.parallel_time,
+                meter.supersteps) == (0, 0, 0)
+
+    def test_operator_fault_fires_at_its_unit(self):
+        ebm = self.ordered_ebm(seeded_graph, 2)
+        total = total_diff_count(compute_diff_stream(ebm))
+        at = total // 2
+        plan = FaultPlan.single("operator", at=at)
+        with pytest.raises(InjectedFault) as caught:
+            compute_diff_stream(ebm, meter=WorkMeter(2, fault_plan=plan))
+        assert caught.value.invocation == at
+        assert plan.invocations("operator") == at + 1
+
+    def test_corrupt_fault_inflates_one_unit(self):
+        ebm = self.ordered_ebm(seeded_graph, 2)
+        total = total_diff_count(compute_diff_stream(ebm))
+        plan = FaultPlan.single("operator", at=total - 3, kind="corrupt")
+        meter = WorkMeter(2, fault_plan=plan)
+        compute_diff_stream(ebm, meter=meter)
+        assert meter.total_work == total + 999
+        assert plan.invocations("operator") == total

@@ -138,7 +138,8 @@ class TestHotpathSuite:
         assert payload["schema"] == BENCH_SCHEMA
         assert set(payload["scenarios"]) >= {
             "join_heavy", "join_arranged_shared", "iterate_heavy",
-            "collection_run_wcc", "collection_run_bfs"}
+            "collection_run_wcc", "collection_run_bfs",
+            "collection_create"}
         for scenario in payload["scenarios"].values():
             assert scenario["work"] > 0
             assert scenario["score"] > 0
