@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.core.ebm import EdgeBooleanMatrix, EdgeKey
 from repro.timely.meter import WorkMeter
+from repro.timely.worker import shard_for
 
 EdgeDiff = Dict[EdgeKey, int]
 
@@ -26,20 +27,28 @@ def compute_diff_stream(ebm: EdgeBooleanMatrix,
     ``+1`` at view 0, ``-1`` at view 2, ``+1`` at view 3.
     """
     meter = meter or WorkMeter()
+    if ebm.num_views == 0:
+        return []
     matrix = ebm.matrix.astype(np.int8)
     # transitions[:, 0] is the first view itself; afterwards the delta
     # between consecutive columns.
     transitions = np.empty_like(matrix)
     transitions[:, 0] = matrix[:, 0]
-    if ebm.num_views > 1:
-        transitions[:, 1:] = matrix[:, 1:] - matrix[:, :-1]
-    diffs: List[EdgeDiff] = [dict() for _ in range(ebm.num_views)]
-    rows, cols = np.nonzero(transitions)
+    transitions[:, 1:] = matrix[:, 1:] - matrix[:, :-1]
+    edges = ebm.edges
+    diffs: List[EdgeDiff] = []
+    for col in range(ebm.num_views):
+        changed = np.flatnonzero(transitions[:, col])
+        diffs.append(dict(zip([edges[row] for row in changed.tolist()],
+                              transitions[changed, col].tolist())))
+    # One unit per difference, on the shard of the edge's source.
+    units = [0] * meter.workers
+    per_edge = np.count_nonzero(transitions, axis=1).tolist()
+    for edge, count in zip(edges, per_edge):
+        units[shard_for(edge[1], meter.workers)] += count
     meter.begin_step()
-    for row, col in zip(rows.tolist(), cols.tolist()):
-        edge = ebm.edges[row]
-        diffs[col][edge] = int(transitions[row, col])
-        meter.record(edge[1])
+    for worker, count in enumerate(units):
+        meter.record(worker, count, worker=worker)
     meter.end_step()
     return diffs
 

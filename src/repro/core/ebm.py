@@ -16,7 +16,11 @@ from repro.errors import ConfigError
 from repro.graph.edge_stream import EdgeStream
 from repro.graph.property_graph import PropertyGraph
 from repro.gvdl.ast import Predicate
-from repro.gvdl.predicate import compile_predicate
+from repro.gvdl.predicate import (
+    compile_predicate,
+    evaluate_columns,
+    predicate_properties,
+)
 from repro.timely.meter import WorkMeter
 from repro.timely.worker import shard_for
 
@@ -69,7 +73,10 @@ def build_ebm(graph: PropertyGraph, view_names: Sequence[str],
     """Evaluate every view predicate on every edge of the base graph.
 
     Paper §3.2 step 1 ("an embarrassingly parallelizable computation"):
-    rows follow ``graph.edges``. The meter is charged as the W-worker
+    rows follow ``graph.edges``. Each referenced property becomes one
+    column and each distinct comparison is evaluated once over it (see
+    :func:`evaluate_columns`); results and errors are those of evaluating
+    each predicate on each edge. The meter is charged as the W-worker
     cluster would work — one superstep in which worker ``i % W`` routes
     edge ``i`` to its source's shard, one in which each shard evaluates
     its edges — so ``total_work`` is ``2m``.
@@ -84,16 +91,33 @@ def build_ebm(graph: PropertyGraph, view_names: Sequence[str],
     workers = max(1, workers)
     edges = EdgeStream.from_graph(graph, weight_property).edges
     nodes = graph.nodes
-    rows = np.zeros((len(edges), len(evaluators)), dtype=bool)
+    try:
+        records = {
+            "edge": [edge.properties for edge in graph.edges],
+            "src": [nodes[edge.src].properties for edge in graph.edges],
+            "dst": [nodes[edge.dst].properties for edge in graph.edges],
+        }
+        columns = {
+            (target, name): [props[name] for props in records[target]]
+            for target, name in set().union(
+                *map(predicate_properties, predicates))
+        }
+        rows = evaluate_columns(predicates, columns, len(edges))
+    except (KeyError, TypeError):
+        # Some cell cannot be evaluated (a record lacks the property, or
+        # the operator rejects its operands). Row-at-a-time evaluation
+        # short-circuits, so it alone knows whether that cell is ever
+        # reached: it returns the matrix or raises the typed error.
+        rows = np.zeros((len(edges), len(evaluators)), dtype=bool)
+        for row, edge in enumerate(graph.edges):
+            rows[row] = [evaluate(edge.properties,
+                                  nodes[edge.src].properties,
+                                  nodes[edge.dst].properties)
+                         for evaluate in evaluators]
     # Input arrives round-robin, like records read from partitioned files.
     routed = [len(range(w, len(edges), workers)) for w in range(workers)]
     evaluated = [0] * workers
-    for row, edge in enumerate(graph.edges):
-        eprops = edge.properties
-        sprops = nodes[edge.src].properties
-        dprops = nodes[edge.dst].properties
-        rows[row] = [evaluate(eprops, sprops, dprops)
-                     for evaluate in evaluators]
+    for edge in graph.edges:
         evaluated[shard_for(edge.src, workers)] += 1
     for shard_units in (routed, evaluated):
         meter.begin_step()

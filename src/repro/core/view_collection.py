@@ -110,6 +110,9 @@ class ViewCollectionDefinition:
     views: Tuple[Tuple[str, Predicate], ...]
 
     def __post_init__(self):
+        if not self.views:
+            raise ConfigError(
+                f"view collection {self.name!r} declares no views")
         seen = set()
         for name, _pred in self.views:
             if name in seen:

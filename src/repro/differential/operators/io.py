@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.differential.multiset import Diff, add_into, consolidate
 from repro.differential.operators.base import Operator
@@ -36,11 +36,23 @@ class CaptureOp(Operator):
         super().__init__(dataflow, scope, name, [source])
         self.trace: Dict[Time, Diff] = {}
         self._compacted_below = 0
+        # The sum of every diff received and the latest epoch among them:
+        # the collection's value at any root time at or past that epoch,
+        # so a frontier read need not rescan the trace. ``None`` once a
+        # nested-scope time arrives (times are then only partially
+        # ordered and every read scans).
+        self._total: Optional[Diff] = {}
+        self._latest_epoch = -1
 
     def on_delta(self, port: int, time: Time, diff: Diff) -> None:
         if time[0] < self._compacted_below:
             # Out-of-frontier write (tests / replay): reopen the range.
             self._compacted_below = time[0]
+        if len(time) > 1:
+            self._total = None
+        elif self._total is not None:
+            add_into(self._total, diff)
+            self._latest_epoch = max(self._latest_epoch, time[0])
         slot = self.trace.get(time)
         if slot is None:
             self.trace[time] = dict(diff)
@@ -80,6 +92,9 @@ class CaptureOp(Operator):
 
     def accumulated(self, time: Time) -> Diff:
         """The collection's value at ``time`` (sum of diffs at s <= t)."""
+        if self._total is not None and len(time) == 1 \
+                and time[0] >= self._latest_epoch:
+            return dict(self._total)
         acc: Diff = {}
         for s, diff in self.trace.items():
             if leq(s, time):

@@ -10,7 +10,10 @@ at view-definition time, mirroring Graphsurge's upfront query checking.
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from itertools import repeat
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.errors import GvdlTypeError, UnknownPropertyError
 from repro.gvdl.ast import (
@@ -145,6 +148,57 @@ def _compile_operand(side):
             return lambda e, s, d: _lookup(d, name, "dst")
         return lambda e, s, d: _lookup(e, name, "edge")
     raise GvdlTypeError(f"unknown operand {side!r}")
+
+
+def evaluate_columns(predicates: Sequence[Predicate],
+                     columns: Mapping[Tuple[str, str], Sequence[Any]],
+                     rows: int) -> np.ndarray:
+    """Evaluate edge predicates over property columns: a ``rows`` x
+    ``len(predicates)`` boolean matrix.
+
+    ``columns[(target, name)]`` holds that property's value on each of
+    the ``rows`` records. Each distinct :class:`Comparison` (the AST is
+    frozen and hashable, so equal nodes in different predicates are one
+    atom) is evaluated once over its columns with the same Python
+    operator the row closure applies; the connectives combine the atom
+    vectors. Unlike the row closures this does not short-circuit, so it
+    lets the operator's ``TypeError`` escape unwrapped: a caller that
+    sees one must let row-at-a-time evaluation decide, which either
+    never reaches the bad cell or raises the wrapped error for it.
+    """
+    atoms: Dict[Comparison, np.ndarray] = {}
+
+    def operand(side):
+        if isinstance(side, Literal):
+            return repeat(side.value, rows)
+        if isinstance(side, PropRef):
+            return columns[side.target, side.name]
+        raise GvdlTypeError(f"unknown operand {side!r}")
+
+    def vector(node):
+        if isinstance(node, BoolLiteral):
+            return np.full(rows, node.value, dtype=bool)
+        if isinstance(node, Not):
+            return ~vector(node.operand)
+        if isinstance(node, And):
+            return np.logical_and.reduce(
+                [vector(part) for part in node.operands])
+        if isinstance(node, Or):
+            return np.logical_or.reduce(
+                [vector(part) for part in node.operands])
+        if isinstance(node, Comparison):
+            atom = atoms.get(node)
+            if atom is None:
+                atom = atoms[node] = np.fromiter(
+                    map(_OPS[node.op], operand(node.left),
+                        operand(node.right)), dtype=bool, count=rows)
+            return atom
+        raise GvdlTypeError(f"unknown predicate node {node!r}")
+
+    matrix = np.empty((rows, len(predicates)), dtype=bool)
+    for view, predicate in enumerate(predicates):
+        matrix[:, view] = vector(predicate)
+    return matrix
 
 
 def _lookup(props: Dict[str, Any], name: str, target: str) -> Any:

@@ -91,6 +91,28 @@ class TestDuplicateViewNames:
         assert not gs.views.has_view("early")
 
 
+class TestZeroViews:
+    """The parser and the window builders refuse a collection without
+    views; the definition died in numpy (``index 0 is out of bounds for
+    axis 1 with size 0``) at ``materialize``."""
+
+    def test_definition_rejects_no_views(self):
+        with pytest.raises(ConfigError,
+                           match="collection 'hist' declares no views"):
+            ViewCollectionDefinition("hist", "Calls", ())
+
+    def test_diff_stream_of_a_zero_view_ebm_is_empty(self):
+        from repro.core.diff_stream import compute_diff_stream
+        from repro.timely.meter import WorkMeter
+
+        ebm = build_ebm_from_memberships(
+            [(0, 0, 1, 1), (1, 1, 2, 1)], [], [[], []])
+        assert (ebm.num_edges, ebm.num_views) == (2, 0)
+        meter = WorkMeter(2)
+        assert compute_diff_stream(ebm, meter=meter) == []
+        assert meter.snapshot() == WorkMeter(2).snapshot()
+
+
 class TestCreationErrorsAreTyped:
     """The serve ladder maps ``GraphsurgeError`` to a payload with a
     ``code``; a bare ``ValueError`` from creation became a 500."""
