@@ -35,10 +35,10 @@ comparisons = st.tuples(prop_refs, st.sampled_from(_OPS), literals).map(
     lambda triple: Comparison(triple[0], triple[1], triple[2]))
 
 
-def predicates(depth=2):
+def predicates(depth=2, comparisons=comparisons):
     if depth == 0:
         return st.one_of(comparisons, st.booleans().map(BoolLiteral))
-    sub = predicates(depth - 1)
+    sub = predicates(depth - 1, comparisons)
     return st.one_of(
         comparisons,
         st.booleans().map(BoolLiteral),
