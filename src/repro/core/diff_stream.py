@@ -26,9 +26,9 @@ def compute_diff_stream(ebm: EdgeBooleanMatrix,
     Per-edge independent (embarrassingly parallel): row ``(1,1,0,1)`` yields
     ``+1`` at view 0, ``-1`` at view 2, ``+1`` at view 3.
     """
-    meter = meter or WorkMeter()
     if ebm.num_views == 0:
         return []
+    meter = meter or WorkMeter()
     matrix = ebm.matrix.astype(np.int8)
     # transitions[:, 0] is the first view itself; afterwards the delta
     # between consecutive columns.
@@ -37,10 +37,10 @@ def compute_diff_stream(ebm: EdgeBooleanMatrix,
     transitions[:, 1:] = matrix[:, 1:] - matrix[:, :-1]
     edges = ebm.edges
     diffs: List[EdgeDiff] = []
-    for col in range(ebm.num_views):
-        changed = np.flatnonzero(transitions[:, col])
+    for column in transitions.T:
+        changed = np.flatnonzero(column)
         diffs.append(dict(zip([edges[row] for row in changed.tolist()],
-                              transitions[changed, col].tolist())))
+                              column[changed].tolist())))
     # One unit per difference, on the shard of the edge's source.
     units = [0] * meter.workers
     per_edge = np.count_nonzero(transitions, axis=1).tolist()

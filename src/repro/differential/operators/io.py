@@ -69,10 +69,10 @@ class CaptureOp(Operator):
         full by every :meth:`accumulated` behind the latest epoch. Once
         epochs below ``epoch`` are closed (the stream will never ask for
         a per-epoch value there again), their diffs sum into the time
-        ``(0,)`` — after
-        which :meth:`accumulated` at any live time sees the identical
-        sum, but holds O(live epochs) entries. Exact per-epoch reads
-        (:meth:`diff_at`) below the bound are forfeited, by design.
+        ``(0,)`` — after which :meth:`accumulated` at any live time sees
+        the identical sum, but holds O(live epochs) entries. Exact
+        per-epoch reads (:meth:`diff_at`) below the bound are forfeited,
+        by design.
         """
         if epoch <= self._compacted_below:
             return
