@@ -2,15 +2,17 @@
 
 The batch library rebuilds graph, EBM, and dataflow state on every
 invocation; the daemon keeps them *resident*. A
-:class:`ResidentDataflow` holds one built differential dataflow per
-computation signature together with the input multiset it has been fed so
-far. Answering a request for any view — of any collection, at any epoch —
-is then: diff the requested edge multiset against what the dataflow
-already holds, feed only that delta as the next epoch, and read the
-output. Overlapping view collections across *separate requests* therefore
-share arrangements and traces exactly the way views inside one batch run
-do (paper §3.2.2), and the work meter proves it: the second, overlapping
-request charges only its difference.
+:class:`ResidentDataflow` holds one built differential dataflow together
+with the input multiset it has been fed so far, and the session keeps one
+per served view: per computation signature, graph or named-view target,
+and view of a collection target. Answering a request is then: diff each
+view's edge multiset against what its resident already holds, feed only
+that delta as the next epoch, and read the output — so after a mutation
+each view pays only its own delta (paper §3.2.2), never the distance
+between unrelated targets. Views that have no resident yet are filled in
+collection order by one *walker* per request, which moves from view to
+view the way the batch executor's dataflow does: a fresh session's first
+request charges exactly the executor's per-view work.
 
 :class:`ServeSession` owns the :class:`repro.core.system.Graphsurge`
 facade, the resident registry, the session epoch (bumped by mutations),
@@ -39,6 +41,7 @@ from repro.core.resilience import (
     render_output,
 )
 from repro.core.system import Graphsurge
+from repro.differential.multiset import Diff, add_into
 from repro.errors import CheckpointError, RequestError, UnknownGraphError
 from repro.graph.edge_stream import EdgeStream, edge_diff_to_input
 from repro.graph.store import ViewStore
@@ -64,7 +67,10 @@ class ServeSession:
         self.fault_plan = fault_plan
         #: Bumped by every mutation; tags cache entries and responses.
         self.epoch = 0
-        self._residents: Dict[str, ResidentDataflow] = {}
+        #: ``(signature, target, view)`` -> the resident serving that view;
+        #: ``view`` is ``None`` for a graph or named-view target.
+        self._residents: Dict[Tuple[str, str, Optional[str]],
+                              ResidentDataflow] = {}
         #: At most one streaming session per daemon (see ``/stream``).
         self._stream = None
         #: Ordered journal of state-changing operations (GVDL + mutations)
@@ -112,15 +118,23 @@ class ServeSession:
 
     # -- serving computations -------------------------------------------------
 
-    def resident_for(self, signature: str,
-                     computation: GraphComputation) -> ResidentDataflow:
-        resident = self._residents.get(signature)
-        if resident is None:
-            resident = ResidentDataflow(computation, workers=self.workers,
-                                        fault_plan=self.fault_plan,
-                                        backend=self.backend)
-            self._residents[signature] = resident
-        return resident
+    def _view_inputs(self, target: str,
+                     directed: bool) -> List[Tuple[Optional[str], Diff]]:
+        """``(view, input multiset)`` per view of ``target``, in order.
+
+        A collection's inputs are one running sum over its difference
+        stream; a graph or named view is one input, under view ``None``.
+        """
+        if not self.gs.views.has_collection(target):
+            edges = EdgeStream.from_graph(self.gs.resolve(target),
+                                          weight=self.gs.weight_property)
+            return [(None, edges.as_input_diff(directed=directed))]
+        collection = self.gs.views.get_collection(target)
+        running: Diff = {}
+        return [(view, dict(add_into(running, edge_diff_to_input(
+                    diff, directed=directed))))
+                for view, diff in zip(collection.view_names,
+                                      collection.diffs)]
 
     def run(self, signature: str, computation: GraphComputation,
             target: str, include_output: bool = True,
@@ -128,29 +142,29 @@ class ServeSession:
             tracer: Optional[TraceSink] = None) -> dict:
         """Answer one analytics request from resident state.
 
-        For a collection target every view is fed as a delta off the
-        resident dataflow's current input state; for a graph or view
-        target the full edge multiset is the (single) target state. The
-        payload's per-view ``work`` figures come straight off the meter.
+        Every view is stepped to its input by its own resident, so after a
+        mutation each pays only its own delta. Views without one yet are
+        filled, in collection order, by this request's *walker*: the first
+        starts a fresh resident, each later one takes it over (its key
+        moves along). The payload's per-view ``work`` figures come straight
+        off the meter.
         """
-        resident = self.resident_for(signature, computation)
-        directed = computation.directed
+        walker = None
         views: List[dict] = []
-        if self.gs.views.has_collection(target):
-            collection = self.gs.views.get_collection(target)
-            view_targets = [
-                (collection.view_names[index],
-                 edge_diff_to_input(collection.full_view_edges(index),
-                                    directed=directed))
-                for index in range(collection.num_views)]
-        else:
-            graph = self.gs.resolve(target)
-            edges = EdgeStream.from_graph(
-                graph, weight=self.gs.weight_property)
-            view_targets = [(target, edges.as_input_diff(directed=directed))]
         total_work = 0
         total_parallel = 0
-        for view_name, target_input in view_targets:
+        for view, target_input in self._view_inputs(target,
+                                                     computation.directed):
+            key = (signature, target, view)
+            resident = self._residents.get(key)
+            if resident is None:
+                resident = ResidentDataflow(
+                    computation, workers=self.workers,
+                    fault_plan=self.fault_plan, backend=self.backend) \
+                    if walker is None else self._residents.pop(walker)
+                self._residents[key] = resident
+                walker = key
+            view_name = view or target
             mark = tracer.mark() if tracer is not None else 0
             spent = resident.advance_to(target_input, budget=budget,
                                         tracer=tracer).work
@@ -258,20 +272,22 @@ class ServeSession:
     # -- introspection ---------------------------------------------------------
 
     def resident_memory(self) -> Dict[str, Any]:
-        """Per-signature stored-record counts (the ``trace_memory`` view)."""
-        residents = {}
-        total = 0
-        for signature, resident in sorted(self._residents.items()):
+        """Per-signature stored-record counts (the ``trace_memory`` view),
+        summed over the signature's residents, one per served target."""
+        residents: Dict[str, Dict[str, int]] = {}
+        for (signature, _target, _view), resident in self._residents.items():
             counts = resident.record_counts()
-            records = sum(counts.values())
-            total += records
-            residents[signature] = {
-                "records": records,
-                "epochs_fed": resident.epochs_fed,
-                "rebuilds": resident.rebuilds,
-                "operators": len(counts),
-            }
-        payload = {"total_records": total, "residents": residents}
+            entry = residents.setdefault(signature, dict.fromkeys(
+                ("records", "epochs_fed", "rebuilds", "operators",
+                 "targets"), 0))
+            entry["records"] += sum(counts.values())
+            entry["epochs_fed"] += resident.epochs_fed
+            entry["rebuilds"] += resident.rebuilds
+            entry["operators"] += len(counts)
+            entry["targets"] += 1
+        payload = {"total_records": sum(entry["records"]
+                                        for entry in residents.values()),
+                   "residents": dict(sorted(residents.items()))}
         if self._stream is not None:
             payload["stream"] = self._stream.resident_memory()
         return payload

@@ -1,17 +1,19 @@
 """Resident session state: the delta economy, mutation, checkpointing.
 
-The acceptance demo lives here: two requests against one session where
-the second, overlapping view collection is answered from resident
-arrangements with *fewer work units*, asserted via the meter figures the
-payload carries.
+The acceptance demo lives here: once each view of a collection has its
+own resident, a request after a mutation is answered from resident
+arrangements for a few percent of the first request's *work units*,
+asserted via the meter figures the payload carries.
 """
 
 import copy
+import random
 
 import pytest
 
 from repro.core.resilience import FaultPlan, load_checkpoint
 from repro.core.system import Graphsurge
+from repro.graph.property_graph import PropertyGraph
 from repro.errors import (
     CheckpointError,
     InjectedFault,
@@ -26,6 +28,9 @@ from repro.serve.session import (
 )
 
 WCC = computation_signature("wcc", {})
+HIST_ON_G = ("create view collection hist on g "
+             "[old: year <= 2013], [mid: year <= 2016], "
+             "[all: year <= 2030];")
 
 
 def wcc_run(session, target, **kwargs):
@@ -190,36 +195,42 @@ class TestPoisonHardening:
 
 
 class TestResidentEconomy:
-    def test_overlapping_collection_costs_fewer_work_units(
-            self, serve_session):
-        """The acceptance demo: overlap across requests is nearly free."""
-        serve_session.execute_gvdl(
-            "create view collection early on Calls "
-            "[old: year <= 2015], [mid: year <= 2018];")
-        serve_session.execute_gvdl(
-            "create view collection late on Calls "
-            "[mid2: year <= 2018], [all: year <= 2030];")
-        first = wcc_run(serve_session, "early")
-        second = wcc_run(serve_session, "late")
-        # The resident dataflow ends request 1 at `mid`; request 2's first
-        # view is the same edge multiset, so it costs zero work.
-        assert first["total_work"] > 0
-        assert second["views"][0]["work"] == 0
-        assert second["total_work"] > 0
-        # Answers still match a cold session computing `late` from
-        # scratch — which has to pay for the full first view the resident
-        # arrangements already hold.
-        cold_gs = Graphsurge()
-        cold_gs.add_graph(
-            copy.deepcopy(serve_session.gs.graphs.get("Calls")), "Calls")
-        cold = ServeSession(cold_gs)
-        cold.execute_gvdl(
-            "create view collection late on Calls "
-            "[mid2: year <= 2018], [all: year <= 2030];")
-        cold_run = wcc_run(cold, "late")
-        assert [view["output"] for view in second["views"]] == \
-            [view["output"] for view in cold_run["views"]]
-        assert second["total_work"] < cold_run["total_work"]
+    def test_each_view_absorbs_mutations_as_its_own_delta(self):
+        """The acceptance demo: once every view of a collection has its
+        own resident, a mutation costs a collection request only the
+        mutation's delta — however many other targets ran in between."""
+        rng = random.Random(5)
+        graph = PropertyGraph("g")
+        for node in range(40):
+            graph.add_node(node, {})
+        # A star in every view, so +1 edges never relabel a component.
+        for node in range(1, 40):
+            graph.add_edge(0, node, {"year": 2010})
+        for _ in range(100):
+            graph.add_edge(rng.randrange(40), rng.randrange(40),
+                           {"year": rng.randrange(2010, 2020)})
+        gs = Graphsurge()
+        gs.add_graph(graph, "g")
+        session = ServeSession(gs)
+        session.execute_gvdl(HIST_ON_G)
+        costs = []
+        for _round in range(12):
+            wcc_run(session, "g")
+            served = wcc_run(session, "hist")
+            costs.append(served["total_work"])
+            cold_gs = Graphsurge()
+            cold_gs.add_graph(copy.deepcopy(graph), "g")
+            cold = ServeSession(cold_gs)
+            cold.execute_gvdl(HIST_ON_G)
+            assert [view["output"] for view in served["views"]] == \
+                [view["output"] for view in wcc_run(cold, "hist")["views"]]
+            session.mutate("g", add_edges=[
+                (rng.randrange(40), rng.randrange(40), {"year": 2012})])
+        # Requests 1-3 each leave one more view with its own resident;
+        # from the fourth on, every view is maintained.
+        maintained = costs[3:]
+        assert all(cost <= 0.05 * costs[0] for cost in maintained), costs
+        assert max(maintained[-3:]) <= 1.2 * max(maintained[:3]), costs
 
     def test_repeat_request_is_zero_work(self, serve_session):
         first = wcc_run(serve_session, "Calls")
@@ -237,7 +248,7 @@ class TestResidentEconomy:
         fresh = wcc_run(serve_session, "Calls")
         assert 0 < fresh["total_work"] < cold["total_work"]
         assert fresh["epoch"] == 1
-        resident = serve_session._residents[WCC]
+        resident = serve_session._residents[(WCC, "Calls", None)]
         assert resident.rebuilds == 1  # no rebuild for the mutation
 
     def test_mutation_rematerializes_views(self, serve_session):
