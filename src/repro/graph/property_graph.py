@@ -96,6 +96,16 @@ class PropertyGraph:
         self.edges = kept
         return removed
 
+    def snapshot(self) -> Tuple[Dict[int, Node], List[Edge], int]:
+        """What :meth:`restore` needs to undo later node/edge changes."""
+        return dict(self.nodes), list(self.edges), self._next_edge_id
+
+    def restore(self, snapshot: Tuple[Dict[int, Node], List[Edge], int]
+                ) -> None:
+        """Roll back to a :meth:`snapshot`, edge-id counter included."""
+        nodes, edges, self._next_edge_id = snapshot
+        self.nodes, self.edges = dict(nodes), list(edges)
+
     # -- inspection -----------------------------------------------------------
 
     @property

@@ -94,11 +94,25 @@ class ServeSession:
         graph (they are *definitions* over the graph, not data in their
         own right). Resident dataflows survive untouched: their input
         state is an edge multiset, so the next request absorbs the
-        mutation as one small delta instead of a rebuild.
+        mutation as one small delta instead of a rebuild. All or nothing:
+        if applying the change or re-deriving any view fails, the graph
+        and views are rolled back and the error re-raised, with epoch and
+        journal untouched.
         """
-        counts = self.gs.mutate_graph(
-            graph, add_nodes=add_nodes, add_edges=add_edges,
-            retract_edges=retract_edges)
+        base = self.gs.graphs.get(graph)
+        before, views = base.snapshot(), self.gs.views
+        try:
+            counts = self.gs.mutate_graph(
+                graph, add_nodes=add_nodes, add_edges=add_edges,
+                retract_edges=retract_edges)
+            self.gs.views = ViewStore()
+            for record in self.journal:
+                if record["kind"] == "gvdl":
+                    self.gs.execute(record["text"])
+        except BaseException:
+            base.restore(before)
+            self.gs.views = views
+            raise
         self.journal.append({
             "kind": "mutate", "graph": graph,
             "add_nodes": [[node, props] for node, props in add_nodes],
@@ -107,14 +121,7 @@ class ServeSession:
             "retract_edges": [[src, dst] for src, dst in retract_edges],
         })
         self.epoch += 1
-        self._rematerialize_views()
         return dict(counts, epoch=self.epoch)
-
-    def _rematerialize_views(self) -> None:
-        self.gs.views = ViewStore()
-        for record in self.journal:
-            if record["kind"] == "gvdl":
-                self.gs.execute(record["text"])
 
     # -- serving computations -------------------------------------------------
 

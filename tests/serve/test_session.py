@@ -18,7 +18,9 @@ from repro.errors import (
     CheckpointError,
     InjectedFault,
     RequestError,
+    SchemaError,
     UnknownGraphError,
+    UnknownPropertyError,
 )
 from repro.core.resident import ResidentDataflow, multiset_delta
 from repro.serve.session import (
@@ -262,6 +264,50 @@ class TestResidentEconomy:
     def test_mutation_on_unknown_graph_rejected(self, serve_session):
         with pytest.raises(UnknownGraphError):
             serve_session.mutate("nope", add_edges=[(1, 2, {})])
+
+    @pytest.mark.parametrize("add_edges, error", [
+        # The graph takes the edge; re-deriving `hist` cannot read it.
+        ([(0, 3, {})], UnknownPropertyError),
+        # The first edge lands, the second names an unknown node.
+        ([(0, 3, {"year": 2011}), (0, 99, {"year": 2011})], SchemaError),
+    ])
+    def test_rejected_mutation_changes_nothing(self, tmp_path, add_edges,
+                                               error):
+        graph = PropertyGraph("g")
+        for node in range(4):
+            graph.add_node(node, {})
+        graph.add_edge(0, 1, {"year": 2012})
+        graph.add_edge(1, 2, {"year": 2020})
+        pristine = copy.deepcopy(graph)
+        gs = Graphsurge()
+        gs.add_graph(graph, "g")
+        session = ServeSession(gs)
+        session.execute_gvdl("create view collection hist on g "
+                             "[old: year <= 2013], [all: year <= 2030];")
+        answer = wcc_run(session, "hist")
+        edges = [(e.id, e.src, e.dst, e.properties) for e in graph.edges]
+        journal = copy.deepcopy(session.journal)
+        with pytest.raises(error):
+            session.mutate("g", add_edges=add_edges)
+        assert [(e.id, e.src, e.dst, e.properties)
+                for e in graph.edges] == edges
+        assert graph.add_edge(2, 3).id == len(edges)
+        graph.remove_edges(2, 3)
+        assert session.epoch == 0
+        assert session.journal == journal
+        assert session.describe()["collections"] == ["hist"]
+        outputs = [view["output"] for view in answer["views"]]
+        assert [view["output"] for view in
+                wcc_run(session, "hist")["views"]] == outputs
+        path = tmp_path / "session.ckpt"
+        session.checkpoint(path)
+        restored_gs = Graphsurge()
+        restored_gs.add_graph(pristine, "g")
+        restored = ServeSession(restored_gs)
+        restored.restore(path)
+        assert restored.epoch == 0
+        assert [view["output"] for view in
+                wcc_run(restored, "hist")["views"]] == outputs
 
     def test_retraction_shrinks_graph(self, serve_session):
         before = serve_session.gs.resolve("Calls").num_edges
