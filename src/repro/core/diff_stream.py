@@ -46,10 +46,7 @@ def compute_diff_stream(ebm: EdgeBooleanMatrix,
     per_edge = np.count_nonzero(transitions, axis=1).tolist()
     for edge, count in zip(edges, per_edge):
         units[shard_for(edge[1], meter.workers)] += count
-    meter.begin_step()
-    for worker, count in enumerate(units):
-        meter.record(worker, count, worker=worker)
-    meter.end_step()
+    meter.charge_step(units)
     return diffs
 
 

@@ -119,11 +119,8 @@ def build_ebm(graph: PropertyGraph, view_names: Sequence[str],
     evaluated = [0] * workers
     for edge in graph.edges:
         evaluated[shard_for(edge.src, workers)] += 1
-    for shard_units in (routed, evaluated):
-        meter.begin_step()
-        for worker, units in enumerate(shard_units):
-            meter.record(worker, units, worker=worker)
-        meter.end_step()
+    meter.charge_step(routed)
+    meter.charge_step(evaluated)
     return EdgeBooleanMatrix(edges, view_names, rows)
 
 

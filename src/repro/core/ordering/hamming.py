@@ -31,16 +31,11 @@ def hamming_distance_matrix(matrix: np.ndarray, workers: int = 1,
     total = np.zeros((k + 1, k + 1), dtype=np.int64)
     workers = max(1, workers)
     blocks = np.array_split(np.arange(m), workers)
-    meter.begin_step()
-    for worker_id, rows in enumerate(blocks):
-        if rows.size == 0:
-            continue
+    for rows in blocks:
         block = padded[rows]
         complement = 1 - block
-        partial = block.T @ complement + complement.T @ block
-        total += partial
-        # Each worker touches its row block once per view pair; meter the
-        # dominant matmul cost.
-        meter.record(worker_id, int(rows.size) * (k + 1), worker=worker_id)
-    meter.end_step()
+        total += block.T @ complement + complement.T @ block
+    # Each worker touches its row block once per view pair; meter the
+    # dominant matmul cost.
+    meter.charge_step([int(rows.size) * (k + 1) for rows in blocks])
     return total

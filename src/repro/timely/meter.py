@@ -19,7 +19,7 @@ individual views of a collection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from repro.timely.worker import shard_for
 
@@ -54,6 +54,9 @@ class WorkMeter:
         meter.begin_step()
         ... run one operator pass at one timestamp ...
         meter.end_step()
+
+    A pre-sharded loop that tallied its per-shard units charges them as
+    one superstep with ``meter.charge_step(units)``.
     """
 
     def __init__(self, workers: int = 1, fault_plan=None, tracer=None):
@@ -132,6 +135,14 @@ class WorkMeter:
             self.supersteps += 1
         if self.tracer is not None:
             self.tracer.end_step()
+
+    def charge_step(self, units: Sequence[int]) -> None:
+        """One superstep of a pre-sharded loop: shard ``w`` did
+        ``units[w]`` (and is its own label)."""
+        self.begin_step()
+        for worker, count in enumerate(units):
+            self.record(worker, count, worker=worker)
+        self.end_step()
 
     def snapshot(self) -> WorkSnapshot:
         """Capture current counters (usable for per-view deltas)."""

@@ -167,16 +167,13 @@ def test_only_the_keyed_shell_places_state_and_dispatches_kernels():
 
 #: Opening a superstep frame is what an engine does. Besides the meter and
 #: the tracer tee that define ``begin_step``, only the differential driver
-#: and its iterate scope, and the three creation steps that charge their
-#: sharded loops to the meter, may.
+#: and its iterate scope may; sharded creation loops charge their tallies
+#: through ``WorkMeter.charge_step``.
 OPENS_SUPERSTEPS = {
     "repro.timely.meter",
     "repro.observe.tracer",
     "repro.differential.dataflow",
     "repro.differential.operators.iterate",
-    "repro.core.ebm",
-    "repro.core.ordering.hamming",
-    "repro.core.diff_stream",
 }
 
 
