@@ -3,9 +3,9 @@
 Turns the batch library into a serving system: one process loads graphs
 once, keeps differential dataflows (arrangements, traces, EBM-derived
 collections) resident in a :class:`ServeSession`, and answers GVDL and
-analytics requests over HTTP. Repeated or overlapping requests are
-answered from the result cache or from resident arrangements — the
-second request pays only its difference, metered.
+analytics requests over HTTP. Repeated requests are answered from the
+result cache; after a mutation, each served view's own resident pays
+only its difference, metered.
 
 Request hardening is first-class: per-request deadlines via
 :class:`~repro.core.resilience.RunBudget` (503, never a hung
