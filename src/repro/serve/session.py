@@ -43,7 +43,7 @@ from repro.core.resilience import (
 from repro.core.system import Graphsurge
 from repro.differential.multiset import Diff, add_into
 from repro.errors import CheckpointError, RequestError, UnknownGraphError
-from repro.graph.edge_stream import EdgeStream, edge_diff_to_input
+from repro.graph.edge_stream import EdgeStream
 from repro.graph.store import ViewStore
 from repro.observe.profile import profile_view
 from repro.observe.tracer import TraceSink
@@ -138,10 +138,12 @@ class ServeSession:
             return [(None, edges.as_input_diff(directed=directed))]
         collection = self.gs.views.get_collection(target)
         running: Diff = {}
-        return [(view, dict(add_into(running, edge_diff_to_input(
-                    diff, directed=directed))))
-                for view, diff in zip(collection.view_names,
-                                      collection.diffs)]
+        inputs = []
+        for index, view in enumerate(collection.view_names):
+            add_into(running, collection.input_diff_for_view(
+                index, directed=directed))
+            inputs.append((view, dict(running)))
+        return inputs
 
     def run(self, signature: str, computation: GraphComputation,
             target: str, include_output: bool = True,
@@ -165,10 +167,12 @@ class ServeSession:
             key = (signature, target, view)
             resident = self._residents.get(key)
             if resident is None:
-                resident = ResidentDataflow(
-                    computation, workers=self.workers,
-                    fault_plan=self.fault_plan, backend=self.backend) \
-                    if walker is None else self._residents.pop(walker)
+                if walker is None:
+                    resident = ResidentDataflow(
+                        computation, workers=self.workers,
+                        fault_plan=self.fault_plan, backend=self.backend)
+                else:
+                    resident = self._residents.pop(walker)
                 self._residents[key] = resident
                 walker = key
             view_name = view or target
@@ -280,7 +284,8 @@ class ServeSession:
 
     def resident_memory(self) -> Dict[str, Any]:
         """Per-signature stored-record counts (the ``trace_memory`` view),
-        summed over the signature's residents, one per served target."""
+        summed over the signature's residents (``targets`` counts them,
+        one per served target view)."""
         residents: Dict[str, Dict[str, int]] = {}
         for (signature, _target, _view), resident in self._residents.items():
             counts = resident.record_counts()
