@@ -1,9 +1,12 @@
 """Tests for difference traces, accumulation, compaction, and scheduling."""
 
-from hypothesis import given
+import random
+
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.differential.timestamp import leq, lub_closure
+from repro.differential.timestamp import leq, lub, lub_closure
 from repro.differential.trace import KeyTrace, TimeSchedule, Trace
 
 times2 = st.tuples(st.integers(0, 4), st.integers(0, 4))
@@ -138,3 +141,142 @@ class TestTimeSchedule:
         for element in closure:
             if leq(last, element):
                 assert element in pending
+
+
+# -- scheduling pins: exact task sets and per-slot key order ------------------
+
+
+class _FrontierWalkSchedule:
+    """Reference scheduler: the frontier walk the engine used before the
+    one-pass closure update. Kept verbatim so the per-slot key order of
+    the real scheduler can be compared against it."""
+
+    def __init__(self):
+        self._seen = {}
+        self._agenda = {}
+
+    def schedule(self, key, time):
+        seen = self._seen.get(key)
+        if seen is None:
+            seen = set()
+            self._seen[key] = seen
+        if len(seen) > 48:
+            epoch = time[0]
+            seen = {((0,) + s[1:]) if s[0] < epoch else s for s in seen}
+            self._seen[key] = seen
+        if time not in seen:
+            frontier = [time]
+            while frontier:
+                u = frontier.pop()
+                if u in seen:
+                    continue
+                seen.add(u)
+                for s in list(seen):
+                    j = lub(s, u)
+                    if j not in seen:
+                        frontier.append(j)
+        for u in seen:
+            if leq(time, u):
+                slot = self._agenda.get(u)
+                if slot is None:
+                    self._agenda[u] = {key}
+                else:
+                    slot.add(key)
+
+    def tasks_at(self, time):
+        return self._agenda.pop(time, set())
+
+
+#: Coordinate range per arity: wide enough that a key's closure can pass
+#: the scheduler's 48-time compaction threshold.
+_COORD = {1: 60, 2: 9, 3: 4}
+
+
+@st.composite
+def arrivals(draw, max_size=40):
+    """An arity and a sequence of ``(key, time)`` arrivals (repeats
+    allowed) at that arity."""
+    arity = draw(st.integers(1, 3))
+    time = st.tuples(*[st.integers(0, _COORD[arity])] * arity)
+    return arity, draw(st.lists(
+        st.tuples(st.sampled_from("abc"), time), min_size=1,
+        max_size=max_size))
+
+
+def _engine_order_arrivals(seed, arity, count=140):
+    """Epoch-major arrivals for two keys, as the engine produces them:
+    long enough to cross the compaction threshold at every arity."""
+    rng = random.Random(seed)
+    out = []
+    epoch = 0
+    for _ in range(count):
+        epoch += rng.random() < (0.6 if arity == 1 else 0.15)
+        out.append((rng.choice("ab"), (epoch,) + tuple(
+            rng.randrange(6) for _ in range(arity - 1))))
+    return out
+
+
+def _check_exact(arrival_seq):
+    """Each call enqueues the key at exactly the closure elements >= t.
+
+    The model keeps each key's lub-closed time set, compacted by the
+    same rule as the scheduler (past epochs fold to epoch 0 once a key
+    holds more than 48 times). Returns the largest set a key reached."""
+    schedule = TimeSchedule()
+    model = {}
+    largest = 0
+    for key, time in arrival_seq:
+        seen = model.get(key, set())
+        largest = max(largest, len(seen))
+        if len(seen) > 48:
+            seen = {((0,) + s[1:]) if s[0] < time[0] else s for s in seen}
+        closure = lub_closure(seen | {time})
+        model[key] = closure
+        want = {u for u in closure if leq(time, u)}
+        got = set()
+        for pending in list(schedule.pending_times()):
+            assert schedule.tasks_at(pending) == set()
+        schedule.schedule(key, time)
+        for pending in list(schedule.pending_times()):
+            assert schedule.tasks_at(pending) == {key}
+            got.add(pending)
+        assert got == want, (key, time)
+    return largest
+
+
+def _check_order(arrival_seq, drain_every=5):
+    """Per agenda slot, key order matches the reference scheduler, with
+    slots drained along the way as the engine's flushes do."""
+    schedule = TimeSchedule()
+    reference = _FrontierWalkSchedule()
+    for step, (key, time) in enumerate(arrival_seq):
+        schedule.schedule(key, time)
+        reference.schedule(key, time)
+        assert ({t: list(keys) for t, keys in schedule._agenda.items()}
+                == {t: list(keys) for t, keys in reference._agenda.items()})
+        if step % drain_every == drain_every - 1:
+            first = min(reference._agenda)
+            assert list(schedule.tasks_at(first)) == \
+                list(reference.tasks_at(first))
+
+
+class TestSchedulePins:
+    @settings(max_examples=150, deadline=None)
+    @given(arrivals())
+    def test_enqueues_exactly_the_upward_closure(self, case):
+        _arity, arrival_seq = case
+        _check_exact(arrival_seq)
+
+    @settings(max_examples=150, deadline=None)
+    @given(arrivals())
+    def test_slot_key_order_matches_reference(self, case):
+        _arity, arrival_seq = case
+        _check_order(arrival_seq)
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_past_compaction_threshold(self, arity, seed):
+        arrival_seq = _engine_order_arrivals(seed, arity)
+        # The sequence really exercises the > 48 compaction path.
+        assert _check_exact(arrival_seq) > 48
+        _check_order(arrival_seq)
