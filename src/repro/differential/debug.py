@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.differential.dataflow import Dataflow, Scope
-from repro.differential.multiset import consolidate
 from repro.differential.operators.base import Operator
 from repro.differential.operators.iterate import IterateOp, VariableOp
 from repro.differential.operators.join import JoinOp
@@ -199,7 +198,8 @@ def check_consistency(dataflow: Dataflow,
                 continue
             probe = time + (1 << 30,) * (op.scope.depth - len(time))
             for key in list(op.in_trace.keys()):
-                acc_in = consolidate(op.in_trace.accumulate(key, probe))
+                # Accumulations are borrowed and consolidated: read only.
+                acc_in = op.in_trace.accumulate(key, probe)
                 expected = {}
                 if acc_in:
                     if any(mult < 0 for mult in acc_in.values()):
@@ -207,9 +207,9 @@ def check_consistency(dataflow: Dataflow,
                             f"{op.name}: key {key!r} input accumulates "
                             f"negative multiplicities at {probe}")
                         continue
-                    for value in op.logic(key, acc_in):
+                    for value in op.logic(key, dict(acc_in)):
                         expected[value] = expected.get(value, 0) + 1
-                actual = consolidate(op.out_trace.accumulate(key, probe))
+                actual = op.out_trace.accumulate(key, probe)
                 if expected != actual:
                     problems.append(
                         f"{op.name}: key {key!r} at {probe}: expected "

@@ -109,12 +109,12 @@ class VariableOp(ScheduledOperator):
         self.in_trace.maybe_compact(key, epoch)
         self.body_trace.maybe_compact(key, epoch)
         self.out_trace.maybe_compact(key, epoch)
+        # Borrowed accumulations: correct_output only reads the target.
         if iteration == 0:
             target = self.in_trace.accumulate(key, time)
         else:
             body_time = time[:-1] + (iteration - 1,)
             target = self.body_trace.accumulate(key, body_time)
-        consolidate(target)
         record(key, max(1, len(target)))
         self.correct_output(key, time, target, record, outputs[time])
 

@@ -241,23 +241,20 @@ class ScheduledOperator(KeyedOperator):
                        record: Record, out: Diff) -> None:
         """Make the key's accumulated output at ``time`` equal ``target``.
 
-        ``target`` is consumed. The difference to store at ``time`` is
-        the target minus what strictly earlier times accumulate to; it
-        *replaces* whatever an earlier flush stored at exactly ``time``,
-        and only the change against that is emitted into ``out``.
+        ``target`` is only read (kernels pass borrowed accumulations).
+        The correction is ``target`` minus the output accumulated at
+        ``<= time``; it is emitted into ``out`` and added to the entry
+        stored at ``time``, which the accumulation cache (anchored at
+        ``time`` by the read) absorbs in place.
         """
+        delta = dict(target)
         prior = self.out_trace.get(key)
-        stored = None
         if prior is not None:
-            add_into(target, prior.accumulate_strict(time), factor=-1)
-            stored = prior.take(time)
-        if target:
-            self.out_trace.update(key, time, target)
-        if stored:
-            add_into(target, stored, factor=-1)
-        if target:
-            record(key, len(target))
-            for value, mult in target.items():
+            add_into(delta, prior.accumulate(time), factor=-1)
+        if delta:
+            self.out_trace.update(key, time, delta)
+            record(key, len(delta))
+            for value, mult in delta.items():
                 rec = (key, value)
                 out[rec] = out.get(rec, 0) + mult
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable
 
-from repro.differential.multiset import Diff, consolidate
+from repro.differential.multiset import Diff
 from repro.differential.operators.keyed import ScheduledOperator
 from repro.differential.timestamp import Time
 from repro.differential.trace import Trace
@@ -47,8 +47,7 @@ class ReduceOp(ScheduledOperator):
         epoch = time[0]
         self.in_trace.maybe_compact(key, epoch)
         self.out_trace.maybe_compact(key, epoch)
-        acc_in = self.in_trace.accumulate(key, time)
-        consolidate(acc_in)
+        acc_in = self.in_trace.accumulate(key, time)  # borrowed
         record(key, max(1, len(acc_in)))
         target: Diff = {}
         if acc_in:
@@ -59,6 +58,7 @@ class ReduceOp(ScheduledOperator):
                         f"negative multiplicity {mult} for {value!r} "
                         f"at {time}"
                     )
-            for out_value in self.logic(key, acc_in):
+            # The UDF gets its own copy: it may mutate its argument.
+            for out_value in self.logic(key, dict(acc_in)):
                 target[out_value] = target.get(out_value, 0) + 1
         self.correct_output(key, time, target, record, outputs[time])

@@ -15,12 +15,14 @@ every accumulation after the first is incremental; only an epoch rollover
 pays a full rescan, after which the cache re-anchors. Compaction
 (:meth:`KeyTrace.compact_below`) maintains the cache instead of
 invalidating it: merging a past-epoch entry into its epoch-0
-representative can only move it *into* the covered prefix.
+representative can only move it *into* the covered prefix. Callers
+*borrow* the cached sum: an accumulation is read, never mutated or kept
+past the key's next trace operation.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set
+from typing import Any, Dict, Iterable, Iterator, Optional, Set
 
 from repro.differential.multiset import Diff, add_into, consolidate
 from repro.differential.timestamp import Time, leq, lub
@@ -37,7 +39,7 @@ class KeyTrace:
         self.entries: Dict[Time, Diff] = {}
         # Accumulation cache: _cache_acc == Σ diffs at s <= _cache_time,
         # _uncovered == stored times NOT <= _cache_time. All mutation must
-        # go through update/take/compact_below to keep these exact.
+        # go through update/compact_below to keep these exact.
         self._cache_time: Optional[Time] = None
         self._cache_acc: Diff = {}
         self._uncovered: Set[Time] = set()
@@ -117,68 +119,42 @@ class KeyTrace:
     def accumulate(self, time: Time) -> Diff:
         """Sum of diffs at all stored times ``s <= time`` (product order).
 
-        Cached: a query at (or after) the previously queried time only
-        scans the uncovered suffix; an incomparable query (epoch rollover)
-        rescans once and re-anchors the cache there.
+        Returns the cached sum itself, *borrowed*: it is consolidated and
+        read-only, and valid until the next ``update``, ``accumulate`` or
+        ``compact_below`` of this key. A query at (or after) the previously
+        queried time only folds in the uncovered times it now covers; an
+        incomparable query (epoch rollover) rescans once and re-anchors the
+        cache there.
         """
         ct = self._cache_time
         if ct == time:
-            return dict(self._cache_acc)
+            return self._cache_acc
         entries = self.entries
-        if ct is not None and len(ct) == len(time):
-            for a, b in zip(ct, time):
-                if a > b:
-                    break
-            else:
-                # Advance: fold newly covered times into the cache.
-                acc = self._cache_acc
-                uncovered = self._uncovered
-                if uncovered:
-                    newly = [s for s in uncovered if leq(s, time)]
-                    if newly:
-                        for s in newly:
-                            add_into(acc, entries[s])
-                        uncovered.difference_update(newly)
-                self._cache_time = time
-                return dict(acc)
-        # Rebase: full scan, then anchor the cache at this time.
-        acc: Diff = {}
-        uncovered = set()
-        for s, diff in entries.items():
-            if leq(s, time):
-                add_into(acc, diff)
-            else:
-                uncovered.add(s)
+        if ct is not None and leq(ct, time):
+            # Advance: fold newly covered times into the cache.
+            acc, uncovered = self._cache_acc, self._uncovered
+            scan = uncovered
+        else:
+            # Rebase: full scan in entry order, anchored at this time.
+            acc, uncovered = {}, set(entries)
+            scan = entries
+        if len(time) == 2:
+            t0, t1 = time
+            covered = [s for s in scan if s[0] <= t0 and s[1] <= t1]
+        else:
+            covered = [s for s in scan if leq(s, time)]
+        for s in covered:
+            for rec, mult in entries[s].items():
+                new = acc.get(rec, 0) + mult
+                if new:
+                    acc[rec] = new
+                else:
+                    acc.pop(rec, None)
+        uncovered.difference_update(covered)
         self._cache_time = time
         self._cache_acc = acc
         self._uncovered = uncovered
-        return dict(acc)
-
-    def accumulate_strict(self, time: Time) -> Diff:
-        """Like :meth:`accumulate` but excluding ``time`` itself."""
-        acc = self.accumulate(time)
-        at_time = self.entries.get(time)
-        if at_time:
-            add_into(acc, at_time, factor=-1)
         return acc
-
-    def take(self, time: Time) -> Diff:
-        """Remove and return the entry stored at exactly ``time``.
-
-        The sanctioned way to rewrite an output entry (see ``ReduceOp``):
-        popping ``entries`` directly would silently corrupt the
-        accumulation cache.
-        """
-        diff = self.entries.pop(time, None)
-        if diff is None:
-            return {}
-        ct = self._cache_time
-        if ct is not None:
-            if leq(time, ct):
-                add_into(self._cache_acc, diff, factor=-1)
-            else:
-                self._uncovered.discard(time)
-        return diff
 
     def times(self) -> Iterable[Time]:
         return self.entries.keys()
@@ -247,16 +223,11 @@ class Trace:
             trace.update(time, diff)
 
     def accumulate(self, key: Any, time: Time) -> Diff:
+        """The key's borrowed accumulation (see :meth:`KeyTrace.accumulate`)."""
         trace = self._keys.get(key)
         if trace is None:
             return {}
         return trace.accumulate(time)
-
-    def accumulate_strict(self, key: Any, time: Time) -> Diff:
-        trace = self._keys.get(key)
-        if trace is None:
-            return {}
-        return trace.accumulate_strict(time)
 
     def keys(self) -> Iterator[Any]:
         return iter(self._keys)
@@ -303,12 +274,12 @@ class Trace:
 class TimeSchedule:
     """Incremental lub-closure scheduler for one keyed operator.
 
-    Tracks, per key, the set of times at which that key has (or may need)
-    differences, and maintains a global agenda of pending (time -> keys)
-    recompute tasks. When a new input-difference time ``t`` arrives for a
-    key, every join of ``t`` with the key's previously seen times is also
-    scheduled — output corrections can be required at those joins even
-    without any input difference there.
+    Tracks, per key, the lub-closed set of times at which that key has (or
+    may need) differences, and maintains a global agenda of pending
+    (time -> keys) recompute tasks. When a new input-difference time ``t``
+    arrives for a key, every join of ``t`` with the key's previously seen
+    times is also scheduled — output corrections can be required at those
+    joins even without any input difference there.
     """
 
     def __init__(self) -> None:
@@ -318,60 +289,35 @@ class TimeSchedule:
     def schedule(self, key: Any, time: Time) -> None:
         seen = self._seen.get(key)
         if seen is None:
-            seen = set()
-            self._seen[key] = seen
-        if len(seen) > 48:
+            seen = self._seen[key] = set()
+        elif len(seen) > 48:
             # Compact: times from past epochs collapse per iteration suffix
             # (same argument as KeyTrace.compact_below — their joins with
-            # any current/future time are unchanged).
+            # any current/future time are unchanged). The map preserves
+            # joins, so the image of a lub-closed set is lub-closed.
             epoch = time[0]
             seen = {((0,) + s[1:]) if s[0] < epoch else s for s in seen}
             self._seen[key] = seen
-        if time not in seen:
-            # Extend the key's lub-closure with the new time.
-            frontier: List[Time] = [time]
-            while frontier:
-                u = frontier.pop()
-                if u in seen:
-                    continue
-                seen.add(u)
-                for s in list(seen):
-                    j = lub(s, u)
-                    if j not in seen:
-                        frontier.append(j)
-        # A diff at `time` changes the accumulation at every closure element
-        # >= time, so the key must be recomputed at each of them. Elements
-        # >= time are also lex->= the execution cursor, so no task lands in
-        # the past. (The comparison is unrolled for the common arities —
-        # this loop is the scheduler's hot path.)
-        agenda = self._agenda
-        arity = len(time)
-        if arity == 2:
+        # `seen` is lub-closed, so closing it over `time` adds exactly the
+        # joins {lub(s, time)} — and those are also every closure element
+        # >= time, i.e. every time whose accumulation a diff at `time`
+        # changes. They are lex->= the execution cursor, so no task lands
+        # in the past. (The join is inlined for arity 2, the hot path.)
+        if len(time) == 2:
             t0, t1 = time
-            for u in seen:
-                if t0 <= u[0] and t1 <= u[1]:
-                    slot = agenda.get(u)
-                    if slot is None:
-                        agenda[u] = {key}
-                    else:
-                        slot.add(key)
-        elif arity == 3:
-            t0, t1, t2 = time
-            for u in seen:
-                if t0 <= u[0] and t1 <= u[1] and t2 <= u[2]:
-                    slot = agenda.get(u)
-                    if slot is None:
-                        agenda[u] = {key}
-                    else:
-                        slot.add(key)
+            ups = {(a if a >= t0 else t0, b if b >= t1 else t1)
+                   for a, b in seen}
         else:
-            for u in seen:
-                if leq(time, u):
-                    slot = agenda.get(u)
-                    if slot is None:
-                        agenda[u] = {key}
-                    else:
-                        slot.add(key)
+            ups = {lub(s, time) for s in seen}
+        ups.add(time)
+        seen |= ups
+        agenda = self._agenda
+        for u in ups:
+            slot = agenda.get(u)
+            if slot is None:
+                agenda[u] = {key}
+            else:
+                slot.add(key)
 
     def tasks_at(self, time: Time) -> Set[Any]:
         """Pop and return the keys scheduled at exactly ``time``."""
@@ -382,8 +328,3 @@ class TimeSchedule:
 
     def has_pending(self) -> bool:
         return bool(self._agenda)
-
-
-def consolidate_diff(diff: Diff) -> Diff:
-    """Re-export used by operator modules."""
-    return consolidate(diff)

@@ -7,9 +7,11 @@ Two families:
   built at the root and ``enter``-ed into the loop) and across random
   multi-epoch churn on both inputs;
 * :class:`KeyTrace`'s cached accumulation must agree with brute-force
-  recomputation under arbitrary interleavings of ``update`` / ``take`` /
-  ``compact_below`` / ``accumulate``, with the internal cache invariants
-  (``check_cache``) holding after every step.
+  recomputation under arbitrary interleavings of ``update`` /
+  ``compact_below`` / ``accumulate`` and of ``correct_output``'s
+  read-then-update (subtract the borrowed accumulation from a target,
+  store the difference at the same time), with the internal cache
+  invariants (``check_cache``) holding after every step.
 """
 
 import random
@@ -125,9 +127,6 @@ class _BruteTrace:
         if not slot:
             del self.entries[time]
 
-    def take(self, time):
-        return self.entries.pop(time, {})
-
     def compact_below(self, epoch):
         if epoch <= self.compacted_below:
             return
@@ -150,7 +149,9 @@ times2 = st.tuples(st.integers(0, 3), st.integers(0, 3))
 _ops = st.one_of(
     st.tuples(st.just("update"), times2, st.integers(0, 2),
               st.integers(-2, 2).filter(bool)),
-    st.tuples(st.just("take"), times2),
+    st.tuples(st.just("correct"), times2,
+              st.dictionaries(st.integers(0, 2), st.integers(1, 2),
+                              max_size=3)),
     st.tuples(st.just("compact"), st.integers(0, 4)),
     st.tuples(st.just("acc"), times2),
 )
@@ -167,8 +168,19 @@ class TestKeyTraceModelCheck:
                 _, time, rec, mult = op
                 trace.update(time, {rec: mult})
                 oracle.update(time, {rec: mult})
-            elif op[0] == "take":
-                assert trace.take(op[1]) == oracle.take(op[1])
+            elif op[0] == "correct":
+                # ScheduledOperator.correct_output's trace traffic: the
+                # correction is target minus the borrowed accumulation.
+                _, time, target = op
+                delta = add_into(dict(target), trace.accumulate(time),
+                                 factor=-1)
+                want = add_into(dict(target), oracle.accumulate(time),
+                                factor=-1)
+                assert delta == want
+                if delta:
+                    trace.update(time, delta)
+                    oracle.update(time, want)
+                assert trace.accumulate(time) == target
             elif op[0] == "compact":
                 trace.compact_below(op[1])
                 oracle.compact_below(op[1])
@@ -178,9 +190,6 @@ class TestKeyTraceModelCheck:
             assert trace.entries == oracle.entries
         for probe in [(0, 0), (1, 2), (3, 0), (3, 3)]:
             assert trace.accumulate(probe) == oracle.accumulate(probe)
-            assert trace.accumulate_strict(probe) == consolidate(
-                add_into(oracle.accumulate(probe),
-                         oracle.entries.get(probe, {}), factor=-1))
             trace.check_cache()
 
     @pytest.mark.parametrize("seed", range(8))

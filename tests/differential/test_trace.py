@@ -24,12 +24,6 @@ class TestKeyTrace:
         # (1, 1) sees (0,0) and itself, but not (0,2).
         assert trace.accumulate((1, 1)) == {"a": 1, "c": 1}
 
-    def test_accumulate_strict_excludes_self(self):
-        trace = KeyTrace()
-        trace.update((0,), {"a": 1})
-        trace.update((1,), {"b": 1})
-        assert trace.accumulate_strict((1,)) == {"a": 1}
-
     def test_update_cancellation_removes_slot(self):
         trace = KeyTrace()
         trace.update((0,), {"a": 1})
