@@ -78,7 +78,10 @@ sanitize-smoke:
 	$(PYTHON) -m repro.verify.sanitize_smoke
 
 # Source lint (the CI lint-src job); requires ruff on PATH. Config lives
-# in pyproject.toml [tool.ruff].
+# in pyproject.toml [tool.ruff]. Ruff runs only where it is installed (CI
+# installs it); the local check is the tier-1 AST rule in
+# tests/test_source_lint.py (no unused imports in src/repro, honouring
+# `# noqa: F401`), which `make test` runs everywhere.
 lint-src:
 	ruff check src tests
 
