@@ -188,11 +188,11 @@ _COORD = {1: 60, 2: 9, 3: 4}
 
 @st.composite
 def arrivals(draw, max_size=40):
-    """An arity and a sequence of ``(key, time)`` arrivals (repeats
-    allowed) at that arity."""
+    """A sequence of ``(key, time)`` arrivals (repeats allowed) at one
+    random arity."""
     arity = draw(st.integers(1, 3))
     time = st.tuples(*[st.integers(0, _COORD[arity])] * arity)
-    return arity, draw(st.lists(
+    return draw(st.lists(
         st.tuples(st.sampled_from("abc"), time), min_size=1,
         max_size=max_size))
 
@@ -257,14 +257,12 @@ def _check_order(arrival_seq, drain_every=5):
 class TestSchedulePins:
     @settings(max_examples=150, deadline=None)
     @given(arrivals())
-    def test_enqueues_exactly_the_upward_closure(self, case):
-        _arity, arrival_seq = case
+    def test_enqueues_exactly_the_upward_closure(self, arrival_seq):
         _check_exact(arrival_seq)
 
     @settings(max_examples=150, deadline=None)
     @given(arrivals())
-    def test_slot_key_order_matches_reference(self, case):
-        _arity, arrival_seq = case
+    def test_slot_key_order_matches_reference(self, arrival_seq):
         _check_order(arrival_seq)
 
     @pytest.mark.parametrize("arity", [1, 2, 3])
