@@ -138,18 +138,9 @@ class KeyTrace:
             # Rebase: full scan in entry order, anchored at this time.
             acc, uncovered = {}, set(entries)
             scan = entries
-        if len(time) == 2:
-            t0, t1 = time
-            covered = [s for s in scan if s[0] <= t0 and s[1] <= t1]
-        else:
-            covered = [s for s in scan if leq(s, time)]
+        covered = [s for s in scan if leq(s, time)]
         for s in covered:
-            for rec, mult in entries[s].items():
-                new = acc.get(rec, 0) + mult
-                if new:
-                    acc[rec] = new
-                else:
-                    acc.pop(rec, None)
+            add_into(acc, entries[s])
         uncovered.difference_update(covered)
         self._cache_time = time
         self._cache_acc = acc

@@ -10,18 +10,22 @@ the import statement and the ``F401`` entries of ruff's
 
 import ast
 import re
-import tomllib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 NOQA = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9, ]+))?", re.IGNORECASE)
+# The per-file-ignores table, up to the next table header; read with a
+# regex so the rule runs on every supported Python (tomllib is 3.11+).
+PER_FILE = re.compile(r"^\[tool\.ruff\.lint\.per-file-ignores\]\n(.*?)(?=^\[|\Z)",
+                      re.MULTILINE | re.DOTALL)
+IGNORE_ROW = re.compile(r'^"(?P<path>[^"]+)"\s*=\s*\[(?P<codes>[^\]]*)\]',
+                        re.MULTILINE)
 
 
-def ignored_files():
-    config = tomllib.loads((ROOT / "pyproject.toml").read_text())
-    per_file = config["tool"]["ruff"]["lint"].get("per-file-ignores", {})
-    return {ROOT / path for path, codes in per_file.items()
-            if "F401" in codes}
+def ignored_files(config):
+    table = PER_FILE.search(config)
+    rows = IGNORE_ROW.finditer(table[1]) if table else ()
+    return {ROOT / row["path"] for row in rows if '"F401"' in row["codes"]}
 
 
 def exempt(lines, node):
@@ -87,7 +91,8 @@ def unused_imports(source):
 
 
 def test_no_unused_imports_in_src():
-    skip = ignored_files()
+    skip = ignored_files((ROOT / "pyproject.toml").read_text())
+    assert ROOT / "src" / "repro" / "__init__.py" in skip
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
              if path not in skip
