@@ -5,11 +5,18 @@ export PYTHONPATH := src
 FUZZ_SEED ?= 7
 FUZZ_ITERATIONS ?= 25
 
-.PHONY: test perf-test analyze fuzz fuzz-soak bench bench-parallel \
+.PHONY: test perf-test analyze fuzz fuzz-soak bench bench-parallel paper \
 	serve-smoke stream-smoke pack-smoke sanitize-smoke lint-src
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# Regenerate every table and figure of the paper at full scale (about
+# 3 minutes on a 2-vCPU VM) and check their shapes; exits 1 naming each
+# broken shape. Tier-1 (`make test`) runs the same checks at --quick
+# scale. EXPERIMENTS.md / experiments_output.txt archive a full run.
+paper:
+	$(PYTHON) -m repro.bench all
 
 # The frozen benchmark harness's own tests (the CI perf-tests job): its
 # imports of the serve/stream entry points and its traced ≡ facade

@@ -14,9 +14,9 @@ black-box maintenance. The paper reviews published comparisons (§7.5):
 
 This package implements GraphBolt-*style* maintainers for both algorithms
 so the relative shape can be measured against our engine
-(`benchmarks/bench_baselines.py`). They are deliberately faithful to the
-architectural trade-off: hand-written delta propagation, no general
-operator model, per-algorithm code.
+(`python -m repro.bench baselines`, which also checks the shape). They
+are deliberately faithful to the architectural trade-off: hand-written
+delta propagation, no general operator model, per-algorithm code.
 """
 
 from repro.baselines.incremental_pagerank import IncrementalPageRank

@@ -6,10 +6,10 @@ Structure:
   collections (verbatim translations of the paper's definitions at
   engine-appropriate scale).
 * :mod:`repro.bench.harness` — grid runner + paper-style table printing.
-* :mod:`repro.bench.experiments` — one driver per table/figure; run them
-  with ``python -m repro.bench <experiment>`` (e.g. ``table2``, ``fig6``).
-* ``benchmarks/`` (repo root) — pytest-benchmark entry points that wrap the
-  same drivers.
+* :mod:`repro.bench.experiments` — one driver per table/figure, each with
+  the shape checks for its rows; run them with
+  ``python -m repro.bench <experiment>`` (e.g. ``table2``, ``fig6``), which
+  exits 1 when a shape breaks.
 """
 
 from repro.bench.harness import ExperimentResult, print_table, run_modes

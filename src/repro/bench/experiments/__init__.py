@@ -6,12 +6,14 @@ Run from the command line::
     python -m repro.bench fig6 --quick
     python -m repro.bench all
 
-Every driver exposes ``run(quick=False) -> list[ExperimentResult]`` and
-prints the same rows/series the paper reports (scaled to the synthetic
-datasets — see EXPERIMENTS.md for the paper-vs-measured record).
+Every driver module exposes ``run(quick=False) -> list[ExperimentResult]``,
+which prints the same rows/series the paper reports (scaled to the
+synthetic datasets — see EXPERIMENTS.md for the paper-vs-measured record),
+and ``check(rows) -> list[str]``, which names every paper shape the rows
+break (empty when all hold). ``quick`` is the only size switch.
 """
 
-from repro.bench.experiments import (  # noqa: F401
+from repro.bench.experiments import (
     ablation,
     baselines,
     fig6,
@@ -24,17 +26,9 @@ from repro.bench.experiments import (  # noqa: F401
     table4,
 )
 
-EXPERIMENTS = {
-    "table2": table2.run,
-    "fig6": fig6.run,
-    "fig7": fig7.run,
-    "table3": table3.run,
-    "table4": table4.run,
-    "fig8": fig8.run,
-    "fig9": fig9.run,
-    "fig10": fig10.run,
-    "ablation": ablation.run,
-    "baselines": baselines.run,
-}
+#: Experiment id -> driver module, in paper order.
+EXPERIMENTS = {module.__name__.rsplit(".", 1)[1]: module for module in (
+    table2, fig6, fig7, table3, table4, fig8, fig9, fig10, ablation,
+    baselines)}
 
 __all__ = ["EXPERIMENTS"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.algorithms import Bfs, Wcc
-from repro.bench.harness import ExperimentResult, bench_scale, run_modes
+from repro.bench.harness import ExperimentResult, run_modes
 from repro.bench.workloads import scalability_collection
 from repro.core.executor import ExecutionMode
 
@@ -20,7 +20,7 @@ MACHINES = (1, 2, 4, 8, 12)
 
 
 def run(quick: bool = False) -> List[ExperimentResult]:
-    scale = bench_scale(0.5 if quick else 1.0)
+    scale = 0.5 if quick else 1.0
     graph, collection = scalability_collection(
         num_nodes=int(400 * scale), num_edges=int(2400 * scale))
     machines = (1, 4, 12) if quick else MACHINES
@@ -50,10 +50,29 @@ def run(quick: bool = False) -> List[ExperimentResult]:
                 wall_seconds=result.total_wall_seconds,
                 work=result.total_work,
                 parallel_time=result.total_parallel_time,
+                extra={"machines": workers},
             ))
         print(" ".join(line))
     return rows
 
 
-if __name__ == "__main__":  # pragma: no cover
-    run()
+def check(rows: List[ExperimentResult]) -> List[str]:
+    """Parallel time never rises with more machines, for both algorithms;
+    WCC's speedup exceeds 1.4x at 4 machines and grows beyond it."""
+    problems = []
+    times = {}
+    for name in ("BFS", "WCC"):
+        # rows come in ascending machine order
+        times[name] = {row.extra["machines"]: row.parallel_time
+                       for row in rows if row.algorithm == name}
+        series = list(times[name].values())
+        if series != sorted(series, reverse=True):
+            problems.append(f"{name}: parallel time {series} rises with "
+                            f"more machines")
+    wcc = times["WCC"]
+    if not wcc[1] / wcc[4] > 1.4:
+        problems.append(f"WCC: 4-machine speedup {wcc[1] / wcc[4]:.2f} is "
+                        f"not above 1.4")
+    if not wcc[12] < wcc[4]:
+        problems.append("WCC: 12 machines are not faster than 4")
+    return problems

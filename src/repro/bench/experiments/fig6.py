@@ -12,7 +12,7 @@ from typing import Callable, Dict, List, Tuple
 from repro.algorithms import Bfs, PageRank, Scc, Wcc
 from repro.bench.harness import (
     ExperimentResult,
-    bench_scale,
+    by_cell,
     print_table,
     run_modes,
     to_rows,
@@ -27,26 +27,55 @@ ALGORITHMS: Tuple[Tuple[str, Callable], ...] = (
 )
 
 
-def run(quick: bool = False) -> List[ExperimentResult]:
-    scale = bench_scale(0.5 if quick else 1.0)
-    graph = default_so_graph(scale=scale)
-    windows: Dict[str, int] = CSIM_WINDOWS
-    if quick:
-        windows = {k: CSIM_WINDOWS[k] for k in ("6mo", "2y")}
+def window_grid(experiment: str, builder, windows: Dict[str, int],
+                quick: bool) -> List[ExperimentResult]:
+    """Every algorithm × mode on one window collection per ``windows``
+    entry (Figures 6 and 7); ``quick`` keeps WCC and BFS, the two the
+    shape checks read."""
+    graph = default_so_graph(scale=0.5 if quick else 1.0)
     rows: List[ExperimentResult] = []
     for label, seconds in windows.items():
-        collection = csim_collection(graph, seconds,
-                                     max_views=12 if quick else 48,
-                                     name=f"csim-{label}")
-        for name, factory in ALGORITHMS:
+        collection = builder(graph, seconds, max_views=12 if quick else 48,
+                             name=f"{experiment}-{label}")
+        for name, factory in ALGORITHMS[:2] if quick else ALGORITHMS:
             results = run_modes(factory, collection)
             rows.extend(to_rows(
-                results, "fig6", "so-like",
+                results, experiment, "so-like",
                 f"w={label},k={collection.num_views}"))
+    return rows
+
+
+def run(quick: bool = False) -> List[ExperimentResult]:
+    windows = CSIM_WINDOWS
+    if quick:
+        windows = {k: CSIM_WINDOWS[k] for k in ("6mo", "2y")}
+    rows = window_grid("fig6", csim_collection, windows, quick)
     print_table(rows, "Figure 6: runtime on expanding-window collections "
                       "(C_sim)")
     return rows
 
 
-if __name__ == "__main__":  # pragma: no cover
-    run()
+def check(rows: List[ExperimentResult]) -> List[str]:
+    """WCC's diff-only advantage exists at every window and is larger at
+    the narrowest window than at the widest; on the narrowest window
+    adaptive lands within 25 % of the better policy for BFS."""
+    cell = by_cell(rows)
+    configs = list(dict.fromkeys(row.config for row in rows))
+    factors = {config: cell["WCC", config, "scratch"].work
+               / max(1, cell["WCC", config, "diff-only"].work)
+               for config in configs}
+    problems = [f"WCC at {config}: scratch/diff-only {factor:.2f} is not "
+                f"above 1" for config, factor in factors.items()
+                if not factor > 1.0]
+    narrow, wide = configs[0], configs[-1]
+    if not factors[narrow] > factors[wide]:
+        problems.append(f"WCC: scratch/diff-only at {narrow} "
+                        f"({factors[narrow]:.2f}) is not above {wide} "
+                        f"({factors[wide]:.2f})")
+    best = min(cell["BFS", narrow, mode].work
+               for mode in ("diff-only", "scratch"))
+    adaptive = cell["BFS", narrow, "adaptive"].work
+    if not adaptive <= 1.25 * best:
+        problems.append(f"BFS at {narrow}: adaptive work {adaptive} exceeds "
+                        f"1.25 x the better policy's {best}")
+    return problems

@@ -10,12 +10,12 @@ erase the gap (except MPSP, where it widens).
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from repro.algorithms import Bfs, Mpsp, Wcc
 from repro.bench.harness import (
     ExperimentResult,
-    bench_scale,
+    by_cell,
     print_table,
     run_modes,
     to_rows,
@@ -60,14 +60,44 @@ def run_for_graph(graph: PropertyGraph, dataset: str, experiment: str,
             for name, factory in algorithms(graph):
                 results = run_modes(factory, collection, modes=MODES)
                 rows.extend(to_rows(
-                    results, experiment, dataset,
-                    f"{top_n}C{k}:{label}"))
+                    results, experiment, dataset, f"{top_n}C{k}:{label}",
+                    total_diffs=collection.total_diffs))
     return rows
 
 
+def check_orderings(rows: List[ExperimentResult],
+                    algorithms: Sequence[str]) -> List[str]:
+    """Per configuration and random order R: the optimizer's order has
+    fewer #Diffs and costs ``algorithms`` less diff-only work than R, and
+    adaptive splitting keeps WCC on R within 1.1x of diff-only."""
+    cell = by_cell(rows)
+    problems = []
+    for config in dict.fromkeys(row.config for row in rows):
+        size, label = config.split(":")
+        if label == "Ord.":
+            continue
+        ordered = f"{size}:Ord."
+        ours, theirs = (cell["WCC", c, "diff-only"].extra["total_diffs"]
+                        for c in (ordered, config))
+        if not ours < theirs:
+            problems.append(f"{size}: Ord. #diffs {ours} is not below "
+                            f"{label}'s {theirs}")
+        for name in algorithms:
+            ours, theirs = (cell[name, c, "diff-only"].work
+                            for c in (ordered, config))
+            if not ours < theirs:
+                problems.append(f"{name} {size}: diff-only work on Ord. "
+                                f"({ours}) is not below {label}'s ({theirs})")
+        diff_only, adaptive = (cell["WCC", config, mode].work
+                               for mode in ("diff-only", "adaptive"))
+        if not adaptive <= 1.1 * diff_only:
+            problems.append(f"WCC on {config}: adaptive work {adaptive} "
+                            f"exceeds 1.1 x diff-only's {diff_only}")
+    return problems
+
+
 def run(quick: bool = False) -> List[ExperimentResult]:
-    scale = bench_scale(0.4 if quick else 0.6)
-    graph = default_lj_graph(scale=scale)
+    graph = default_lj_graph(scale=0.4 if quick else 0.6)
     configs = [(5, 2)] if quick else [(6, 3), (5, 2)]
     rows = run_for_graph(graph, "LJ-like", "fig8", configs,
                          random_orders=1 if quick else 2)
@@ -76,5 +106,5 @@ def run(quick: bool = False) -> List[ExperimentResult]:
     return rows
 
 
-if __name__ == "__main__":  # pragma: no cover
-    run()
+def check(rows: List[ExperimentResult]) -> List[str]:
+    return check_orderings(rows, ("WCC", "BFS", "MPSP"))

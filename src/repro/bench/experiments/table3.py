@@ -13,7 +13,7 @@ from typing import List
 from repro.algorithms import Bfs, PageRank, Scc, Wcc
 from repro.bench.harness import (
     ExperimentResult,
-    bench_scale,
+    by_cell,
     print_table,
     run_modes,
     to_rows,
@@ -31,15 +31,15 @@ ALGORITHMS = (
     ("SCC", Scc),
     ("PR", lambda: PageRank(iterations=8)),
 )
+CAUT = "3:C_aut"
 
 
 def run(quick: bool = False) -> List[ExperimentResult]:
-    scale = bench_scale(0.5 if quick else 1.0)
-    graph = default_pc_graph(scale=scale)
+    graph = default_pc_graph(scale=0.5 if quick else 1.0)
     collections = [
         ("1:C_sl", csl_collection(graph)),
         ("2:C_ex-sh-sl", cex_sh_sl_collection(graph)),
-        ("3:C_aut", caut_collection(graph)),
+        (CAUT, caut_collection(graph)),
     ]
     algorithms = ALGORITHMS[:2] if quick else ALGORITHMS
     rows: List[ExperimentResult] = []
@@ -54,5 +54,27 @@ def run(quick: bool = False) -> List[ExperimentResult]:
     return rows
 
 
-if __name__ == "__main__":  # pragma: no cover
-    run()
+def check(rows: List[ExperimentResult]) -> List[str]:
+    """Adaptive is within 1.35x of the better policy everywhere (the
+    warm-up views are the tolerance) and beats both on C_aut, where WCC
+    splits mostly at the year-window slides (every 5th view)."""
+    cell = by_cell(rows)
+    problems = []
+    for (algorithm, config, mode), row in cell.items():
+        if mode != "adaptive":
+            continue
+        best = min(cell[algorithm, config, "diff-only"].work,
+                   cell[algorithm, config, "scratch"].work)
+        if config == CAUT and not row.work < best:
+            problems.append(f"{algorithm} on {config}: adaptive work "
+                            f"{row.work} does not beat both policies "
+                            f"(better: {best})")
+        elif not row.work <= 1.35 * best:
+            problems.append(f"{algorithm} on {config}: adaptive work "
+                            f"{row.work} exceeds 1.35 x the better "
+                            f"policy's {best}")
+    splits = cell["WCC", CAUT, "adaptive"].extra["split_points"]
+    if not splits or 2 * sum(s % 5 == 0 for s in splits) < len(splits):
+        problems.append(f"WCC on {CAUT}: split points {splits} are not "
+                        f"mostly at the year slides (multiples of 5)")
+    return problems

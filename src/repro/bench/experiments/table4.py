@@ -2,15 +2,19 @@
 random orders, on the community-perturbation collections.
 
 Shape to reproduce: the Christofides order generates several-fold (paper:
-3-17x) fewer differences than random orders, at a modest collection
-creation time overhead (paper: 1.1-1.7x).
+3-17x) fewer differences than random orders. ``Id.`` is the order the
+views are declared in (k-combinations in lexicographic order, already a
+good order: consecutive views mostly swap one community), which the
+optimizer must also beat. Creation time is printed but not checked: the
+paper's ordering overhead is 1.1-1.7x, ours is dominated by Christofides'
+matching step (see EXPERIMENTS.md).
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Tuple
 
-from repro.bench.harness import ExperimentResult, bench_scale
+from repro.bench.harness import ExperimentResult
 from repro.bench.workloads import (
     default_lj_graph,
     default_wtc_graph,
@@ -19,14 +23,14 @@ from repro.bench.workloads import (
 
 
 def run(quick: bool = False) -> List[ExperimentResult]:
-    scale = bench_scale(0.5 if quick else 1.0)
+    scale = 0.5 if quick else 1.0
     datasets = [("LJ-like", default_lj_graph(scale=scale)),
                 ("WTC-like", default_wtc_graph(scale=scale))]
     configs = [(7, 4)] if quick else [(10, 5), (7, 4)]
     rows: List[ExperimentResult] = []
     for ds_name, graph in datasets:
         for top_n, k in configs:
-            variants = [("Ord.", "christofides", 0)]
+            variants = [("Ord.", "christofides", 0), ("Id.", "identity", 0)]
             variants += [(f"R{i}", "random", i) for i in (1, 2, 3)]
             print(f"\n== Table 4: {ds_name} {top_n}C{k} ==")
             print(f"{'order':8} {'#diffs':>12} {'CCT(s)':>10}")
@@ -45,10 +49,27 @@ def run(quick: bool = False) -> List[ExperimentResult]:
                     wall_seconds=collection.creation_seconds,
                     work=collection.total_diffs,
                     parallel_time=0,
-                    extra={"total_diffs": collection.total_diffs},
                 ))
     return rows
 
 
-if __name__ == "__main__":  # pragma: no cover
-    run()
+def check(rows: List[ExperimentResult]) -> List[str]:
+    """Per dataset and configuration, the Christofides order has fewer
+    differences than the declared order and over 1.5x fewer than the best
+    of the three random orders."""
+    diffs: Dict[Tuple[str, str], Dict[str, int]] = {}
+    for row in rows:
+        size, label = row.config.split(":")
+        diffs.setdefault((row.dataset, size), {})[label] = row.work
+    problems = []
+    for (dataset, size), by_order in diffs.items():
+        ordered, declared = by_order.pop("Ord."), by_order.pop("Id.")
+        best_random = min(by_order.values())
+        if not ordered < declared:
+            problems.append(f"{dataset} {size}: Ord. #diffs {ordered} is not "
+                            f"below the declared order's {declared}")
+        if not best_random > 1.5 * ordered:
+            problems.append(f"{dataset} {size}: Ord. #diffs {ordered} is not "
+                            f"1.5x below the best random order's "
+                            f"{best_random}")
+    return problems

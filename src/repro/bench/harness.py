@@ -1,10 +1,10 @@
-"""Grid runner and paper-style table printing for the experiments."""
+"""Grid runner, paper-style table printing and row lookup for the
+experiments' shape checks."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.computation import GraphComputation
 from repro.core.executor import (
@@ -16,17 +16,6 @@ from repro.core.view_collection import MaterializedCollection
 
 ALL_MODES = (ExecutionMode.DIFF_ONLY, ExecutionMode.SCRATCH,
              ExecutionMode.ADAPTIVE)
-
-
-def bench_scale(default: float = 1.0) -> float:
-    """Experiment size multiplier, settable via ``REPRO_BENCH_SCALE``."""
-    raw = os.environ.get("REPRO_BENCH_SCALE")
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
 
 
 @dataclass
@@ -77,11 +66,14 @@ def run_modes(computation_factory: Callable[[], GraphComputation],
 
 
 def to_rows(results: Dict[ExecutionMode, CollectionRunResult],
-            experiment: str, dataset: str, config: str
+            experiment: str, dataset: str, config: str, **extra_fields
             ) -> List[ExperimentResult]:
+    """One row per mode; ``extra`` holds the split points, the slowest
+    view of a traced run and any ``extra_fields`` the caller adds."""
     rows = []
     for mode, result in results.items():
-        extra: Dict[str, object] = {}
+        extra: Dict[str, object] = {"split_points": list(result.split_points),
+                                    **extra_fields}
         profile = getattr(result, "profile", None)
         if profile is not None and (slowest := profile.slowest()) is not None:
             extra["slowest_view"] = slowest.view_name
@@ -126,25 +118,7 @@ def print_table(rows: Iterable[ExperimentResult],
         print(render(line))
 
 
-def speedup_summary(results: Dict[ExecutionMode, CollectionRunResult],
-                    metric: str = "work") -> Dict[str, float]:
-    """Pairwise factors between modes (e.g. scratch/diff) on a metric."""
-    def value(mode: ExecutionMode) -> float:
-        result = results.get(mode)
-        if result is None:
-            return float("nan")
-        if metric == "work":
-            return float(max(1, result.total_work))
-        if metric == "wall":
-            return max(1e-9, result.total_wall_seconds)
-        return float(max(1, result.total_parallel_time))
-
-    out: Dict[str, float] = {}
-    if ExecutionMode.DIFF_ONLY in results and ExecutionMode.SCRATCH in results:
-        out["scratch/diff"] = value(ExecutionMode.SCRATCH) / \
-            value(ExecutionMode.DIFF_ONLY)
-    if ExecutionMode.ADAPTIVE in results:
-        best = min(value(m) for m in results if m is not ExecutionMode.ADAPTIVE) \
-            if len(results) > 1 else float("nan")
-        out["best/adaptive"] = best / value(ExecutionMode.ADAPTIVE)
-    return out
+def by_cell(rows: Iterable[ExperimentResult]
+            ) -> Dict[Tuple[str, str, str], ExperimentResult]:
+    """Rows keyed by ``(algorithm, config, mode)``, for shape checks."""
+    return {(row.algorithm, row.config, row.mode): row for row in rows}

@@ -1,4 +1,4 @@
-"""Render experiment results to Markdown, CSV, ASCII charts, and JSON.
+"""Render experiment results to Markdown, CSV, and JSON.
 
 Used by ``python -m repro.bench <exp> --save DIR`` to archive runs, and
 handy for comparing against the records in EXPERIMENTS.md. The JSON
@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Union
 
 from repro.bench.harness import ExperimentResult
 
@@ -51,27 +51,6 @@ def to_markdown(rows: Iterable[ExperimentResult],
             else:
                 cells.append(str(value))
         lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines)
-
-
-def ascii_chart(series: Sequence[Tuple[str, float]], width: int = 50,
-                title: str = "") -> str:
-    """Horizontal ASCII bar chart (for figure-style results).
-
-    ``series`` is (label, value) pairs; bars are scaled to ``width``.
-    """
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    if not series:
-        lines.append("(no data)")
-        return "\n".join(lines)
-    peak = max(value for _label, value in series)
-    label_width = max(len(label) for label, _value in series)
-    for label, value in series:
-        bar = "#" * (int(width * value / peak) if peak > 0 else 0)
-        lines.append(f"{label.rjust(label_width)} | "
-                     f"{bar} {value:g}")
     return "\n".join(lines)
 
 

@@ -11,6 +11,7 @@ number of per-epoch differences stays constant as unrelated graph content
 grows (the paper's "billions of z edges" argument).
 """
 
+import random
 
 from repro.differential import Dataflow
 
@@ -79,6 +80,37 @@ class TestPaperTable1:
         small = run(5)
         large = run(50)
         assert small == large
+
+    def test_single_edge_update_costs_a_small_fraction_of_the_first_run(
+            self):
+        """The sharing primitive every headline result rests on: after a
+        full WCC epoch, adding one edge costs under 1/20 of that epoch."""
+        df = Dataflow()
+        edges = df.new_input("edges")
+        labels = df.new_input("labels")
+
+        def body(inner, scope):
+            e = scope.enter(edges)
+            seed = scope.enter(labels)
+            return inner.join(
+                e, lambda u, lbl, v: (v, lbl)).concat(seed).min_by_key()
+
+        df.capture(labels.iterate(body), "out")
+        rng = random.Random(5)
+        n = 1_000
+        edge_diff = {}
+        while len(edge_diff) < 8_000:
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                edge_diff[(u, v)] = 1
+                edge_diff[(v, u)] = 1
+        df.step({"edges": edge_diff,
+                 "labels": {(v, v): 1 for v in range(n)}})
+        first_epoch = df.meter.total_work
+        u, v = rng.randrange(n), rng.randrange(n)
+        assert u != v and (u, v) not in edge_diff
+        df.step({"edges": {(u, v): 1, (v, u): 1}})
+        assert 0 < df.meter.total_work - first_epoch < first_epoch / 20
 
     def test_epoch_diff_counts_bounded(self):
         df, *_rest, out = bellman_ford_dataflow()

@@ -1,55 +1,70 @@
-"""Smoke tests for the experiment drivers (quick mode, tiny scale).
+"""The paper's shapes, checked at ``quick`` scale for every experiment, and
+the planted defects that prove the checks can fail.
 
-These guarantee every table/figure driver runs end to end and emits the
-expected row structure; the benches under ``benchmarks/`` assert the paper
-shapes at full experiment scale.
+Each experiment module owns its shape predicates (``check(rows)``); this
+file runs them as ``python -m repro.bench all --quick`` does.
 """
+
+import random
 
 import pytest
 
+from repro.bench.__main__ import main
 from repro.bench.experiments import EXPERIMENTS
+from repro.core.executor import AnalyticsExecutor, ExecutionMode
+from repro.core.ordering import optimizer
+from repro.core.splitting.optimizer import AdaptiveSplitter, SplitDecision
 
 
-@pytest.fixture(autouse=True)
-def tiny_scale(monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_SCALE", "0.3")
+def broken_shapes(name):
+    module = EXPERIMENTS[name]
+    rows = module.run(quick=True)
+    assert rows and all(row.experiment == name for row in rows)
+    return module.check(rows)
 
 
-@pytest.mark.parametrize("name", ["table2", "fig6", "fig7", "table4",
-                                  "fig10", "ablation", "baselines"])
-def test_driver_runs_and_returns_rows(name, capsys):
-    rows = EXPERIMENTS[name](quick=True)
-    assert rows, name
-    printed = capsys.readouterr().out
-    assert name.replace("fig", "Figure ").replace("table", "Table ") \
-        .split()[0] in printed or printed  # a table was printed
-    for row in rows:
-        assert row.experiment == name
-        assert row.num_views >= 1
-        assert row.wall_seconds >= 0
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_paper_shapes_hold_at_quick_scale(name):
+    assert broken_shapes(name) == []
 
 
-def test_table3_driver(capsys):
-    rows = EXPERIMENTS["table3"](quick=True)
-    configs = {row.config for row in rows}
-    assert {"1:C_sl", "2:C_ex-sh-sl", "3:C_aut"} <= configs
+@pytest.mark.parametrize("tour", [
+    lambda n: list(range(n)),
+    lambda n: random.Random(5).sample(range(n), n),
+], ids=["identity", "random"])
+def test_an_ordering_that_is_not_christofides_breaks_table4(monkeypatch,
+                                                            tour):
+    monkeypatch.setattr(optimizer, "christofides_tour",
+                        lambda weights: tour(len(weights)))
+    assert broken_shapes("table4")
 
 
-def test_fig8_driver():
-    rows = EXPERIMENTS["fig8"](quick=True)
-    assert {row.mode for row in rows} == {"diff-only", "adaptive"}
-    assert any("Ord." in row.config for row in rows)
-    assert any("R1" in row.config for row in rows)
+def test_a_splitter_that_never_splits_breaks_table3(monkeypatch):
+    def always_differential(self, view_index, view_size, diff_size):
+        return (SplitDecision.SCRATCH if view_index == 0
+                else SplitDecision.DIFFERENTIAL)
+
+    monkeypatch.setattr(AdaptiveSplitter, "decide", always_differential)
+    assert any("adaptive work" in problem
+               for problem in broken_shapes("table3"))
 
 
-def test_fig9_driver():
-    rows = EXPERIMENTS["fig9"](quick=True)
-    assert all(row.dataset == "WTC-like" for row in rows)
+def test_diff_only_without_sharing_breaks_table2(monkeypatch):
+    choose = AnalyticsExecutor._choose
+
+    def reset_every_view(self, mode, *args):
+        if mode is ExecutionMode.DIFF_ONLY:
+            return SplitDecision.SCRATCH
+        return choose(self, mode, *args)
+
+    monkeypatch.setattr(AnalyticsExecutor, "_choose", reset_every_view)
+    assert any("BF" in problem for problem in broken_shapes("table2"))
 
 
-def test_cli_main(capsys):
-    from repro.bench.__main__ import main
-
+def test_cli_exits_1_and_lists_broken_shapes(monkeypatch, capsys):
     assert main(["table4", "--quick"]) == 0
-    out = capsys.readouterr().out
-    assert "Table 4" in out
+    assert "Table 4" in capsys.readouterr().out
+    monkeypatch.setattr(EXPERIMENTS["table4"], "check",
+                        lambda rows: ["planted problem"])
+    assert main(["table4", "--quick"]) == 1
+    assert "table4: planted problem" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 from repro import ExecutionMode, Graphsurge
 from repro.algorithms import Wcc
 from repro.bench.harness import ExperimentResult
-from repro.bench.reporting import ascii_chart, save_report, to_markdown
+from repro.bench.reporting import save_report, to_markdown
 
 
 @pytest.fixture
@@ -73,19 +73,7 @@ class TestReporting:
         assert len(csv_lines) == 3
         assert csv_lines[0].startswith("experiment,")
 
-    def test_ascii_chart(self):
-        chart = ascii_chart([("1", 100.0), ("4", 50.0), ("12", 25.0)],
-                            width=20, title="scaling")
-        lines = chart.splitlines()
-        assert lines[0] == "scaling"
-        assert lines[1].count("#") == 20
-        assert lines[3].count("#") == 5
-
-    def test_ascii_chart_empty(self):
-        assert "(no data)" in ascii_chart([])
-
-    def test_cli_save_flag(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.3")
+    def test_cli_save_flag(self, tmp_path, capsys):
         from repro.bench.__main__ import main
 
         assert main(["table4", "--quick", "--save", str(tmp_path)]) == 0
