@@ -6,7 +6,7 @@ Structure:
   collections (verbatim translations of the paper's definitions at
   engine-appropriate scale).
 * :mod:`repro.bench.harness` — grid runner + paper-style table printing.
-* :mod:`repro.bench.experiments` — one driver per table/figure, each with
+* :mod:`repro.bench.experiments` — one module per table/figure, each with
   the shape checks for its rows; run them with
   ``python -m repro.bench <experiment>`` (e.g. ``table2``, ``fig6``), which
   exits 1 when a shape breaks.

@@ -6,7 +6,7 @@ Run from the command line::
     python -m repro.bench fig6 --quick
     python -m repro.bench all
 
-Every driver module exposes ``run(quick=False) -> list[ExperimentResult]``,
+Every experiment module exposes ``run(quick=False) -> list[ExperimentResult]``,
 which prints the same rows/series the paper reports (scaled to the
 synthetic datasets — see EXPERIMENTS.md for the paper-vs-measured record),
 and ``check(rows) -> list[str]``, which names every paper shape the rows
@@ -26,7 +26,7 @@ from repro.bench.experiments import (
     table4,
 )
 
-#: Experiment id -> driver module, in paper order.
+#: Experiment id -> module, in paper order.
 EXPERIMENTS = {module.__name__.rsplit(".", 1)[1]: module for module in (
     table2, fig6, fig7, table3, table4, fig8, fig9, fig10, ablation,
     baselines)}

@@ -27,7 +27,7 @@ ALGORITHMS: Tuple[Tuple[str, Callable], ...] = (
 )
 
 
-def window_grid(experiment: str, builder, windows: Dict[str, int],
+def window_grid(experiment: str, make_collection, windows: Dict[str, int],
                 quick: bool) -> List[ExperimentResult]:
     """Every algorithm × mode on one window collection per ``windows``
     entry (Figures 6 and 7); ``quick`` keeps WCC and BFS, the two the
@@ -35,8 +35,9 @@ def window_grid(experiment: str, builder, windows: Dict[str, int],
     graph = default_so_graph(scale=0.5 if quick else 1.0)
     rows: List[ExperimentResult] = []
     for label, seconds in windows.items():
-        collection = builder(graph, seconds, max_views=12 if quick else 48,
-                             name=f"{experiment}-{label}")
+        collection = make_collection(graph, seconds,
+                                     max_views=12 if quick else 48,
+                                     name=f"{experiment}-{label}")
         for name, factory in ALGORITHMS[:2] if quick else ALGORITHMS:
             results = run_modes(factory, collection)
             rows.extend(to_rows(
