@@ -28,18 +28,19 @@ ALGORITHMS: Tuple[Tuple[str, Callable], ...] = (
 
 
 def window_grid(experiment: str, make_collection, windows: Dict[str, int],
-                quick: bool) -> List[ExperimentResult]:
+                quick: bool, batch_size: int = 10) -> List[ExperimentResult]:
     """Every algorithm × mode on one window collection per ``windows``
-    entry (Figures 6 and 7); ``quick`` keeps WCC and BFS, the two the
-    shape checks read."""
-    graph = default_so_graph(scale=0.5 if quick else 1.0)
+    entry (Figures 6 and 7); ``batch_size`` is the adaptive splitter's ℓ.
+    ``quick`` shrinks the graph to 0.3 so that SCC and PageRank stay in
+    the grid within the quick time budget."""
+    graph = default_so_graph(scale=0.3 if quick else 1.0)
     rows: List[ExperimentResult] = []
     for label, seconds in windows.items():
         collection = make_collection(graph, seconds,
                                      max_views=12 if quick else 48,
                                      name=f"{experiment}-{label}")
-        for name, factory in ALGORITHMS[:2] if quick else ALGORITHMS:
-            results = run_modes(factory, collection)
+        for name, factory in ALGORITHMS:
+            results = run_modes(factory, collection, batch_size=batch_size)
             rows.extend(to_rows(
                 results, experiment, "so-like",
                 f"w={label},k={collection.num_views}"))

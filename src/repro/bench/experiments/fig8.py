@@ -58,7 +58,10 @@ def run_for_graph(graph: PropertyGraph, dataset: str, experiment: str,
             collection = perturbation_collection(
                 graph, top_n, k, order_method=method, seed=seed)
             for name, factory in algorithms(graph):
-                results = run_modes(factory, collection, modes=MODES)
+                # ℓ=1 as in Table 3: these collections have 10-20 views,
+                # and with ℓ=10 one decision at view 2 covers ten of them.
+                results = run_modes(factory, collection, modes=MODES,
+                                    batch_size=1)
                 rows.extend(to_rows(
                     results, experiment, dataset, f"{top_n}C{k}:{label}",
                     total_diffs=collection.total_diffs))
@@ -69,7 +72,8 @@ def check_orderings(rows: List[ExperimentResult],
                     algorithms: Sequence[str]) -> List[str]:
     """Per configuration and random order R: the optimizer's order has
     fewer #Diffs and costs ``algorithms`` less diff-only work than R, and
-    adaptive splitting keeps WCC on R within 1.1x of diff-only."""
+    adaptive splitting softens R for WCC: it splits at least once and
+    stays within 1.1x of diff-only."""
     cell = by_cell(rows)
     problems = []
     for config in dict.fromkeys(row.config for row in rows):
@@ -90,6 +94,8 @@ def check_orderings(rows: List[ExperimentResult],
                                 f"({ours}) is not below {label}'s ({theirs})")
         diff_only, adaptive = (cell["WCC", config, mode].work
                                for mode in ("diff-only", "adaptive"))
+        if not cell["WCC", config, "adaptive"].splits:
+            problems.append(f"WCC on {config}: adaptive never split")
         if not adaptive <= 1.1 * diff_only:
             problems.append(f"WCC on {config}: adaptive work {adaptive} "
                             f"exceeds 1.1 x diff-only's {diff_only}")

@@ -39,14 +39,15 @@ def test_an_ordering_that_is_not_christofides_breaks_table4(monkeypatch,
     assert broken_shapes("table4")
 
 
-def test_a_splitter_that_never_splits_breaks_table3(monkeypatch):
+@pytest.mark.parametrize("name", ["table3", "fig8", "fig9"])
+def test_a_splitter_that_never_splits_breaks_the_adaptive_shapes(
+        monkeypatch, name):
     def always_differential(self, view_index, view_size, diff_size):
         return (SplitDecision.SCRATCH if view_index == 0
                 else SplitDecision.DIFFERENTIAL)
 
     monkeypatch.setattr(AdaptiveSplitter, "decide", always_differential)
-    assert any("adaptive work" in problem
-               for problem in broken_shapes("table3"))
+    assert any("adaptive" in problem for problem in broken_shapes(name))
 
 
 def test_diff_only_without_sharing_breaks_table2(monkeypatch):
