@@ -5,8 +5,8 @@ export PYTHONPATH := src
 FUZZ_SEED ?= 7
 FUZZ_ITERATIONS ?= 25
 
-.PHONY: test perf-test analyze fuzz fuzz-soak bench bench-parallel paper \
-	serve-smoke stream-smoke pack-smoke sanitize-smoke lint-src
+.PHONY: test perf-test analyze fuzz fuzz-soak verify bench bench-parallel \
+	paper lint-src
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -33,7 +33,8 @@ analyze:
 	$(PYTHON) -m repro.cli analyze --seed $(FUZZ_SEED) --generated 25 \
 		--concurrency --strict-warnings --json analysis-report.json
 
-# The CI fuzz-smoke configuration: fixed seed, deterministic campaign.
+# Fixed seed, deterministic campaign: every registered algorithm under
+# every mode plus the invariant battery on every iteration.
 fuzz:
 	$(PYTHON) -m repro.cli fuzz --seed $(FUZZ_SEED) \
 		--iterations $(FUZZ_ITERATIONS)
@@ -42,6 +43,18 @@ fuzz:
 fuzz-soak:
 	$(PYTHON) -m repro.cli fuzz --seed $(FUZZ_SEED) --iterations 200 \
 		--keep-going --quiet
+
+# The CI verify job: the fuzz campaign and the static analysis gate above,
+# then one single-algorithm campaign per community & scoring pack member
+# (so each member gets >= 25 seeded cases through the full invariant
+# battery, streamed churn included; see docs/algorithms.md). The pack's
+# hand-computed pin tests run in tier-1. See docs/verification.md.
+verify: fuzz analyze
+	for algo in labelprop ppr ktruss score; do \
+		$(PYTHON) -m repro.cli fuzz --seed $(FUZZ_SEED) \
+			--iterations $(FUZZ_ITERATIONS) \
+			--algorithms $$algo --quiet || exit 1; \
+	done
 
 bench:
 	$(PYTHON) benchmarks/bench_hotpath.py --check BENCH_engine.json
@@ -56,34 +69,6 @@ bench-parallel:
 		--workers 4 --scenarios iterate_heavy,collection_run_wcc \
 		--min-speedup 2.0
 
-# Boot the real daemon, drive it over HTTP (health, GVDL, cached run,
-# mutation, delta recompute), SIGTERM it, and assert a clean drained
-# shutdown with a valid session checkpoint. See docs/serving.md.
-serve-smoke:
-	$(PYTHON) -m repro.serve.smoke
-
-# Gate for the community & scoring pack (the CI pack-smoke job): the
-# hand-computed pin tests lock the tie-breaking/normalization/peeling
-# rules, then each pack member runs a 25-iteration single-algorithm
-# fuzz campaign — which executes the *full* invariant battery every
-# iteration, including the streamed-churn `stream` check, so every
-# member sees >= 25 seeded cases. See docs/algorithms.md.
-pack-smoke:
-	$(PYTHON) -m pytest -x -q tests/algorithms/test_pack_pins.py
-	for algo in labelprop ppr ktruss score; do \
-		$(PYTHON) -m repro.cli fuzz --seed $(FUZZ_SEED) \
-			--iterations $(FUZZ_ITERATIONS) \
-			--algorithms $$algo --quiet || exit 1; \
-	done
-
-# Shadow-sanitizer gate (the CI sanitize-smoke job): a clean
-# iterate-heavy WCC run under sanitize=True must stay silent with
-# byte-identical counters, and a planted inline/process divergence must
-# be caught at the offending reduce's exact plan address on the first
-# epoch. Driver: src/repro/verify/sanitize_smoke.py. See docs/parallel.md.
-sanitize-smoke:
-	$(PYTHON) -m repro.verify.sanitize_smoke
-
 # Source lint (the CI lint-src job); requires ruff on PATH. Config lives
 # in pyproject.toml [tool.ruff]. Ruff runs only where it is installed (CI
 # installs it); the local check is the tier-1 AST rule in
@@ -91,12 +76,3 @@ sanitize-smoke:
 # `# noqa: F401`), which `make test` runs everywhere.
 lint-src:
 	ruff check src tests
-
-# Stream a 60-epoch seeded churn source through continuously maintained
-# queries on both backends: per-epoch snapshots must equal the plain
-# references on the accumulated edges, inline/process must be
-# byte-identical, work must scale with the batch (not the graph),
-# capture traces stay bounded under compaction, and a journaled stream
-# killed mid-way resumes byte-identically. See docs/streaming.md.
-stream-smoke:
-	$(PYTHON) -m repro.stream.smoke

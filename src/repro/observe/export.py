@@ -87,7 +87,7 @@ def validate_chrome_trace(payload: object) -> int:
     (``ph``; ``name``/``ts``/``dur``/``pid``/``tid`` for complete events),
     and non-negative integer timestamps. Returns the number of complete
     (``"X"``) events; raises ``ValueError`` on any violation. Used by the
-    tests and the CI profiler smoke step.
+    tests, including the ``profile --trace-out`` CLI test.
     """
     if not isinstance(payload, dict):
         raise ValueError("trace document must be a JSON object")

@@ -101,7 +101,8 @@ async def run_server(app, host: str = "127.0.0.1", port: int = 0,
     Restores session state from ``checkpoint_path`` when the file exists,
     then keeps journaling to the same path on exit. Prints a parseable
     ``listening on HOST:PORT`` line once the socket is bound (the
-    serve-smoke driver and tooling scrape it). Returns the drain summary.
+    subprocess daemon test and tooling scrape it). Returns the drain
+    summary.
     """
     from repro.serve.httpd import HttpServer
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.executor import ExecutionMode
 from repro.verify.generator import GeneratedCase, generate_case
@@ -53,16 +53,8 @@ class FuzzConfig:
     repro_out: str = "fuzz-repro.json"
     #: Restrict generation grammars (``churn``/``window``/``gvdl``).
     kinds: Optional[Sequence[str]] = None
-    #: Worker counts compared by the worker-invariance check.
-    worker_counts: Tuple[int, ...] = (1, 4)
-    #: Execution backends compared by the backend-invariance check.
-    backends: Tuple[str, ...] = ("inline", "process")
     #: Abort on the first mismatch (CI) or keep fuzzing (soak).
     stop_on_mismatch: bool = True
-    #: Budget for the shrinker's greedy search.
-    max_shrink_checks: int = 200
-    #: Run the metamorphic battery every N-th iteration (1 = always).
-    invariant_stride: int = 1
 
 
 @dataclass
@@ -133,14 +125,12 @@ def run_fuzz(config: FuzzConfig,
         if failed and config.stop_on_mismatch:
             break
 
-        if not failed and iteration % config.invariant_stride == 0:
+        if not failed:
             spec = specs[iteration % len(specs)]
             params = spec.sample_params(rng, vertices)
             battery = (
-                lambda: check_workers(case.collection, spec, params,
-                                      worker_counts=config.worker_counts),
-                lambda: check_backends(case.collection, spec, params,
-                                       backends=config.backends),
+                lambda: check_workers(case.collection, spec, params),
+                lambda: check_backends(case.collection, spec, params),
                 lambda: check_permutation(case.collection, spec, params,
                                           perm_seed=rng.randrange(2 ** 16)),
                 lambda: check_checkpoint(
@@ -150,8 +140,7 @@ def run_fuzz(config: FuzzConfig,
                 lambda: check_tracing(case.collection, spec, params),
                 lambda: check_analysis(case.collection, spec, params,
                                        perm_seed=rng.randrange(2 ** 16)),
-                lambda: check_stream(case.collection, spec, params,
-                                     backends=config.backends),
+                lambda: check_stream(case.collection, spec, params),
                 lambda: check_sanitize(case.collection, spec, params),
             )
             for run_check in battery:
@@ -177,8 +166,7 @@ def _report_failure(config: FuzzConfig, report: FuzzReport,
     """Shrink the violation and persist a replayable repro file."""
     say(f"FAILED {mismatch}")
     check = build_check(spec, params, mismatch.check)
-    result = shrink(case.collection, check,
-                    max_checks=config.max_shrink_checks)
+    result = shrink(case.collection, check)
     say(f"shrunk to {result.collection.num_views} view(s) / "
         f"{result.collection.total_diffs} diff(s) after "
         f"{result.checks_run} check(s)")

@@ -62,7 +62,7 @@ def _valid_stream(diffs: List[dict]) -> bool:
 
 
 def shrink(collection: MaterializedCollection, check: Check,
-           max_checks: int = 250) -> ShrinkResult:
+           max_checks: int = 200) -> ShrinkResult:
     """Minimize ``collection`` while ``check`` keeps failing.
 
     ``check`` must fail on the input collection (the caller observed the

@@ -169,6 +169,7 @@ class TestProfile:
 
         trace = tmp_path / "trace.json"
         argv = self.collection_args(graph_files) + [
+            "--workers", "2",
             "profile", "wcc", "hist", "--trace-out", str(trace)]
         assert main(argv) == 0
         payload = json.loads(trace.read_text())

@@ -1,8 +1,18 @@
-"""Lifecycle: the drain gate, checkpoint-on-exit, and a live server loop."""
+"""Lifecycle: the drain gate, checkpoint-on-exit, a live server loop, and
+the real daemon process under SIGTERM."""
 
 import asyncio
+import contextlib
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import urllib.request
+from pathlib import Path
 
+import pytest
 
 from repro.core.resilience import load_checkpoint
 from repro.serve.app import ServeApp
@@ -165,3 +175,97 @@ class TestRunServerLoop:
         asyncio.run(reboot())
         assert any("restored session checkpoint" in line
                    for line in restored_lines)
+
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def proc_stat(pid):
+    """``(state, ppid)`` of a process from /proc, or None once it is gone."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    state, ppid = text.rsplit(")", 1)[1].split()[:2]
+    return state, int(ppid)
+
+
+def child_pids(parent):
+    return [int(path.name) for path in Path("/proc").iterdir()
+            if path.name.isdigit()
+            and (proc_stat(path.name) or ("", 0))[1] == parent]
+
+
+def post(base, path, body):
+    request = urllib.request.Request(
+        base + path, data=json.dumps(body).encode(), method="POST",
+        headers={"Content-Type": "application/json"})
+    with urllib.request.urlopen(request, timeout=30) as response:
+        return json.loads(response.read())
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists()
+    or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs /proc and the fork start method")
+class TestDaemonProcess:
+    def test_sigterm_drains_checkpoints_and_reaps_workers(self, tmp_path):
+        """``repro.cli serve`` on the process backend, stopped by SIGTERM:
+        exit 0 after a clean drain, a whole journal, no worker left."""
+        nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
+        nodes.write_text("id,city:str\n" + "".join(
+            f"{i},{'LA' if i % 2 else 'NY'}\n" for i in range(8)))
+        edges.write_text("src,dst,year:int\n" + "".join(
+            f"{i},{(i + 1) % 8},{2015 + i % 5}\n" for i in range(8)))
+        checkpoint = tmp_path / "session.ckpt"
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "--load",
+             f"g={nodes},{edges}", "serve", "--port", "0",
+             "--checkpoint", str(checkpoint),
+             "--workers", "2", "--backend", "process"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        workers = []
+        try:
+            lines = []
+            while not (lines and lines[-1].startswith("listening on ")):
+                line = daemon.stdout.readline()
+                assert line, "daemon exited before listening:\n" + \
+                    "".join(lines)
+                lines.append(line)
+            base = "http://" + lines[-1].split()[-1]
+            post(base, "/query", {"gvdl": (
+                "create view collection hist on g "
+                "[old: year <= 2016], [all: year <= 2030];")})
+            assert post(base, "/run", {"computation": "wcc",
+                                       "target": "hist"})["total_work"] > 0
+            assert post(base, "/mutate", {
+                "graph": "g", "add_edges": [[0, 4, {"year": 2016}]],
+            })["epoch"] == 1
+            workers = child_pids(daemon.pid)
+            assert len(workers) >= 2
+            daemon.send_signal(signal.SIGTERM)
+            daemon.wait(timeout=30)
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.wait()
+            # A zombie has exited; only a running worker is a leak. Kill
+            # leftovers so they neither outlive the test nor hold the
+            # inherited stdout pipe open.
+            leftover = [pid for pid in workers
+                        if (proc_stat(pid) or ("Z",))[0] != "Z"]
+            for pid in leftover:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            output = daemon.stdout.read()
+            daemon.stdout.close()
+        assert leftover == []
+        assert daemon.returncode == 0, output
+        assert "shutdown complete: drained=True" in output
+        state = load_checkpoint(checkpoint)
+        assert state.header["kind"] == "serve-session"
+        assert state.header["epoch"] == 1
+        assert not state.truncated
+        assert [record["kind"] for record in state.views] == \
+            ["gvdl", "mutate"]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.resident import ResidentDataflow
 from repro.core.resilience import FaultPlan, decode_diff
 from repro.core.system import Graphsurge
 from repro.errors import (
@@ -164,6 +165,28 @@ class TestFaultRecovery:
             engine.close()
 
 
+class TestIncrementality:
+    def test_streamed_work_is_well_under_per_epoch_recompute(self):
+        # A graph much larger than each batch: per-epoch cost must scale
+        # with the batch, not with the accumulated graph.
+        engine = wcc_engine()
+        query = engine.queries[WCC]
+        streamed = scratch = 0
+        try:
+            for batch in churn_batches(11, 60, num_nodes=80, churn=3,
+                                       base_edges=150):
+                streamed += engine.ingest(batch)["results"][WCC]["work"]
+                fresh = ResidentDataflow(query.computation)
+                try:
+                    scratch += fresh.advance_by(query.input_for(
+                        engine.edges)).work.total_work
+                finally:
+                    fresh.close()
+        finally:
+            engine.close()
+        assert streamed * 2 < scratch
+
+
 class TestCompaction:
     def test_capture_times_stay_bounded(self):
         engine = wcc_engine(compact_every=4, keep_epochs=2)
@@ -180,10 +203,16 @@ class TestCompaction:
 
 
 class TestBackends:
-    def test_process_backend_matches_inline_per_epoch(self):
+    # Compaction reaches process workers as a broadcast; with it on, each
+    # worker's shard traces are folded every fourth epoch.
+    @pytest.mark.parametrize("compaction", [
+        {"compact_every": 0},
+        {"compact_every": 4, "keep_epochs": 2},
+    ], ids=["compaction-off", "compaction-on"])
+    def test_process_backend_matches_inline_per_epoch(self, compaction):
         rows = {}
         for backend in ("inline", "process"):
-            engine = wcc_engine(workers=2, backend=backend)
+            engine = wcc_engine(workers=2, backend=backend, **compaction)
             try:
                 observed = []
                 for batch in churn_batches(5, 8, num_nodes=8, churn=2,
