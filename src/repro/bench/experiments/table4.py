@@ -5,9 +5,9 @@ Shape to reproduce: the Christofides order generates several-fold (paper:
 3-17x) fewer differences than random orders. ``Id.`` is the order the
 views are declared in (k-combinations in lexicographic order, already a
 good order: consecutive views mostly swap one community), which the
-optimizer must also beat. Creation time is printed but not checked: the
-paper's ordering overhead is 1.1-1.7x, ours is dominated by Christofides'
-matching step (see EXPERIMENTS.md).
+optimizer must also beat. Creation time is printed but not checked: it is
+one wall-clock sample per row, and the paper's 1.1-1.7x ordering overhead
+is compared in EXPERIMENTS.md.
 """
 
 from __future__ import annotations

@@ -78,6 +78,15 @@ def build_computation(name: str, args: argparse.Namespace) -> GraphComputation:
     return registry.build_computation(name, params)
 
 
+def table_help(param: str, what: str) -> str:
+    """Flag help naming each computation that takes ``param`` with its
+    default in the name table, e.g. ``k for kcore (default 2), ktruss
+    (default 3)``; an omitted flag leaves that default to the table."""
+    return f"{what} for " + ", ".join(
+        f"{entry.name} (default {entry.params[param]})"
+        for entry in registry.ALGORITHMS.values() if param in entry.params)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Graphsurge command line")
@@ -122,23 +131,25 @@ def build_parser() -> argparse.ArgumentParser:
                          help="adaptive splitting batch size (default 10)")
         sub.add_argument("--source", type=int, default=None,
                          help="source vertex for bfs/bf")
-        sub.add_argument("--iterations", type=int, default=10,
-                         help="pagerank/ppr/score iterations (default 10)")
-        sub.add_argument("--k", type=int, default=2,
-                         help="k for kcore (default 2); ktruss needs >= 2")
+        sub.add_argument("--iterations", type=int,
+                         help=table_help("iterations", "iterations"))
+        sub.add_argument("--k", type=int, help=table_help("k", "k"))
         sub.add_argument("--pairs", default=None,
                          help="mpsp pairs as src:dst,src:dst,...")
         sub.add_argument("--seeds", default=None,
                          help="ppr seed vertices as comma-separated ids, "
                               "e.g. --seeds 1,5")
-        sub.add_argument("--rounds", type=int, default=8,
-                         help="labelprop synchronous rounds (default 8)")
-        sub.add_argument("--degree-weight", type=int, default=1,
-                         help="score weight on out-degree (default 1)")
-        sub.add_argument("--triangle-weight", type=int, default=1,
-                         help="score weight on triangle count (default 1)")
-        sub.add_argument("--rank-weight", type=int, default=1,
-                         help="score weight on centi-PageRank (default 1)")
+        sub.add_argument("--rounds", type=int,
+                         help=table_help("rounds", "synchronous rounds"))
+        sub.add_argument("--degree-weight", type=int,
+                         help=table_help("degree_weight",
+                                         "weight on out-degree"))
+        sub.add_argument("--triangle-weight", type=int,
+                         help=table_help("triangle_weight",
+                                         "weight on triangle count"))
+        sub.add_argument("--rank-weight", type=int,
+                         help=table_help("rank_weight",
+                                         "weight on centi-PageRank"))
 
     run = subcommands.add_parser("run", help="run a computation")
     add_computation_args(run)

@@ -21,22 +21,24 @@ from repro import Graphsurge
 from repro.bench.workloads import default_lj_graph, default_wtc_graph
 from repro.core.ebm import build_ebm
 from repro.core.ordering.christofides import (
-    _min_weight_perfect_matching,
+    _Blossoms,
+    christofides_tour,
+    min_weight_perfect_matching,
     prim_mst,
 )
 from repro.core.ordering.hamming import hamming_distance_matrix
 from repro.datasets.community import perturbation_views
+from repro.errors import OrderingError
 
 REPO = Path(__file__).resolve().parents[2]
 
 
 def matching_weight(weights):
     """Weight of the matching the implementation returns for ``weights``."""
-    n = weights.shape[0]
-    pairs = _min_weight_perfect_matching(list(range(n)), weights)
-    covered = sorted(v for pair in pairs for v in pair)
-    assert covered == list(range(n))
-    return sum(weights[u, v] for u, v in pairs)
+    mate = min_weight_perfect_matching(weights)
+    assert sorted(mate) == list(range(len(weights)))
+    assert all(mate[mate] == np.arange(len(weights)))
+    return weights[np.arange(len(weights)), mate].sum() / 2
 
 
 def dp_matching_weight(weights):
@@ -156,6 +158,60 @@ def arbitrary_instances(draw):
         st.floats(0, 1e3, allow_nan=False, allow_infinity=False),
         min_size=size, max_size=size))
     return symmetric(np.array(values, dtype=float), n)
+
+
+#: Two cheap pairs {0, 1} and {2, 3}: the only optimum weighs 2.
+TWO_PAIRS = np.array([[0, 1, 9, 9], [1, 0, 9, 9], [9, 9, 0, 1],
+                      [9, 9, 1, 0]])
+
+
+class TestCertificate:
+    def solved(self):
+        blossoms = _Blossoms(TWO_PAIRS.astype(np.int64))
+        blossoms.solve()
+        blossoms.certify()
+        return blossoms
+
+    def test_integer_weights_are_solved_in_integers(self):
+        blossoms = self.solved()
+        assert blossoms.dual.dtype == np.int64
+        assert list(blossoms.mate) == [1, 0, 3, 2]
+
+    def test_a_matched_pair_that_is_not_tight_is_refused(self):
+        blossoms = self.solved()
+        blossoms.mate[:] = [2, 3, 0, 1]
+        with pytest.raises(OrderingError, match="not tight"):
+            blossoms.certify()
+
+    def test_infeasible_duals_are_refused(self):
+        blossoms = self.solved()
+        blossoms.dual[0] -= 20
+        with pytest.raises(OrderingError, match="infeasible"):
+            blossoms.certify()
+
+    def test_an_imperfect_matching_is_refused(self):
+        blossoms = self.solved()
+        blossoms.mate[:] = [1, 0, 3, -1]
+        with pytest.raises(OrderingError, match="not perfect"):
+            blossoms.certify()
+
+    def test_every_call_is_certified(self, monkeypatch):
+        def wrong(self):
+            # Pair v with v+2 (mod n): perfect, and not optimal above.
+            self.mate[:] = (np.arange(self.n) + 2) % self.n
+            return self.mate
+
+        monkeypatch.setattr(_Blossoms, "solve", wrong)
+        with pytest.raises(OrderingError):
+            min_weight_perfect_matching(TWO_PAIRS)
+        points = np.array([[0, 0], [1, 0], [0, 1], [5, 5], [6, 5]])
+        weights = np.abs(points[:, None] - points[None]).sum(axis=2)
+        with pytest.raises(OrderingError):
+            christofides_tour(weights)
+
+    def test_an_odd_vertex_count_is_refused(self):
+        with pytest.raises(OrderingError, match="even"):
+            min_weight_perfect_matching(np.zeros((3, 3)))
 
 
 class TestAgainstTheDpOracle:

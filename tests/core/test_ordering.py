@@ -122,6 +122,20 @@ class TestHamming:
         assert np.array_equal(hamming_distance_matrix(matrix, workers=1),
                               hamming_distance_matrix(matrix, workers=7))
 
+    @pytest.mark.parametrize("m", [0, 1, 7, 8, 63, 64, 65, 3000])
+    @pytest.mark.parametrize("k", [1, 2, 70])
+    def test_packed_matches_the_definition(self, m, k):
+        """Bit-packing pads rows to whole words; every row count, around
+        the byte and word edges, and every worker split give the naive
+        count of differing rows per column pair."""
+        matrix = np.random.default_rng(m * 100 + k).random((m, k)) < 0.4
+        padded = np.hstack([np.zeros((m, 1), dtype=bool), matrix])
+        naive = (padded[:, :, None] != padded[:, None, :]).sum(axis=0)
+        for workers in range(1, 8):
+            distances = hamming_distance_matrix(matrix, workers=workers)
+            assert distances.dtype == np.int64
+            assert np.array_equal(distances, naive)
+
     def test_row_blocks_are_charged_to_their_own_workers(self):
         # Regression: block w was metered with the block index as the key,
         # so the meter re-hashed it and two blocks shared one worker.

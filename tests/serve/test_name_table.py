@@ -69,6 +69,25 @@ class TestEveryOracleNameRuns:
             engine.close()
 
 
+#: The parameters a name cannot run without: CLI flags and table params.
+REQUIRED = {"mpsp": (["--pairs", "1:5"], {"pairs": [(1, 5)]}),
+            "ppr": (["--seeds", "1"], {"seeds": [1]})}
+
+
+@pytest.mark.parametrize("name", sorted(registry.NAMES))
+def test_cli_without_flags_builds_the_tables_defaults(name):
+    """``repro run NAME g`` with no parameter flags builds what ``/run``
+    builds from ``{}``: the flags carry no defaults of their own."""
+    from repro.cli import build_computation, build_parser
+
+    flags, params = REQUIRED.get(registry.NAMES[name].name, ([], {}))
+    args = build_parser().parse_args(["run", name, "g"] + flags)
+    from_cli = build_computation(name, args)
+    from_table = registry.build_computation(name, params)
+    assert type(from_cli) is type(from_table)
+    assert vars(from_cli) == vars(from_table)
+
+
 class TestEachSurfaceKeepsItsErrorType:
     def test_table_raises_graphsurge_error_by_default(self):
         with pytest.raises(GraphsurgeError, match="unknown computation"):

@@ -1,16 +1,22 @@
-"""Source lint that needs no third-party tool: no unused imports in src/repro.
+"""Source lint that needs no third-party tool: no unused imports in
+src/repro, and no third-party import that pyproject.toml does not declare.
 
-``make lint-src`` runs ruff, which only CI installs; this AST rule is the
-check every tier-1 run makes. An import counts as used when its bound
+``make lint-src`` runs ruff, which only CI installs; these AST rules are
+the checks every tier-1 run makes. An import counts as used when its bound
 name appears anywhere in the module (as a name, in a string annotation,
 or in ``__all__``). A ``# noqa: F401`` (or bare ``# noqa``) on any line of
 the import statement and the ``F401`` entries of ruff's
 ``per-file-ignores`` in pyproject.toml exempt it, as they do for ruff.
+The set of third-party top-level modules src/repro imports must equal the
+declared runtime dependencies, so neither side drifts.
 """
 
 import ast
 import re
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 NOQA = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9, ]+))?", re.IGNORECASE)
@@ -20,6 +26,9 @@ PER_FILE = re.compile(r"^\[tool\.ruff\.lint\.per-file-ignores\]\n(.*?)(?=^\[|\Z)
                       re.MULTILINE | re.DOTALL)
 IGNORE_ROW = re.compile(r'^"(?P<path>[^"]+)"\s*=\s*\[(?P<codes>[^\]]*)\]',
                         re.MULTILINE)
+DEPENDENCIES = re.compile(r"^dependencies\s*=\s*\[(?P<items>[^\]]*)\]",
+                          re.MULTILINE)
+REQUIREMENT = re.compile(r'"\s*(?P<name>[A-Za-z0-9_.-]+)')
 
 
 def ignored_files(config):
@@ -98,6 +107,54 @@ def test_no_unused_imports_in_src():
              if path not in skip
              for line, name in unused_imports(path.read_text())]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def declared_dependencies(config):
+    """Import names of pyproject.toml's ``[project] dependencies``."""
+    items = DEPENDENCIES.search(config)["items"]
+    return {match["name"].lower().replace("-", "_")
+            for match in REQUIREMENT.finditer(items)}
+
+
+def third_party_imports(source):
+    """Top-level names of the absolute imports outside the standard
+    library and the package itself."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top != "repro" and top not in sys.stdlib_module_names:
+                yield top
+
+
+@pytest.mark.skipif(not hasattr(sys, "stdlib_module_names"),
+                    reason="needs Python 3.10+")
+def test_third_party_imports_are_the_declared_dependencies():
+    declared = declared_dependencies((ROOT / "pyproject.toml").read_text())
+    imported = {}
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        for name in third_party_imports(path.read_text()):
+            imported.setdefault(name, str(path.relative_to(ROOT)))
+    assert set(imported) == declared, (
+        f"imported {imported}, declared {sorted(declared)}")
+
+
+@pytest.mark.skipif(not hasattr(sys, "stdlib_module_names"),
+                    reason="needs Python 3.10+")
+def test_dependency_rule_reads_requirements_and_imports():
+    config = ('[project]\nname = "x"\ndependencies = [\n'
+              '    "numpy>=2.0",\n    "Some-Lib ; python_version<\'4\'",\n]\n'
+              '[project.optional-dependencies]\ndev = ["pytest"]\n')
+    assert declared_dependencies(config) == {"numpy", "some_lib"}
+    source = ("import os, numpy.linalg\nfrom json import dumps\n"
+              "from . import sibling\nfrom repro.errors import E\n"
+              "def f():\n    import networkx as nx\n")
+    assert list(third_party_imports(source)) == ["numpy", "networkx"]
 
 
 def test_rule_flags_and_exempts():
