@@ -17,8 +17,8 @@ import numpy as np
 
 from repro.timely.meter import WorkMeter
 
-#: Column pairs XORed per vector pass, bounding the temporary to
-#: ``_CHUNK_WORDS`` 64-bit words whatever the block size.
+#: Most 64-bit words one vector pass XORs: it bounds the temporary to
+#: 8 MiB whatever the block size.
 _CHUNK_WORDS = 1 << 20
 
 
@@ -40,7 +40,8 @@ def _partial_distances(block: np.ndarray) -> np.ndarray:
     step = max(1, _CHUNK_WORDS // max(1, n * words))
     for start in range(0, n, step):
         xored = columns[start:start + step, None, :] ^ columns[None, :, :]
-        # int64, not the uint8 counts' default: uint64 + int64 is float.
+        # Sum as int64: the default uint64 sum would turn the int64
+        # total into floats.
         partial[start:start + step] = np.bitwise_count(xored).sum(
             axis=2, dtype=np.int64)
     return partial
