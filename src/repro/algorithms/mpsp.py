@@ -37,7 +37,8 @@ class Mpsp(GraphComputation):
 
     def __init__(self, pairs: Sequence[Tuple[int, int]]):
         if not pairs:
-            raise ConfigError("MPSP needs at least one (src, dst) pair")
+            raise ConfigError("MPSP needs at least one (src, dst) pair, "
+                              "e.g. --pairs 1:5,1:9")
         self.pairs: List[Tuple[int, int]] = list(pairs)
 
     def build(self, dataflow, edges):

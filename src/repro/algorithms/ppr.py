@@ -34,7 +34,8 @@ class PersonalizedPageRank(GraphComputation):
                  quantum: int = SCALE // 1000):
         self.seeds = frozenset(int(s) for s in seeds)
         if not self.seeds:
-            raise ConfigError("seeds must be a non-empty vertex list")
+            raise ConfigError("seeds must be a non-empty vertex list, "
+                              "e.g. --seeds 1,5")
         if iterations < 1:
             raise ConfigError("iterations must be >= 1")
         if quantum < 1:

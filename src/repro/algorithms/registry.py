@@ -1,17 +1,18 @@
 """The one name table: every runnable computation, by request name.
 
-The CLI (``run``/``profile``/``stream``), the serve daemon (``/run``,
-``/stream``), the stream engine and the fuzzer's oracle registry all
-resolve a computation name through :data:`ALGORITHMS`, so a name that
-works on one surface works on all of them. Each surface keeps its own
-error type by passing ``error=`` to :func:`build_computation`.
+Every surface (the CLI, the serve daemon, the stream engine, the fuzzer)
+resolves a request ``(name, params)`` here with :func:`resolve`: the row
+from any alias or letter case, each parameter typed (text included), and
+the :attr:`Request.signature` that names one computation however it was
+spelled. Each surface passes its own error type as ``error=``.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Type
 
 from repro.algorithms.bellman_ford import BellmanFord
 from repro.algorithms.bfs import Bfs
@@ -30,15 +31,30 @@ from repro.algorithms.wcc import Wcc
 from repro.core.computation import GraphComputation
 from repro.errors import GraphsurgeError, RequestError
 
-#: How each request parameter is normalized before it reaches a factory
-#: (request bodies carry JSON, the CLI carries parsed flags).
+
+def _items(value, convert) -> tuple:
+    """A list parameter: a sequence, or text split at ``,`` or ``;``."""
+    if isinstance(value, str):
+        value = [item for item in re.split(r"[,;]", value) if item.strip()]
+    return tuple(convert(item) for item in value)
+
+
+def _pair(item) -> Tuple[int, int]:
+    """A ``(src, dst)`` pair, or its text with ``:`` or ``-`` inside."""
+    src, dst = re.split(r"[:-]", item) if isinstance(item, str) else item
+    return int(src), int(dst)
+
+
+#: Each request parameter's type: it normalizes a JSON value and parses
+#: the text a CLI flag or stream query carries, so ``3`` and ``"3"``,
+#: ``"1:5,1:9"`` and ``"1-5;1-9"`` resolve alike.
 PARAM_TYPES: Dict[str, Callable[[Any], Any]] = {
-    "source": lambda value: value,
+    "source": lambda value: None if value is None else int(value),
     "iterations": int,
     "k": int,
     "rounds": int,
-    "pairs": lambda value: [(int(src), int(dst)) for src, dst in value],
-    "seeds": lambda value: [int(seed) for seed in value],
+    "pairs": lambda value: _items(value, _pair),
+    "seeds": lambda value: _items(value, int),
     "degree_weight": int,
     "triangle_weight": int,
     "rank_weight": int,
@@ -53,7 +69,8 @@ class Algorithm:
     #: ``factory(**params)`` builds the computation; the keyword names
     #: are exactly the keys of ``params``.
     factory: Callable[..., GraphComputation]
-    #: Accepted request parameters with their defaults.
+    #: Accepted request parameters with their defaults, each written as
+    #: its :data:`PARAM_TYPES` type returns it.
     params: Mapping[str, Any] = field(default_factory=dict)
     aliases: Tuple[str, ...] = ()
 
@@ -91,29 +108,88 @@ NAMES: Dict[str, Algorithm] = {
     for spelling in (entry.name,) + entry.aliases}
 
 
-def build_computation(name: str, params: Optional[Dict[str, Any]] = None,
-                      error: Type[GraphsurgeError] = GraphsurgeError
-                      ) -> GraphComputation:
-    """Instantiate a computation from a name + parameter dict.
+@dataclass(frozen=True)
+class Request:
+    """A request resolved against the table: its row and the parameters
+    whose typed value differs from the row's default."""
 
-    Any parameter some algorithm accepts is legal; ones the named
-    algorithm does not take are ignored (the CLI hands over every flag it
-    parsed). Unknown names and parameters raise ``error``; a factory's
-    own validation errors propagate unchanged.
-    """
+    entry: Algorithm
+    params: Dict[str, Any]
+
+    @property
+    def signature(self) -> str:
+        """The computation's identity: canonical name plus ``params`` as
+        canonical JSON, whatever spelling the request used."""
+        return json.dumps({"computation": self.entry.name,
+                           "params": self.params},
+                          sort_keys=True, separators=(",", ":"))
+
+    def build(self) -> GraphComputation:
+        return self.entry.factory(**{**self.entry.params, **self.params})
+
+
+def canonical_name(name: Any) -> Optional[str]:
+    """The row name for any spelling (alias, letter case), else None."""
+    entry = NAMES.get(str(name).lower())
+    return None if entry is None else entry.name
+
+
+def resolve(name: Any, params: Optional[Dict[str, Any]] = None,
+            error: Type[GraphsurgeError] = GraphsurgeError) -> Request:
+    """Resolve a request against the table. Parameters the row does not
+    take are ignored; unknown names and parameters, and values a type
+    cannot parse, raise ``error``. Factories validate in ``build``."""
     params = params or {}
     if not isinstance(params, dict):
         raise error("'params' must be a JSON object")
     unknown = set(params) - set(PARAM_TYPES)
     if unknown:
         raise error(f"unknown computation parameter(s): {sorted(unknown)}")
-    entry = NAMES.get(str(name).lower())
+    entry = ALGORITHMS.get(canonical_name(name))
     if entry is None:
         raise error(f"unknown computation {name!r}; expected one of "
                     f"{sorted(NAMES)}")
-    return entry.factory(**{
-        key: PARAM_TYPES[key](params.get(key, default))
-        for key, default in entry.params.items()})
+    chosen = {}
+    for key in filter(params.__contains__, entry.params):
+        try:
+            value = PARAM_TYPES[key](params[key])
+        except (TypeError, ValueError):
+            raise error(f"computation parameter {key!r} cannot be "
+                        f"{params[key]!r}") from None
+        if value != entry.params[key]:
+            chosen[key] = value
+    return Request(entry, chosen)
+
+
+def flag_params(flags: Mapping[str, Any]) -> Dict[str, Any]:
+    """The table parameters among parsed CLI flags that were given."""
+    return {key: flags[key] for key in PARAM_TYPES
+            if flags.get(key) is not None}
+
+
+def query_entries(raw, error: Type[GraphsurgeError] = GraphsurgeError
+                  ) -> List[Tuple[str, Dict[str, Any]]]:
+    """Query entries, each a name or ``[name, params?]``, as ``(name,
+    params)`` pairs; a malformed entry raises ``error``."""
+    out = []
+    for item in raw:
+        entry = (item,) if isinstance(item, str) else item
+        if isinstance(entry, (list, tuple)) and len(entry) == 1:
+            entry = (entry[0], {})
+        if (not isinstance(entry, (list, tuple)) or len(entry) != 2
+                or not isinstance(entry[0], str)
+                or not isinstance(entry[1], dict)):
+            raise error(f"'queries' entries must be a computation name or "
+                        f"[name, params?] with object params, got {item!r}")
+        out.append((entry[0], entry[1]))
+    return out
+
+
+def build_computation(name: str, params: Optional[Dict[str, Any]] = None,
+                      error: Type[GraphsurgeError] = GraphsurgeError
+                      ) -> GraphComputation:
+    """Instantiate a computation from a name + parameter dict."""
+    return resolve(name, params, error).build()
 
 
 def build_request_computation(name: str,
@@ -126,7 +202,6 @@ def build_request_computation(name: str,
 
 def computation_signature(name: str,
                           params: Optional[Dict[str, Any]] = None) -> str:
-    """A canonical string identity for (computation, parameters)."""
-    return json.dumps({"computation": str(name).lower(),
-                       "params": params or {}},
-                      sort_keys=True, separators=(",", ":"))
+    """The signature of a request (see :attr:`Request.signature`); a bad
+    name or parameter is a :class:`~repro.errors.RequestError`."""
+    return resolve(name, params, RequestError).signature

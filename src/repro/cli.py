@@ -36,17 +36,16 @@ Subcommands:
   backend) shadow-executes every epoch inline and fails at the first
   divergence.
 
-Computations: every name in :data:`repro.algorithms.registry.ALGORITHMS`
-— wcc, scc, bfs, sssp (alias bf), pagerank, mpsp, kcore, triangles,
-clustering, degrees, maxdegree, plus the community & scoring pack:
-labelprop, ppr, ktruss, score (see docs/algorithms.md). Options like
-``--source``/``--iterations``/``--seeds`` configure them.
+Computations: every name and alias in the name table,
+:mod:`repro.algorithms.registry` (see docs/algorithms.md), configured by
+flags like ``--source``/``--iterations``/``--seeds``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import re
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -61,21 +60,7 @@ from repro.timely.worker import canonical_order_key
 
 def build_computation(name: str, args: argparse.Namespace) -> GraphComputation:
     """Instantiate a computation by CLI name: flags → params → the table."""
-    flags = vars(args)
-    params = {flag: flags[flag] for flag in registry.PARAM_TYPES
-              if flags.get(flag) is not None}
-    name = name.lower()
-    if name == "mpsp" and not params.get("pairs"):
-        raise GraphsurgeError("mpsp needs --pairs, e.g. --pairs 1:5,1:9")
-    if name == "ppr" and not params.get("seeds"):
-        raise GraphsurgeError("ppr needs --seeds, e.g. --seeds 1,5")
-    if "pairs" in params:
-        params["pairs"] = [chunk.split(":", 1)
-                           for chunk in params["pairs"].split(",")]
-    if "seeds" in params:
-        params["seeds"] = [part for part in params["seeds"].split(",")
-                           if part]
-    return registry.build_computation(name, params)
+    return registry.build_computation(name, registry.flag_params(vars(args)))
 
 
 def table_help(param: str, what: str) -> str:
@@ -135,10 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help=table_help("iterations", "iterations"))
         sub.add_argument("--k", type=int, help=table_help("k", "k"))
         sub.add_argument("--pairs", default=None,
-                         help="mpsp pairs as src:dst,src:dst,...")
+                         help="mpsp pairs, e.g. --pairs 1:5,1:9 or "
+                              "1-5;1-9")
         sub.add_argument("--seeds", default=None,
-                         help="ppr seed vertices as comma-separated ids, "
-                              "e.g. --seeds 1,5")
+                         help="ppr seed vertices, e.g. --seeds 1,5 or "
+                              "1;5")
         sub.add_argument("--rounds", type=int,
                          help=table_help("rounds", "synchronous rounds"))
         sub.add_argument("--degree-weight", type=int,
@@ -299,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
         "queries", nargs="+", metavar="QUERY",
         help="computations to maintain, as NAME or NAME:key=value,... "
              "e.g. wcc, bfs:source=3, pagerank:iterations=5, "
-             "mpsp:pairs=1-4;2-5, ppr:seeds=1;5 (ignored with --resume: "
+             "mpsp:pairs=1-4;2-5 or mpsp:pairs=1:4,2:5, ppr:seeds=1;5 "
+             "or ppr:seeds=1,5 (ignored with --resume: "
              "the journal header pins the queries)")
     stream.add_argument("--target", default=None,
                         help="loaded graph or view; seeds the stream "
@@ -527,7 +514,8 @@ def _analyze(args: argparse.Namespace) -> int:
     plans = default_computations(args.seed)
     if args.computations:
         known = {label for label, _ in plans}
-        wanted = [name.lower() for name in args.computations]
+        wanted = [registry.canonical_name(name) or name.lower()
+                  for name in args.computations]
         unknown = [name for name in wanted if name not in known]
         if unknown:
             raise GraphsurgeError(
@@ -607,28 +595,18 @@ def _serve(session: Graphsurge, args: argparse.Namespace) -> int:
 
 
 def _parse_stream_queries(items: List[str]) -> List[tuple]:
-    """``wcc`` / ``bfs:source=3`` / ``mpsp:pairs=1-4;2-5`` /
-    ``ppr:seeds=1;5`` → (name, params)."""
+    """``NAME`` or ``NAME:key=value,...`` → (name, {key: value text}); a
+    comma starts a parameter only before ``key=``, so ``pairs=1:4,2:5``
+    stays whole for the table to parse."""
     queries = []
     for text in items:
         name, _, rest = text.partition(":")
-        params: dict = {}
-        for part in filter(None, rest.split(",")):
-            key, sep, value = part.partition("=")
-            if not sep:
+        parts = re.split(r",(?=\w+=)", rest) if rest else []
+        for part in parts:
+            if "=" not in part:
                 raise GraphsurgeError(
                     f"stream query parameter {part!r} must be key=value")
-            if key == "pairs":
-                params[key] = [tuple(int(v) for v in pair.split("-"))
-                               for pair in value.split(";") if pair]
-            elif key == "seeds":
-                params[key] = [int(v) for v in value.split(";") if v]
-            else:
-                try:
-                    params[key] = int(value)
-                except ValueError:
-                    params[key] = value
-        queries.append((name, params))
+        queries.append((name, dict(part.split("=", 1) for part in parts)))
     return queries
 
 

@@ -24,10 +24,6 @@ class LinearCostModel:
         """Record one (input size, measured cost) sample."""
         self.observations.append((float(size), float(cost)))
 
-    @property
-    def num_observations(self) -> int:
-        return len(self.observations)
-
     def coefficients(self) -> Optional[Tuple[float, float]]:
         """Return (a, b), or None when no data has been observed."""
         n = len(self.observations)

@@ -308,8 +308,8 @@ class Graphsurge:
                journal_path=None):
         """Open a streaming session over a loaded graph or view.
 
-        ``queries`` is a list of computation names or ``(name, params)``
-        pairs; each becomes a continuously maintained query seeded with
+        ``queries`` is a list of computation names or ``(name, params?)``
+        entries; each becomes a continuously maintained query seeded with
         the target's current edges (``target=None`` starts from an empty
         graph — every edge arrives via the stream). Returns a
         :class:`repro.stream.StreamEngine` — feed it
@@ -319,6 +319,7 @@ class Graphsurge:
         stream can be :meth:`~repro.stream.StreamEngine.resume`-d after
         a crash.
         """
+        from repro.algorithms.registry import query_entries
         from repro.stream import StreamEngine
 
         graph = self.resolve(target) if target else None
@@ -326,12 +327,12 @@ class Graphsurge:
             graph, workers=self.workers, backend=self.backend,
             weight_property=self.weight_property,
             compact_every=compact_every, keep_epochs=keep_epochs)
-        for entry in queries:
-            if isinstance(entry, str):
-                engine.register(entry)
-            else:
-                name, params = entry
+        try:
+            for name, params in query_entries(queries):
                 engine.register(name, params)
+        except BaseException:
+            engine.close()
+            raise
         if journal_path is not None:
             engine.attach_journal(journal_path)
         return engine

@@ -9,7 +9,6 @@ and sliding window collections behave the way they do.
 from __future__ import annotations
 
 import random
-from typing import Tuple
 
 from repro.datasets.synthetic import random_edge_pairs
 from repro.graph.property_graph import PropertyGraph
@@ -54,8 +53,3 @@ def stackoverflow_like(num_nodes: int = 300, num_edges: int = 1500,
     for ts, src, dst in stamped:
         graph.add_edge(src, dst, {"ts": ts})
     return graph
-
-
-def window_bounds(start_years: float, end_years: float) -> Tuple[int, int]:
-    """Unix-timestamp bounds for a [start, end) window in years-from-epoch."""
-    return ts_after(years=start_years), ts_after(years=end_years)

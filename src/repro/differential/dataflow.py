@@ -54,14 +54,6 @@ class Scope:
             current = Collection(self.dataflow, op, target)
         return current
 
-    def is_ancestor_of(self, other: "Scope") -> bool:
-        scope: Optional[Scope] = other
-        while scope is not None:
-            if scope is self:
-                return True
-            scope = scope.parent
-        return False
-
 
 class Dataflow:
     """An executable differential dataflow."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.differential.multiset import Diff, add_into, consolidate
 from repro.differential.operators.base import Operator
@@ -119,9 +119,6 @@ class CaptureOp(Operator):
                 )
             out.extend([rec] * mult)
         return out
-
-    def nonempty_times(self) -> Iterable[Tuple[Time, Diff]]:
-        return self.trace.items()
 
     def total_diff_count(self) -> int:
         """Total number of difference entries across all times."""

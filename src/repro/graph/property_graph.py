@@ -9,7 +9,7 @@ paper's ``(sID, sPtr, dID, dPtr, key1, val1, ...)`` stream layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import SchemaError, UnknownPropertyError
 from repro.graph.schema import Schema
@@ -124,9 +124,6 @@ class PropertyGraph:
             raise UnknownPropertyError(
                 f"node {node_id} has no property {name!r}")
         return node.properties[name]
-
-    def iter_edges(self) -> Iterator[Edge]:
-        return iter(self.edges)
 
     def out_neighbors(self, node_id: int) -> List[int]:
         return [e.dst for e in self.edges if e.src == node_id]

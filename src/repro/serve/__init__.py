@@ -22,11 +22,7 @@ from repro.serve.cache import CacheEntry, CacheStats, ResultCache
 from repro.serve.httpd import HttpServer, Request, Response
 from repro.serve.lifecycle import ServerLifecycle, ServerState, run_server
 from repro.core.resident import ResidentDataflow, multiset_delta
-from repro.serve.session import (
-    ServeSession,
-    build_request_computation,
-    computation_signature,
-)
+from repro.serve.session import ServeSession
 
 __all__ = [
     "AdmissionController",
@@ -44,8 +40,6 @@ __all__ = [
     "ServeSession",
     "ServerLifecycle",
     "ServerState",
-    "build_request_computation",
-    "computation_signature",
     "multiset_delta",
     "run_server",
 ]

@@ -34,6 +34,7 @@ import json
 import time
 from typing import List, Optional, Tuple
 
+from repro.algorithms import registry
 from repro.core.resilience import RetryPolicy, RunBudget
 from repro.errors import (
     BudgetExceededError,
@@ -47,11 +48,7 @@ from repro.serve.admission import AdmissionController
 from repro.serve.breakers import BreakerBoard
 from repro.serve.cache import ResultCache
 from repro.serve.httpd import Request, Response
-from repro.serve.session import (
-    ServeSession,
-    build_request_computation,
-    computation_signature,
-)
+from repro.serve.session import ServeSession
 
 
 def error_response(error: GraphsurgeError) -> Response:
@@ -214,7 +211,8 @@ class ServeApp:
                                       or not graph):
                 raise RequestError(
                     "'graph' must name a loaded base graph")
-            queries = self._query_list(body.get("queries", ()))
+            queries = registry.query_entries(body.get("queries", ()),
+                                             RequestError)
             if not queries:
                 raise RequestError(
                     "'queries' must list at least one "
@@ -243,25 +241,6 @@ class ServeApp:
                 payload = await asyncio.get_running_loop().run_in_executor(
                     None, call)
         return Response(payload=payload)
-
-    @staticmethod
-    def _query_list(raw) -> List[Tuple[str, dict]]:
-        out = []
-        for item in raw:
-            if isinstance(item, str):
-                out.append((item, {}))
-                continue
-            if (not isinstance(item, (list, tuple))
-                    or len(item) not in (1, 2)
-                    or not isinstance(item[0], str)):
-                raise RequestError(
-                    f"'queries' entries must be a computation name or "
-                    f"[name, params?], got {item!r}")
-            params = item[1] if len(item) == 2 else {}
-            if not isinstance(params, dict):
-                raise RequestError("query params must be an object")
-            out.append((item[0], params))
-        return out
 
     @staticmethod
     def _triple_list(raw, field: str) -> List[Tuple[int, int, int]]:
@@ -329,12 +308,12 @@ class ServeApp:
         include_output = bool(body.get("include_output", True))
         force_refresh = bool(body.get("force_refresh", False))
         trace = bool(body.get("trace", False))
-        computation = build_request_computation(name, params)
-        signature = computation_signature(name, params)
-        key = json.dumps({"signature": signature, "target": target,
+        wanted = registry.resolve(name, params, RequestError)
+        computation = wanted.build()
+        key = json.dumps({"signature": wanted.signature, "target": target,
                           "include_output": include_output},
                          sort_keys=True, separators=(",", ":"))
-        breaker = self.breakers.get(str(name).lower())
+        breaker = self.breakers.get(wanted.entry.name)
         if self._draining():
             raise ShuttingDownError("server is draining; no new work")
         async with self.admission:
@@ -359,7 +338,7 @@ class ServeApp:
                           else None)
                 try:
                     value = await self._compute(
-                        signature, computation, target,
+                        wanted.signature, computation, target,
                         include_output=include_output, budget=budget,
                         tracer=tracer)
                 except GraphsurgeError as error:

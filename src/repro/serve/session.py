@@ -22,10 +22,11 @@ checkpoints through the PR 1 journal format.
 
 from __future__ import annotations
 
+import contextlib
 from typing import Any, Dict, List, Optional, Tuple
 
 # build_request_computation and computation_signature are re-exported:
-# request handlers and external harnesses import them from here.
+# external harnesses import them from here.
 from repro.algorithms.registry import (  # noqa: F401
     build_request_computation,
     computation_signature,
@@ -258,10 +259,10 @@ class ServeSession:
     def stream_snapshot(self, signature: str) -> dict:
         engine = self._require_stream()
         if signature not in engine.queries:
-            # Accept a bare computation name for parameterless queries.
-            named = computation_signature(signature, {})
-            if named in engine.queries:
-                signature = named
+            # Accept a bare computation name (any spelling) for a query
+            # registered with its defaults.
+            with contextlib.suppress(RequestError):
+                signature = computation_signature(signature)
         output = engine.snapshot(signature)
         return {"query": signature, "epoch": engine.epoch,
                 "output": render_output(output)}

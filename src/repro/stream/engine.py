@@ -30,10 +30,7 @@ from __future__ import annotations
 import time as _time
 from typing import Any, Dict, List, Optional
 
-from repro.algorithms.registry import (
-    build_request_computation,
-    computation_signature,
-)
+from repro.algorithms.registry import resolve
 from repro.analyze import analyze_computation
 from repro.core.resident import ResidentDataflow
 from repro.core.resilience import (
@@ -60,10 +57,12 @@ class ContinuousQuery:
     def __init__(self, name: str, params: Dict[str, Any],
                  workers: int, backend: str,
                  fault_plan: Optional[FaultPlan] = None):
-        self.name = str(name).lower()
-        self.params = dict(params or {})
-        self.signature = computation_signature(name, self.params)
-        self.computation = build_request_computation(name, self.params)
+        request = resolve(name, params, RequestError)
+        self.name = request.entry.name
+        #: The request's non-default parameters, as the journal stores them.
+        self.params = request.params
+        self.signature = request.signature
+        self.computation = request.build()
         self.resident = ResidentDataflow(
             self.computation, workers=workers,
             fault_plan=fault_plan, backend=backend)
@@ -140,6 +139,9 @@ class StreamEngine:
                  params: Optional[Dict[str, Any]] = None) -> str:
         """Register a continuous query; returns its signature.
 
+        Another spelling of a registered query (an alias, letter case,
+        an explicit default) has its signature and is rejected.
+
         The resident dataflow is seeded immediately with the current
         accumulated edge multiset as its epoch 0, so a query registered
         mid-stream starts from the live graph, not from empty.
@@ -152,7 +154,7 @@ class StreamEngine:
         seeded, so a continuous query that would leak memory or corrupt
         retractions never starts serving.
         """
-        query = ContinuousQuery(name, params or {}, self.workers,
+        query = ContinuousQuery(name, params, self.workers,
                                 self.backend, self.fault_plan)
         if query.signature in self.queries:
             raise RequestError(

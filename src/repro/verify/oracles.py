@@ -160,7 +160,7 @@ def resolve_algorithms(names: Optional[Sequence[str]] = None
         names = [part.strip() for part in names.split(",") if part.strip()]
     specs = []
     for name in names:
-        spec = ALGORITHMS.get(name.lower())
+        spec = ALGORITHMS.get(registry.canonical_name(name))
         if spec is None:
             raise ConfigError(
                 f"unknown fuzz algorithm {name!r}; known: "

@@ -23,7 +23,7 @@ from repro.errors import (
 )
 from repro.graph.edge_stream import EdgeStream
 from repro.observe import TraceSink
-from repro.serve.session import ServeSession, computation_signature
+from repro.serve.session import ServeSession
 from repro.stream import StreamEngine
 
 
@@ -81,14 +81,12 @@ class TestBuildPlan:
         gs.add_graph(call_graph, "Calls")
         session = ServeSession(gs)
         with pytest.raises(ComputationError, match=pattern):
-            session.run(computation_signature("non-root", {}), NonRoot(),
-                        "Calls")
+            session.run("non-root", NonRoot(), "Calls")
 
     def test_non_root_result_on_stream_register(self, monkeypatch):
-        import repro.stream.engine as engine_module
+        from repro.algorithms.registry import Request
 
-        monkeypatch.setattr(engine_module, "build_request_computation",
-                            lambda name, params: NonRoot())
+        monkeypatch.setattr(Request, "build", lambda self: NonRoot())
         engine = StreamEngine()
         with pytest.raises(ComputationError, match="non-root"):
             engine.register("wcc")

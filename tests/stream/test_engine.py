@@ -7,6 +7,7 @@ from repro.core.resilience import FaultPlan, decode_diff
 from repro.core.system import Graphsurge
 from repro.errors import (
     CheckpointError,
+    GraphsurgeError,
     InjectedFault,
     RequestError,
     StreamError,
@@ -266,6 +267,63 @@ class TestDurability:
             resumed.close()
         assert tail == baseline[9:]
 
+    def test_resumes_an_aliased_header_as_the_canonical_query(
+            self, tmp_path):
+        """A header that names a query by alias with an explicit default
+        (as journals written before the name table signed requests do)
+        resumes under the canonical signature, epoch for epoch equal to
+        a fresh canonical run."""
+        from repro.core.resilience import CheckpointWriter
+
+        def timeless(row):
+            return dict(row, latency_s=None)
+
+        batches = churn_batches(5, 10, num_nodes=8, churn=3, base_edges=6)
+        fresh = StreamEngine()
+        try:
+            signature = fresh.register("pagerank")
+            results = [fresh.ingest(batch)["results"][signature]
+                       for batch in batches]
+            rows = [timeless(row) for row in fresh.meter.rows()]
+        finally:
+            fresh.close()
+
+        journal = tmp_path / "aliased.ckpt"
+        writer = CheckpointWriter.fresh(journal, {
+            "kind": StreamEngine.JOURNAL_KIND,
+            "queries": [["PR", {"iterations": 10}]], "workers": 1,
+            "backend": "inline", "weight_property": None,
+            "compact_every": 8, "keep_epochs": 4})
+        for index, batch in enumerate(batches[:6]):
+            writer.append_view(dict(batch.to_record(), index=index,
+                                    view_name=f"epoch-{index + 1}"))
+        writer.close()
+
+        resumed = StreamEngine.resume(journal)
+        try:
+            assert list(resumed.queries) == [signature]
+            tail = [resumed.ingest(batch)["results"][signature]
+                    for batch in batches[6:]]
+            assert [timeless(row) for row in tail] == \
+                [timeless(row) for row in results[6:]]
+            assert [timeless(row) for row in resumed.meter.rows()] == rows
+        finally:
+            resumed.close()
+
+    def test_new_headers_store_the_canonical_request(self, tmp_path):
+        from repro.core.resilience import load_checkpoint
+
+        engine = StreamEngine()
+        try:
+            engine.register("PR", {"iterations": 10})
+            engine.register("BFS", {"source": "3"})
+            engine.attach_journal(tmp_path / "new.ckpt")
+        finally:
+            engine.close()
+        header = load_checkpoint(tmp_path / "new.ckpt").header
+        assert header["queries"] == [["bfs", {"source": 3}],
+                                     ["pagerank", {}]]
+
     def test_resume_rejects_non_stream_journal(self, tmp_path):
         from repro.core.resilience import CheckpointWriter
 
@@ -299,6 +357,18 @@ class TestSystemFacade:
         finally:
             engine.close()
         assert journal.exists()
+
+    def test_a_bad_query_closes_the_queries_already_registered(
+            self, monkeypatch):
+        closed = []
+        monkeypatch.setattr(StreamEngine, "close",
+                            lambda engine: closed.append(engine))
+        with pytest.raises(RequestError, match="unknown computation"):
+            Graphsurge().stream(None, ["wcc", "frobnicate"])
+        assert len(closed) == 1 and list(closed[0].queries) == [WCC]
+        with pytest.raises(GraphsurgeError, match="'queries' entries"):
+            Graphsurge().stream(None, ["wcc", ["pr", 10]])
+        assert len(closed) == 2
 
     def test_stream_without_target_starts_empty(self):
         engine = Graphsurge().stream(None, ["wcc"])

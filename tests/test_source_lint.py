@@ -8,7 +8,10 @@ or in ``__all__``). A ``# noqa: F401`` (or bare ``# noqa``) on any line of
 the import statement and the ``F401`` entries of ruff's
 ``per-file-ignores`` in pyproject.toml exempt it, as they do for ruff.
 The set of third-party top-level modules src/repro imports must equal the
-declared runtime dependencies, so neither side drifts.
+declared runtime dependencies, so neither side drifts. And a computation
+request is parsed only by the name table: outside it, no module spells the
+list parameters ``"pairs"``/``"seeds"`` (bar the two algorithms taking them
+and the fuzzer's samplers) or reads ``NAMES``/``PARAM_TYPES``.
 """
 
 import ast
@@ -169,3 +172,50 @@ def test_rule_flags_and_exempts():
               "def f(x: 'Optional[int]') -> Dict:\n"
               "    return os.path.sep\n")
     assert list(unused_imports(source)) == [(1, "List")]
+
+
+#: Where list-parameter names may be spelled out: the name table that
+#: parses them, the two algorithms that take them, the fuzzer's samplers.
+PARAM_NAME_OWNERS = {"algorithms/registry.py", "algorithms/mpsp.py",
+                     "algorithms/ppr.py", "verify/oracles.py"}
+TABLE_INTERNALS = {"NAMES", "PARAM_TYPES"}
+
+
+def request_parsing_copies(source):
+    """``(line, what)`` for each place a module outside the name table
+    spells a list parameter's name or reads the table's internals."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and node.value in ("pairs",
+                                                             "seeds"):
+            yield node.lineno, repr(node.value)
+        elif isinstance(node, ast.Attribute) and node.attr in TABLE_INTERNALS:
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name in TABLE_INTERNALS:
+                    yield node.lineno, alias.name
+
+
+def test_requests_are_parsed_only_by_the_name_table():
+    """One owner for a computation request: no surface splits list text
+    or resolves names on its own (see ``repro.algorithms.registry``)."""
+    package = ROOT / "src" / "repro"
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        owner = str(path.relative_to(package))
+        for line, what in request_parsing_copies(path.read_text()):
+            allowed = ({"algorithms/registry.py"} if what in TABLE_INTERNALS
+                       else PARAM_NAME_OWNERS)
+            if owner not in allowed:
+                found.append(f"{path.relative_to(ROOT)}:{line}: {what}")
+    assert not found, "request parsing outside the name table:\n" + \
+        "\n".join(found)
+
+
+def test_request_rule_flags_copies():
+    source = ('from repro.algorithms.registry import NAMES\n'
+              'x = registry.PARAM_TYPES\n'
+              'if key == "pairs": pass\n'
+              'doc = "seeds and pairs"\n')
+    assert list(request_parsing_copies(source)) == [
+        (1, "NAMES"), (2, "PARAM_TYPES"), (3, "'pairs'")]

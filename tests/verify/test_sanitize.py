@@ -137,6 +137,7 @@ class TestStrictShardGate:
 class TestStreamRegisterGate:
     def test_register_rejects_error_severity_plan(self, monkeypatch):
         import repro.stream.engine as engine_mod
+        from repro.algorithms.registry import Request
 
         class RootNegate(GraphComputation):
             name = "root-negate"
@@ -145,8 +146,7 @@ class TestStreamRegisterGate:
                 return edges.map(lambda rec: (rec[0], 0),
                                  name="keyed").negate()
 
-        monkeypatch.setattr(engine_mod, "build_request_computation",
-                            lambda name, params: RootNegate())
+        monkeypatch.setattr(Request, "build", lambda self: RootNegate())
         engine = engine_mod.StreamEngine()
         with pytest.raises(AnalysisError) as excinfo:
             engine.register("wcc")
