@@ -150,13 +150,15 @@ def resolve(name: Any, params: Optional[Dict[str, Any]] = None,
         raise error(f"unknown computation {name!r}; expected one of "
                     f"{sorted(NAMES)}")
     chosen = {}
-    for key in filter(params.__contains__, entry.params):
+    for key, default in entry.params.items():
+        if key not in params:
+            continue
         try:
             value = PARAM_TYPES[key](params[key])
         except (TypeError, ValueError):
             raise error(f"computation parameter {key!r} cannot be "
                         f"{params[key]!r}") from None
-        if value != entry.params[key]:
+        if value != default:
             chosen[key] = value
     return Request(entry, chosen)
 

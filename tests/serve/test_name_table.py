@@ -85,8 +85,6 @@ REQUIRED = {"mpsp": (["--pairs", "1:5"], {"pairs": [(1, 5)]}),
 def test_cli_without_flags_builds_the_tables_defaults(name):
     """``repro run NAME g`` with no parameter flags builds what ``/run``
     builds from ``{}``: the flags carry no defaults of their own."""
-    from repro.cli import build_computation, build_parser
-
     flags, params = REQUIRED.get(registry.NAMES[name].name, ([], {}))
     args = build_parser().parse_args(["run", name, "g"] + flags)
     from_cli = build_computation(name, args)
@@ -308,8 +306,6 @@ class TestEachSurfaceKeepsItsErrorType:
 
     def test_cli_error_is_not_a_serve_error(self, tmp_path):
         import argparse
-
-        from repro.cli import build_computation
 
         with pytest.raises(GraphsurgeError) as excinfo:
             build_computation("frobnicate", argparse.Namespace())
