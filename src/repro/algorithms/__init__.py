@@ -21,12 +21,6 @@ from repro.algorithms.ppr import PersonalizedPageRank
 from repro.algorithms.scc import Scc
 from repro.algorithms.scoring import CompositeScore
 from repro.algorithms.triangles import Triangles
-from repro.algorithms.vertex_program import (
-    VertexBfs,
-    VertexProgram,
-    VertexSssp,
-    VertexWcc,
-)
 from repro.algorithms.wcc import Wcc
 
 __all__ = [
@@ -44,9 +38,5 @@ __all__ = [
     "PersonalizedPageRank",
     "Scc",
     "Triangles",
-    "VertexBfs",
-    "VertexProgram",
-    "VertexSssp",
-    "VertexWcc",
     "Wcc",
 ]

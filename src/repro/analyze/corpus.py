@@ -15,9 +15,7 @@ Everything is seeded: the same seed yields the same corpus.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, List, Tuple
-
-from repro.analyze import AnalysisReport, analyze_computation
+from typing import Iterator, List, Tuple
 
 
 def default_computations(seed: int = 0) -> List[Tuple[str, object]]:
@@ -61,18 +59,3 @@ def generated_computations(seed: int,
         params = spec.sample_params(rng, case.vertices())
         label = f"gen-{case_seed}-{case.kind}-{name}"
         yield label, spec.computation(params)
-
-
-def analyze_corpus(seed: int = 0, generated: int = 0,
-                   workers: int = 1) -> Dict[str, AnalysisReport]:
-    """Analyze the default corpus plus ``generated`` fuzzer-derived plans.
-
-    Returns ``{label: report}`` in a stable order (defaults first, then
-    generated plans by index).
-    """
-    reports: Dict[str, AnalysisReport] = {}
-    for label, computation in default_computations(seed):
-        reports[label] = analyze_computation(computation, workers=workers)
-    for label, computation in generated_computations(seed, generated):
-        reports[label] = analyze_computation(computation, workers=workers)
-    return reports

@@ -277,7 +277,7 @@ def _check_unguarded_negate(walk: PlanWalk):
                 f"guard on the feedback path; negative multiplicities can "
                 f"oscillate across iterations and the loop may never "
                 f"converge",
-                hint="pass the feedback through distinct()/threshold()/"
+                hint="pass the feedback through distinct()/"
                      "min_by_key() (any reduce), or use the antijoin "
                      "idiom A.concat(A.semijoin(K).negate()) whose "
                      "negatives cancel exactly")

@@ -10,9 +10,8 @@ the report so callers can still inspect everything programmatically.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
 
 class Severity(enum.Enum):
@@ -70,16 +69,6 @@ class Finding:
             "message": self.message,
             "hint": self.hint,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "Finding":
-        return cls(
-            rule=payload["rule"],
-            severity=Severity(payload["severity"]),
-            operator=payload["operator"],
-            message=payload["message"],
-            hint=payload.get("hint", ""),
-        )
 
 
 _SEVERITY_ORDER = {Severity.ERROR: 0, Severity.WARNING: 1, Severity.INFO: 2}
@@ -152,9 +141,6 @@ class AnalysisReport:
             "by_rule": self.by_rule(),
             "findings": [f.to_dict() for f in self.sorted_findings()],
         }
-
-    def to_json(self, indent: Optional[int] = 1) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def extend(self, findings: Iterable[Finding]) -> None:
         self.findings.extend(findings)

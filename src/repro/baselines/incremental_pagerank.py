@@ -108,11 +108,3 @@ class IncrementalPageRank:
             frontier = set()
             for vertex in changed:
                 frontier.update(self.out_edges.get(vertex, ()))
-
-    # -- cold start ---------------------------------------------------------------------
-
-    def initialize(self, edges: Iterable[EdgePair]) -> Dict[int, int]:
-        """Build from scratch: apply all edges then run full rounds."""
-        self.apply_diff(edges, [])
-        # apply_diff already refines from all endpoints = every vertex.
-        return dict(self.ranks)

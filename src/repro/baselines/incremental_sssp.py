@@ -118,7 +118,3 @@ class IncrementalSssp:
             self.work += 1
             for dst in self.out_edges.get(vertex, {}):
                 stack.append(dst)
-
-    def initialize(self, edges: Iterable[WeightedEdge]) -> Dict[int, int]:
-        """Build from scratch."""
-        return self.apply_diff(edges, [])

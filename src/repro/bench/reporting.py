@@ -65,54 +65,6 @@ def save_report(rows: Iterable[ExperimentResult], directory: PathLike,
         to_markdown(rows, title=name) + "\n")
 
 
-# -- per-view profile summaries (traced runs) ---------------------------------
-
-_PROFILE_FIELDS = ["view", "strategy", "work", "parallel_time",
-                   "critical_path", "supersteps", "top_contributor"]
-
-
-def profile_rows(result) -> List[Dict[str, object]]:
-    """Per-view profile summary rows for a traced collection run.
-
-    ``result`` is a ``CollectionRunResult`` produced with tracing enabled
-    (``AnalyticsExecutor(tracer=...)`` / ``Graphsurge.profile``); views
-    without a profile (e.g. restored from a checkpoint) are skipped.
-    """
-    rows: List[Dict[str, object]] = []
-    for view in result.views:
-        profile = getattr(view, "profile", None)
-        if profile is None:
-            continue
-        path = profile.critical_path
-        top = path.contributors[0] if path.contributors else None
-        rows.append({
-            "view": view.view_name,
-            "strategy": view.strategy.value,
-            "work": view.work,
-            "parallel_time": view.parallel_time,
-            "critical_path": path.length,
-            "supersteps": path.supersteps,
-            "top_contributor": (
-                f"{top.operator}@{top.epoch} ({top.units})" if top else ""),
-        })
-    return rows
-
-
-def profiles_to_markdown(result, title: str = "") -> str:
-    """Render a traced run's per-view critical paths as a Markdown table."""
-    rows = profile_rows(result)
-    lines: List[str] = []
-    if title:
-        lines.append(f"### {title}")
-        lines.append("")
-    lines.append("| " + " | ".join(_PROFILE_FIELDS) + " |")
-    lines.append("|" + "|".join("---" for _ in _PROFILE_FIELDS) + "|")
-    for row in rows:
-        lines.append("| " + " | ".join(str(row[field])
-                                       for field in _PROFILE_FIELDS) + " |")
-    return "\n".join(lines)
-
-
 # -- benchmark-baseline JSON (the hot-path regression gate) -------------------
 
 #: Schema version of the benchmark-baseline files. Bump when the payload

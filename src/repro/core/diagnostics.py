@@ -29,12 +29,6 @@ class CheckpointStatus:
     corrupt: bool = False
     error: Optional[str] = None
 
-    @property
-    def resumable(self) -> bool:
-        if self.corrupt:
-            return False
-        return 0 < self.completed_views < self.total_views
-
     def render(self) -> str:
         if self.corrupt:
             detail = f": {self.error}" if self.error else ""

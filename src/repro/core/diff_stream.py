@@ -55,11 +55,6 @@ def diff_sizes(diffs: List[EdgeDiff]) -> List[int]:
     return [len(d) for d in diffs]
 
 
-def total_diff_count(diffs: List[EdgeDiff]) -> int:
-    """The collection's total difference count (paper Table 4's ``#Diffs``)."""
-    return sum(len(d) for d in diffs)
-
-
 def view_sizes_from_diffs(diffs: List[EdgeDiff]) -> List[int]:
     """Reconstruct |GV_t| for each view by accumulating the differences."""
     sizes: List[int] = []

@@ -41,10 +41,6 @@ class EdgeBooleanMatrix:
         self.matrix = matrix.astype(bool)
 
     @property
-    def num_edges(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def num_views(self) -> int:
         return self.matrix.shape[1]
 
@@ -59,10 +55,6 @@ class EdgeBooleanMatrix:
             [self.view_names[j] for j in order],
             self.matrix[:, order],
         )
-
-    def view_sizes(self) -> List[int]:
-        """Number of edges in each view (column sums)."""
-        return self.matrix.sum(axis=0).astype(int).tolist()
 
 
 def build_ebm(graph: PropertyGraph, view_names: Sequence[str],
@@ -122,15 +114,3 @@ def build_ebm(graph: PropertyGraph, view_names: Sequence[str],
     meter.charge_step(routed)
     meter.charge_step(evaluated)
     return EdgeBooleanMatrix(edges, view_names, rows)
-
-
-def build_ebm_from_memberships(edges: Sequence[EdgeKey],
-                               view_names: Sequence[str],
-                               memberships: Sequence[Sequence[bool]]
-                               ) -> EdgeBooleanMatrix:
-    """Build an EBM directly from precomputed membership rows (tests,
-    synthetic workloads)."""
-    matrix = np.asarray(memberships, dtype=bool)
-    if matrix.ndim != 2:
-        raise ConfigError("memberships must be a 2-D row-per-edge structure")
-    return EdgeBooleanMatrix(edges, view_names, matrix)

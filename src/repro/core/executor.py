@@ -149,17 +149,6 @@ class CollectionRunResult:
             out[view.view_name] = view.output
         return out
 
-    def strategy_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for view in self.views:
-            counts[view.strategy.value] = counts.get(view.strategy.value, 0) + 1
-        return counts
-
-    def failed_views(self) -> List[ViewRunResult]:
-        """Views that needed retries or degraded to scratch."""
-        return [view for view in self.views
-                if view.failures or view.degraded]
-
 
 class AnalyticsExecutor:
     """Drives computations over single views and view collections.

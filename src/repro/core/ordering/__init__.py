@@ -12,7 +12,6 @@ greedy baselines used in tests and ablation benchmarks.
 """
 
 from repro.core.ordering.problem import (
-    consecutive_blocks,
     diff_count_for_order,
     exact_best_order,
     random_order,
@@ -22,7 +21,6 @@ from repro.core.ordering.christofides import christofides_tour
 from repro.core.ordering.optimizer import order_collection
 
 __all__ = [
-    "consecutive_blocks",
     "diff_count_for_order",
     "exact_best_order",
     "random_order",

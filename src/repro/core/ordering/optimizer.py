@@ -34,12 +34,6 @@ class OrderingResult:
     identity_diff_count: int   # objective of the user-given order
     elapsed_seconds: float
 
-    @property
-    def improvement(self) -> float:
-        if self.diff_count == 0:
-            return float("inf") if self.identity_diff_count else 1.0
-        return self.identity_diff_count / self.diff_count
-
 
 def _order_by_tour(matrix: np.ndarray, workers: int,
                    meter: Optional[WorkMeter]) -> List[int]:

@@ -2,9 +2,9 @@
 
 The objective ``diff_count_for_order`` is the quantity Definition 1
 minimizes: the total number of edge differences generated by a column
-order. ``consecutive_blocks`` is the CBMP objective used by the reduction
-of Theorem 4.1; tests verify the paper's identity
-``ds(B_EBM, σ) = 4·cb(B, σ) − m01 + m0 + m1`` on the doubled matrix.
+order. Tests verify the paper's Theorem 4.1 identity
+``ds(B_EBM, σ) = 4·cb(B, σ) − m01 + m0 + m1`` on the doubled matrix against
+the CBMP objective ``cb``.
 """
 
 from __future__ import annotations
@@ -33,20 +33,6 @@ def diff_count_for_order(matrix: np.ndarray,
         return first
     changes = int(np.abs(m[:, 1:] - m[:, :-1]).sum())
     return first + changes
-
-
-def consecutive_blocks(matrix: np.ndarray,
-                       order: Optional[Sequence[int]] = None) -> int:
-    """Total number of consecutive 1-blocks over all rows (CBMP objective)."""
-    m = np.asarray(matrix, dtype=np.int8)
-    if order is not None:
-        m = m[:, list(order)]
-    if m.size == 0:
-        return 0
-    starts = int(m[:, 0].sum())
-    if m.shape[1] > 1:
-        starts += int(((m[:, 1:] == 1) & (m[:, :-1] == 0)).sum())
-    return starts
 
 
 def exact_best_order(matrix: np.ndarray, max_views: int = 9) -> List[int]:

@@ -158,20 +158,6 @@ class FaultPlan:
         """Plan one fault at invocation ``at`` of ``site``."""
         return cls([FaultSpec(site, (at,), kind)])
 
-    @classmethod
-    def seeded(cls, seed: int, site: str, lo: int, hi: int,
-               count: int = 1, kind: str = "raise") -> "FaultPlan":
-        """Plan ``count`` faults at pseudo-random invocations in [lo, hi).
-
-        The same seed always yields the same plan, so a test that kills a
-        run "at a random view" is still exactly reproducible.
-        """
-        if hi - lo < count:
-            raise ConfigError(f"range [{lo}, {hi}) too small for {count} "
-                              f"faults")
-        fires = tuple(random.Random(seed).sample(range(lo, hi), count))
-        return cls([FaultSpec(site, fires, kind)])
-
     def fire(self, site: str, context: str = "") -> Optional[FaultSpec]:
         """Advance ``site``'s counter; trigger a planned fault if due.
 
@@ -188,10 +174,6 @@ class FaultPlan:
                     raise InjectedFault(site, invocation, context)
                 return spec
         return None
-
-    def invocations(self, site: str) -> int:
-        """How many times ``site`` has been reached so far."""
-        return self._counters[site]
 
 
 # -- retry policy ------------------------------------------------------------
@@ -359,10 +341,6 @@ class CheckpointState:
     @property
     def last_view_name(self) -> Optional[str]:
         return self.views[-1]["view_name"] if self.views else None
-
-    def is_complete(self) -> bool:
-        total = self.header.get("num_views")
-        return total is not None and self.completed_views >= total
 
 
 def load_checkpoint(path: PathLike) -> Optional[CheckpointState]:

@@ -108,8 +108,3 @@ class AdaptiveSplitter:
                 est_scratch: float, est_diff: float) -> None:
         self.history.append(
             DecisionRecord(view_index, decision, est_scratch, est_diff))
-
-    def split_points(self) -> List[int]:
-        """View indices (>0) at which the collection was split."""
-        return [rec.view_index for rec in self.history
-                if rec.view_index > 0 and rec.decision is SplitDecision.SCRATCH]

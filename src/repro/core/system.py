@@ -203,53 +203,6 @@ class Graphsurge:
                                    ignore=ignore, concurrency=concurrency,
                                    stream=stream)
 
-    # -- persistence ---------------------------------------------------------------
-
-    def save_session(self, directory) -> None:
-        """Persist base graphs, materialized views, and collections.
-
-        Layout: ``graphs/`` and ``views/`` hold CSV graph stores;
-        ``collections/`` holds one JSON file per collection.
-        """
-        from pathlib import Path
-
-        from repro.core.persistence import save_collection
-        from repro.graph.store import GraphStore
-
-        directory = Path(directory)
-        self.graphs.save(directory / "graphs")
-        view_store = GraphStore()
-        for name in self.views.view_names():
-            view_store.add(self.views.get_view(name), name)
-        view_store.save(directory / "views")
-        collections_dir = directory / "collections"
-        collections_dir.mkdir(parents=True, exist_ok=True)
-        for name in self.views.collection_names():
-            save_collection(self.views.get_collection(name),
-                            collections_dir / f"{name}.json")
-
-    @classmethod
-    def load_session(cls, directory, **kwargs) -> "Graphsurge":
-        """Restore a session written by :meth:`save_session`."""
-        from pathlib import Path
-
-        from repro.core.persistence import load_collection
-        from repro.graph.store import GraphStore
-
-        directory = Path(directory)
-        session = cls(**kwargs)
-        session.graphs = GraphStore.load(directory / "graphs")
-        views_dir = directory / "views"
-        if (views_dir / "manifest.json").exists():
-            for name in (loaded := GraphStore.load(views_dir)).names():
-                session.views.add_view(name, loaded.get(name))
-        collections_dir = directory / "collections"
-        if collections_dir.is_dir():
-            for path in sorted(collections_dir.glob("*.json")):
-                collection = load_collection(path)
-                session.views.add_collection(collection.name, collection)
-        return session
-
     # -- analytics ----------------------------------------------------------------------
 
     def run_analytics(self, computation: GraphComputation, target: str,
@@ -346,8 +299,8 @@ class Graphsurge:
 
         Returns a :class:`repro.observe.ProfileReport`: the run result
         (with per-view critical-path profiles attached), ``render()`` for
-        the text report, ``chrome_trace()``/``write_chrome_trace(path)``
-        for a ``chrome://tracing``-loadable timeline, and ``flame()`` for
+        the text report, ``write_chrome_trace(path)`` for a
+        ``chrome://tracing``-loadable timeline, and ``flame()`` for
         a text rollup. ``trace_out`` writes the Chrome trace as part of
         the call. The metered ``total_work``/``parallel_time`` are
         byte-identical to an untraced run.

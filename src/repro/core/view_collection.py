@@ -21,7 +21,6 @@ from repro.core.diff_stream import (
     EdgeDiff,
     compute_diff_stream,
     diff_sizes,
-    total_diff_count,
     view_sizes_from_diffs,
 )
 from repro.core.ebm import EdgeBooleanMatrix, build_ebm
@@ -188,5 +187,4 @@ __all__ = [
     "ViewCollectionDefinition",
     "collection_from_diffs",
     "reorder_collection",
-    "total_diff_count",
 ]

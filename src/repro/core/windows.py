@@ -103,32 +103,3 @@ def expand_shrink_slide(name: str, source: str, prop: str,
                 f"expand_shrink_slide: empty window [{lo}, {hi})")
         views.append((f"{lo}-{hi}", _bound_predicate(prop, target, lo, hi)))
     return ViewCollectionDefinition(name, source, tuple(views))
-
-
-def product_windows(name: str, source: str,
-                    outer_prop: str, outer_phases: Sequence[Tuple[int, int]],
-                    inner_prop: str, inner_bounds: Sequence[int],
-                    target: str = "nodes") -> ViewCollectionDefinition:
-    """Cartesian product of window phases with an expanding bound.
-
-    For each outer window, one view per inner bound (``inner_prop <
-    bound``), ordered so the inner expansion yields addition-only
-    differences and each outer phase change is a natural split point —
-    the paper's C_aut shape (§7.3).
-    """
-    # Materialize both axes: a generator passed as inner_bounds would be
-    # exhausted by the first outer phase, silently dropping later phases.
-    outer_phases = list(outer_phases)
-    inner_bounds = list(inner_bounds)
-    views = []
-    for lo, hi in outer_phases:
-        outer = _bound_predicate(outer_prop, target, lo, hi)
-        for bound in inner_bounds:
-            inner = _bound_predicate(inner_prop, target, None, bound)
-            views.append((
-                f"{lo}-{hi}x{inner_prop}-{bound}",
-                And((outer, inner)),
-            ))
-    if not views:
-        raise ConfigError("product_windows produced no views")
-    return ViewCollectionDefinition(name, source, tuple(views))

@@ -37,11 +37,8 @@ from repro.differential.multiset import (
     Diff,
     add_into,
     consolidate,
-    from_records,
-    from_weighted,
     is_empty,
     size,
-    subtract,
 )
 from repro.differential.operators.io import CaptureOp
 from repro.differential.timestamp import Time, leq, lt, lub, lub_closure
@@ -56,11 +53,8 @@ __all__ = [
     "Time",
     "add_into",
     "consolidate",
-    "from_records",
-    "from_weighted",
     "is_empty",
     "size",
-    "subtract",
     "leq",
     "lt",
     "lub",

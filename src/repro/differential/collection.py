@@ -87,11 +87,6 @@ class Collection:
         return self._wrap(JoinOp(self.dataflow, self.scope, name,
                                  self.op, other.op, f))
 
-    def join_map(self, other: "Collection",
-                 f: Callable[[Any, Any, Any], Any]) -> "Collection":
-        """Alias of :meth:`join` with an explicit result builder."""
-        return self.join(other, f)
-
     def reduce(self, logic: Callable[[Any, Dict[Any, int]], Iterable[Any]],
                name: str = "reduce") -> "Collection":
         """Group by key and apply ``logic(key, {value: mult})``.
@@ -119,32 +114,6 @@ class Collection:
         """Produce ``(key, Σ value·multiplicity)`` per key."""
         return self.reduce(
             lambda key, vals: [sum(v * m for v, m in vals.items())],
-            name=name)
-
-    def top_k(self, k: int, name: str = "top_k") -> "Collection":
-        """Keep, per key, the ``k`` largest values (ties by value order)."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-
-        def logic(key, vals):
-            kept = []
-            for value in sorted(vals, reverse=True):
-                copies = min(vals[value], k - len(kept))
-                kept.extend([value] * copies)
-                if len(kept) >= k:
-                    break
-            return kept
-
-        return self.reduce(logic, name=name)
-
-    def threshold(self, minimum: int, name: str = "threshold") -> "Collection":
-        """Keep ``(key, value)`` records whose multiplicity is >= minimum,
-        collapsed to multiplicity one."""
-        if minimum < 1:
-            raise ValueError("minimum must be >= 1")
-        return self.reduce(
-            lambda key, vals: [value for value, mult in sorted(vals.items())
-                               if mult >= minimum],
             name=name)
 
     def distinct(self, name: str = "distinct") -> "Collection":
@@ -271,10 +240,6 @@ class Arrangement:
         self.op = op
         self.scope = scope
 
-    def as_collection(self) -> Collection:
-        """The arranged stream itself (ArrangeOp forwards differences)."""
-        return Collection(self.dataflow, self.op, self.scope)
-
     def enter(self, scope: "Scope") -> "Arrangement":
         """Bring this arrangement into a descendant (iterate) scope.
 
@@ -315,7 +280,3 @@ class Arrangement:
             name=name + ".dedup").map(lambda rec: rec, name=name + ".id")
         return marker.join_arranged(
             self, lambda k, _marker, v: (k, v), name=name)
-
-    def record_count(self) -> int:
-        """Stored difference entries — for memory diagnostics/tests."""
-        return self.op.trace.record_count()

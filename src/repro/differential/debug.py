@@ -1,9 +1,9 @@
 """Introspection and debugging tools for differential dataflows.
 
-* :func:`to_dot` — render the operator graph (with iterate scopes as
-  clusters) in Graphviz DOT, for understanding what a computation built.
-* :func:`trace_stats` — per-operator state-size statistics: keys held,
-  difference entries, pending tasks. Useful for finding state blowups.
+* :func:`operator_record_counts` — stored trace entries per keyed
+  operator, for ``explain``'s trace-memory report.
+* :func:`check_consolidated` — no stored difference holds a zero
+  multiplicity or an empty time slot.
 * :func:`check_consistency` — re-derive every keyed operator's output from
   its input trace at a probe time and compare against the stored output
   trace: a direct executable statement of the differential invariant
@@ -12,13 +12,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.differential.dataflow import Dataflow, Scope
 from repro.differential.operators.base import Operator
-from repro.differential.operators.iterate import IterateOp, VariableOp
-from repro.differential.operators.join import JoinOp
 from repro.differential.operators.keyed import KeyedOperator
 from repro.differential.operators.reduce import ReduceOp
 from repro.differential.timestamp import Time
@@ -29,108 +26,9 @@ def _scope_ops(dataflow: Dataflow) -> Dict[Scope, List[Operator]]:
     return dataflow._ops_by_scope  # noqa: SLF001 - debug tooling
 
 
-_FLAG_COLORS = {"error": "red", "warning": "yellow"}
-
-
-def _flagged_operators(report) -> Dict[int, str]:
-    """Worst finding severity per operator index, from an AnalysisReport.
-
-    Finding locations are operator paths (``.../name#index``, UDF
-    findings append `` udf <callable>``); the ``#index`` token addresses
-    the node.
-    """
-    import re
-
-    flagged: Dict[int, str] = {}
-    for finding in report.findings:
-        match = re.search(r"#(\d+)", finding.operator)
-        if match is None:
-            continue
-        index = int(match.group(1))
-        severity = finding.severity.value
-        if flagged.get(index) != "error":
-            flagged[index] = severity
-    return flagged
-
-
-def to_dot(dataflow: Dataflow, report=None) -> str:
-    """Render the dataflow as Graphviz DOT with scopes as clusters.
-
-    With ``report`` (a :class:`repro.analyze.AnalysisReport`), operators
-    carrying findings are filled red (ERROR) or yellow (WARNING), so the
-    analyzer's verdict is visible in the rendered graph.
-    """
-    flagged = _flagged_operators(report) if report is not None else {}
-    lines = ["digraph dataflow {", "  rankdir=LR;"]
-
-    def emit_scope(scope: Scope, indent: str) -> None:
-        for op in _scope_ops(dataflow).get(scope, ()):
-            shape = "box"
-            if isinstance(op, (ReduceOp, VariableOp)):
-                shape = "ellipse"
-            elif isinstance(op, JoinOp):
-                shape = "diamond"
-            elif isinstance(op, IterateOp):
-                shape = "octagon"
-            color = _FLAG_COLORS.get(flagged.get(op.index, ""))
-            style = (f' style=filled fillcolor={color}'
-                     if color is not None else "")
-            lines.append(
-                f'{indent}n{op.index} [label="{op.name}" '
-                f'shape={shape}{style}];')
-        for child in scope.children:
-            lines.append(f"{indent}subgraph cluster_{id(child)} {{")
-            lines.append(f'{indent}  label="iterate";')
-            emit_scope(child, indent + "  ")
-            lines.append(f"{indent}}}")
-
-    emit_scope(dataflow.root, "  ")
-    for scope, ops in _scope_ops(dataflow).items():
-        for op in ops:
-            for downstream, port in op.downstream:
-                style = ""
-                if isinstance(downstream, VariableOp) and port == 1:
-                    style = ' [style=dashed label="feedback"]'
-                lines.append(
-                    f"  n{op.index} -> n{downstream.index}{style};")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-@dataclass
-class OperatorStats:
-    name: str
-    kind: str
-    keys: int
-    entries: int
-    pending: int
-
-
 def _keyed_operators(dataflow: Dataflow) -> List[KeyedOperator]:
     return [op for ops in _scope_ops(dataflow).values() for op in ops
             if isinstance(op, KeyedOperator)]
-
-
-def trace_stats(dataflow: Dataflow) -> List[OperatorStats]:
-    """Per-operator state sizes, largest first (a shared arrangement is
-    reported once, at its ``ArrangeOp``).
-
-    On the process backend the traces live on the workers, so the sizes
-    come over the exchange channels, summed across the cluster.
-    """
-    keyed = _keyed_operators(dataflow)
-    if dataflow.cluster is None:
-        # The same reply a worker gives, so the backends cannot disagree.
-        resident = {op.index: op.remote_stats() for op in keyed}
-    else:
-        resident = dataflow.cluster.stats()
-    stats = []
-    for op in keyed:
-        keys, entries = resident[op.index]
-        stats.append(OperatorStats(op.name, op.role, keys, entries,
-                                   sum(1 for _ in op.pending_times())))
-    stats.sort(key=lambda s: -s.entries)
-    return stats
 
 
 def operator_record_counts(dataflow: Dataflow) -> Dict[str, int]:

@@ -10,7 +10,7 @@ converged computation produces empty differences.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Tuple
+from typing import Any, Dict
 
 Diff = Dict[Any, int]
 
@@ -34,35 +34,9 @@ def add_into(target: Diff, source: Diff, factor: int = 1) -> Diff:
     return target
 
 
-def subtract(a: Diff, b: Diff) -> Diff:
-    """Return ``a - b`` as a new consolidated dict."""
-    out = dict(a)
-    return add_into(out, b, factor=-1)
-
-
 def negate(diff: Diff) -> Diff:
     """Return ``-diff`` as a new dict."""
     return {rec: -mult for rec, mult in diff.items()}
-
-
-def from_records(records: Iterable[Any]) -> Diff:
-    """Build a +1-per-record multiset from an iterable of records."""
-    out: Diff = {}
-    for rec in records:
-        out[rec] = out.get(rec, 0) + 1
-    return consolidate(out)
-
-
-def from_weighted(pairs: Iterable[Tuple[Any, int]]) -> Diff:
-    """Build a multiset from (record, multiplicity) pairs."""
-    out: Diff = {}
-    for rec, mult in pairs:
-        new = out.get(rec, 0) + mult
-        if new == 0:
-            out.pop(rec, None)
-        else:
-            out[rec] = new
-    return out
 
 
 def is_empty(diff: Diff) -> bool:
@@ -79,17 +53,3 @@ def is_empty(diff: Diff) -> bool:
 def size(diff: Diff) -> int:
     """Total absolute multiplicity — the paper's "number of differences"."""
     return sum(abs(mult) for mult in diff.values())
-
-
-def assert_nonnegative(diff: Diff, context: str = "") -> None:
-    """Raise if any record has negative multiplicity.
-
-    Collections that represent *data* (as opposed to differences) must be
-    genuine multisets; this is used by tests and debug assertions.
-    """
-    for rec, mult in diff.items():
-        if mult < 0:
-            raise ValueError(
-                f"negative multiplicity {mult} for record {rec!r}"
-                + (f" in {context}" if context else "")
-            )

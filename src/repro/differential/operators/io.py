@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.differential.multiset import Diff, add_into, consolidate
 from repro.differential.operators.base import Operator
 from repro.differential.timestamp import Time, leq
-from repro.timely.worker import canonical_order_key
 
 
 class InputOp(Operator):
@@ -105,21 +104,3 @@ class CaptureOp(Operator):
     def value_at_epoch(self, epoch: int) -> Diff:
         """Root-scope helper: accumulated value at time ``(epoch,)``."""
         return self.accumulated((epoch,))
-
-    def records_at_epoch(self, epoch: int) -> List[Any]:
-        """Accumulated records (multiplicities expanded) at an epoch."""
-        out: List[Any] = []
-        for rec, mult in sorted(self.value_at_epoch(epoch).items(),
-                                key=lambda item: canonical_order_key(
-                                    item[0])):
-            if mult < 0:
-                raise ValueError(
-                    f"collection {self.name} has negative multiplicity "
-                    f"{mult} for {rec!r} at epoch {epoch}"
-                )
-            out.extend([rec] * mult)
-        return out
-
-    def total_diff_count(self) -> int:
-        """Total number of difference entries across all times."""
-        return sum(len(d) for d in self.trace.values())

@@ -48,7 +48,7 @@ Outputs = DefaultDict[Time, Diff]
 class KeyedOperator(Operator):
     """An operator whose state and work are partitioned by record key."""
 
-    #: Names the operator family in errors and ``debug.trace_stats``.
+    #: Names the operator family in errors.
     role = "keyed"
 
     def __init__(self, dataflow, scope, name, inputs,

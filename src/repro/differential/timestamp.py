@@ -63,13 +63,6 @@ def lub(s: Time, t: Time) -> Time:
     return tuple(max(a, b) for a, b in zip(s, t))
 
 
-def glb(s: Time, t: Time) -> Time:
-    """Greatest lower bound (meet) under the product order."""
-    if len(s) != len(t):
-        raise ValueError(f"cannot meet times of different arity: {s} vs {t}")
-    return tuple(min(a, b) for a, b in zip(s, t))
-
-
 def lub_closure(times: Iterable[Time]) -> set:
     """Close a finite set of times under pairwise joins.
 
@@ -94,10 +87,3 @@ def lub_closure(times: Iterable[Time]) -> set:
 def extend(t: Time, inner: int = 0) -> Time:
     """Append a loop coordinate (``enter`` in DD terminology)."""
     return t + (inner,)
-
-
-def truncate(t: Time) -> Time:
-    """Drop the innermost loop coordinate (``leave`` in DD terminology)."""
-    if len(t) < 2:
-        raise ValueError(f"cannot truncate a root-scope time: {t}")
-    return t[:-1]

@@ -147,9 +147,6 @@ class KeyTrace:
         self._uncovered = uncovered
         return acc
 
-    def times(self) -> Iterable[Time]:
-        return self.entries.keys()
-
     def is_empty(self) -> bool:
         return not self.entries
 
@@ -316,6 +313,3 @@ class TimeSchedule:
 
     def pending_times(self) -> Iterable[Time]:
         return self._agenda.keys()
-
-    def has_pending(self) -> bool:
-        return bool(self._agenda)

@@ -86,21 +86,3 @@ def load_graph_csv(name: str, nodes_path: PathLike,
     load_nodes_csv(graph, nodes_path)
     load_edges_csv(graph, edges_path)
     return graph
-
-
-def save_graph_csv(graph: PropertyGraph, nodes_path: PathLike,
-                   edges_path: PathLike) -> None:
-    """Write a graph back out in the import format (round-trippable)."""
-    with open(nodes_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", *graph.node_schema.header()])
-        for node in graph.nodes.values():
-            writer.writerow(
-                [node.id] + [node.properties[k] for k in graph.node_schema.fields])
-    with open(edges_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["src", "dst", *graph.edge_schema.header()])
-        for edge in graph.edges:
-            writer.writerow(
-                [edge.src, edge.dst]
-                + [edge.properties[k] for k in graph.edge_schema.fields])

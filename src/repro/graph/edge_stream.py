@@ -48,13 +48,6 @@ class EdgeStream:
         """
         return edges_to_input(zip(self.edges, repeat(1)), directed)
 
-    def vertices(self) -> set:
-        out = set()
-        for _eid, src, dst, _w in self.edges:
-            out.add(src)
-            out.add(dst)
-        return out
-
 
 def edges_to_input(weighted: Iterable[Tuple[EdgeTuple, int]],
                    directed: bool = True) -> Diff:

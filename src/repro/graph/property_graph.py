@@ -9,7 +9,7 @@ paper's ``(sID, sPtr, dID, dPtr, key1, val1, ...)`` stream layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import SchemaError, UnknownPropertyError
 from repro.graph.schema import Schema
@@ -125,16 +125,6 @@ class PropertyGraph:
                 f"node {node_id} has no property {name!r}")
         return node.properties[name]
 
-    def out_neighbors(self, node_id: int) -> List[int]:
-        return [e.dst for e in self.edges if e.src == node_id]
-
-    def degree_index(self) -> Dict[int, int]:
-        """Out-degree per node (0 for isolated nodes)."""
-        deg = {node_id: 0 for node_id in self.nodes}
-        for edge in self.edges:
-            deg[edge.src] += 1
-        return deg
-
     # -- views ------------------------------------------------------------------
 
     def filter_edges(self, predicate: Callable[[Edge, Dict[str, Any], Dict[str, Any]], bool],
@@ -153,15 +143,6 @@ class PropertyGraph:
             if predicate(edge, src_props, dst_props):
                 view.add_edge(edge.src, edge.dst, edge.properties)
         return view
-
-    # -- dataflow bridging -------------------------------------------------------
-
-    def edge_records(self, weight: Optional[str] = None,
-                     default_weight: int = 1) -> Iterable[Tuple[int, Tuple[int, int]]]:
-        """Yield ``(src, (dst, weight))`` records for the analytics API."""
-        for edge in self.edges:
-            w = edge.properties.get(weight, default_weight) if weight else default_weight
-            yield (edge.src, (edge.dst, w))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"PropertyGraph({self.name!r}, |V|={self.num_nodes}, "

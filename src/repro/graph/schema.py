@@ -8,7 +8,7 @@ nodes or edges and validates/coerces raw values at import time.
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, Iterable, Mapping, Tuple
+from typing import Any, Dict, Iterable, Mapping
 
 from repro.errors import SchemaError
 
@@ -86,11 +86,6 @@ class Schema:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Schema) and self.fields == other.fields
-
-    def header(self) -> Tuple[str, ...]:
-        """Render back to ``name:type`` column declarations."""
-        return tuple(f"{name}:{ptype.value}"
-                     for name, ptype in self.fields.items())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Schema({self.fields})"

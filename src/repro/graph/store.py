@@ -1,22 +1,15 @@
 """Graph and view stores (the Storage Manager of Figure 4).
 
 ``GraphStore`` holds named base graphs; ``ViewStore`` holds materialized
-filtered/aggregate views and view collections. Both support persistence to a
-directory of CSV files so a session's objects survive restarts — the
-in-Python analogue of the paper's persisted edge streams.
+filtered/aggregate views and view collections, all in memory.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Iterator, Optional
 
 from repro.errors import StoreError, UnknownGraphError
-from repro.graph.csv_loader import load_graph_csv, save_graph_csv
 from repro.graph.property_graph import PropertyGraph
-
-PathLike = Union[str, Path]
 
 
 class GraphStore:
@@ -42,31 +35,6 @@ class GraphStore:
 
     def names(self) -> Iterator[str]:
         return iter(self._graphs)
-
-    def save(self, directory: PathLike) -> None:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        manifest = {}
-        for name, graph in self._graphs.items():
-            nodes = directory / f"{name}.nodes.csv"
-            edges = directory / f"{name}.edges.csv"
-            save_graph_csv(graph, nodes, edges)
-            manifest[name] = {"nodes": nodes.name, "edges": edges.name}
-        (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
-
-    @classmethod
-    def load(cls, directory: PathLike) -> "GraphStore":
-        directory = Path(directory)
-        manifest_path = directory / "manifest.json"
-        if not manifest_path.exists():
-            raise StoreError(f"no manifest.json under {directory}")
-        manifest = json.loads(manifest_path.read_text())
-        store = cls()
-        for name, files in manifest.items():
-            graph = load_graph_csv(
-                name, directory / files["nodes"], directory / files["edges"])
-            store.add(graph, name)
-        return store
 
 
 class ViewStore:

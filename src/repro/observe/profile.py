@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
 from repro.observe.critical_path import CriticalPathReport, critical_path
-from repro.observe.export import chrome_trace, flame_rollup, \
-    write_chrome_trace
+from repro.observe.export import flame_rollup, write_chrome_trace
 from repro.observe.tracer import TraceSink
 
 
@@ -53,12 +52,6 @@ class CollectionProfile:
         ranked = self.ranked(1)
         return ranked[0] if ranked else None
 
-    def render(self, top: int = 3) -> str:
-        lines: List[str] = []
-        for view in self.views:
-            lines.append(view.render(top=top))
-        return "\n".join(lines)
-
 
 def profile_view(sink: TraceSink, view_name: str, start: int,
                  end: int) -> ViewProfile:
@@ -93,10 +86,6 @@ class ProfileReport:
         if isinstance(profile, ViewProfile):
             return [profile]
         return []
-
-    def chrome_trace(self) -> dict:
-        return chrome_trace(self.sink.steps, workers=self.sink.workers,
-                            label=self.target or "graphsurge")
 
     def write_chrome_trace(self, path) -> None:
         write_chrome_trace(self.sink.steps, path,

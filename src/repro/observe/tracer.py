@@ -203,11 +203,6 @@ class TraceSink:
         :meth:`mark`)."""
         return self.steps[start:end if end is not None else len(self.steps)]
 
-    def spans(self, start: int = 0, end: Optional[int] = None
-              ) -> Iterator[SpanEvent]:
-        for step in self.window(start, end):
-            yield from step.spans()
-
     # -- internals ----------------------------------------------------------------
 
     def _flush_serial(self) -> None:

@@ -320,7 +320,7 @@ class ServeApp:
             state, entry = self.cache.lookup(key, self.session.epoch)
             if state == "fresh" and not force_refresh and not trace:
                 return self._respond(entry.value, cached=True)
-            async with self.cache.lock_for(key):
+            async with self.cache.single_flight(key):
                 # Double-check after waiting: a coalesced peer may have
                 # filled the entry while this request queued on the lock.
                 state, entry = self.cache.lookup(key, self.session.epoch)
@@ -342,7 +342,9 @@ class ServeApp:
                         include_output=include_output, budget=budget,
                         tracer=tracer)
                 except GraphsurgeError as error:
-                    breaker.record_failure()
+                    if error.http_status >= 500:
+                        # A compute failure; a 4xx is the caller's error.
+                        breaker.record_failure()
                     if entry is not None:
                         return self._serve_stale(entry, error)
                     raise

@@ -17,6 +17,7 @@ epoch is a pure cache hit. Two deliberate departures from a plain LRU:
 
 from __future__ import annotations
 
+import contextlib
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -70,6 +71,7 @@ class ResultCache:
         self.stats = CacheStats()
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
         self._locks: Dict[str, asyncio.Lock] = {}
+        self._holders: Dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -113,13 +115,6 @@ class ResultCache:
             self.stats.evictions += 1
         return entry
 
-    def invalidate_all(self) -> int:
-        """Drop every entry (used on checkpoint-restore mismatch)."""
-        dropped = len(self._entries)
-        self._entries.clear()
-        self._locks.clear()
-        return dropped
-
     def lock_for(self, key: str) -> asyncio.Lock:
         """The single-flight lock serializing fills of ``key``."""
         lock = self._locks.get(key)
@@ -127,10 +122,25 @@ class ResultCache:
             lock = self._locks[key] = asyncio.Lock()
         return lock
 
-    def fills_for(self, key: str) -> int:
-        """How many times ``key`` has been (re)filled — 0 if absent."""
-        entry = self._entries.get(key)
-        return entry.fills if entry is not None else 0
+    @contextlib.asynccontextmanager
+    async def single_flight(self, key: str):
+        """Hold ``key``'s fill lock for the body of an ``async with``.
+
+        When the last request holding or awaiting the lock leaves and no
+        entry was stored under ``key`` (the fill failed), the lock is
+        dropped: failing distinct requests must not grow the lock table.
+        """
+        lock = self.lock_for(key)
+        self._holders[key] = self._holders.get(key, 0) + 1
+        try:
+            async with lock:
+                yield
+        finally:
+            self._holders[key] -= 1
+            if not self._holders[key]:
+                del self._holders[key]
+                if key not in self._entries and self._locks.get(key) is lock:
+                    del self._locks[key]
 
     def to_payload(self) -> Dict[str, Any]:
         return {"entries": len(self._entries),

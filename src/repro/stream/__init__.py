@@ -17,7 +17,6 @@ from repro.stream.source import (
     StreamBatch,
     batches_from_collection,
     churn_batches,
-    cumulative_batches,
     replay_batches,
     sliding_batches,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "StreamEngine",
     "batches_from_collection",
     "churn_batches",
-    "cumulative_batches",
     "replay_batches",
     "sliding_batches",
 ]

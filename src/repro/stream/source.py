@@ -13,8 +13,8 @@ the fuzzer's generated collections):
   order as append-only batches (temporal replay).
 * :func:`sliding_batches` — wrap an append-only source so each batch
   also *retracts* the edges that fall out of a sliding window of the
-  last ``width`` batches; :func:`cumulative_batches` is the identity
-  (nothing ever expires). Window semantics mirror
+  last ``width`` batches (a cumulative window is the base source itself:
+  nothing ever expires). Window semantics mirror
   :mod:`repro.core.windows`: sliding evicts, cumulative only grows.
 * :func:`batches_from_collection` — view a materialized view
   collection's difference sets as a stream (what the fuzzer's stream
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 
@@ -49,9 +49,6 @@ class StreamBatch:
     @property
     def size(self) -> int:
         return len(self.appends) + len(self.retracts)
-
-    def is_empty(self) -> bool:
-        return not self.appends and not self.retracts
 
     def to_record(self) -> dict:
         """JSON-safe form (the stream journal's per-batch record)."""
@@ -170,15 +167,6 @@ def sliding_batches(base: Sequence[StreamBatch],
         expired = (base[index - width].appends if index >= width else ())
         out.append(StreamBatch(appends=batch.appends, retracts=expired))
     return out
-
-
-def cumulative_batches(base: Iterable[StreamBatch]) -> List[StreamBatch]:
-    """Cumulative-window view of a source: nothing ever expires.
-
-    The identity on the batch list, named for symmetry with
-    :func:`repro.core.windows.cumulative_windows`.
-    """
-    return list(base)
 
 
 def batches_from_collection(collection) -> List[StreamBatch]:

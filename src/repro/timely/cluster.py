@@ -330,10 +330,6 @@ class ProcessCluster:
             raise error
         return totals
 
-    def alive(self) -> bool:
-        return (not self._closed
-                and all(proc.is_alive() for proc in self._procs))
-
     # -- lifecycle ------------------------------------------------------------
 
     def close(self, timeout: float = 5.0) -> None:

@@ -147,9 +147,3 @@ class WorkMeter:
     def snapshot(self) -> WorkSnapshot:
         """Capture current counters (usable for per-view deltas)."""
         return WorkSnapshot(self.total_work, self.parallel_time, self.supersteps)
-
-    def reset(self) -> None:
-        self.total_work = 0
-        self.parallel_time = 0
-        self.supersteps = 0
-        self._frames.clear()

@@ -23,7 +23,6 @@ from repro.algorithms.bfs import Bfs
 from repro.algorithms.mpsp import Mpsp
 from repro.algorithms.pagerank import PageRank
 from repro.algorithms.scc import Scc
-from repro.algorithms.vertex_program import VertexBfs, VertexSssp, VertexWcc
 from repro.algorithms.wcc import Wcc
 from repro.differential import Dataflow
 from repro.differential.operators.arrange import (
@@ -53,9 +52,6 @@ ALGORITHMS = [
     BellmanFord(source=0),
     Mpsp([(0, 5), (1, 4)]),
     PageRank(iterations=3),
-    VertexBfs(0),
-    VertexWcc(),
-    VertexSssp(0),
     Scc(),
 ]
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.algorithms import Bfs, Wcc
 from repro.analyze import analyze, analyze_computation
-from repro.analyze.corpus import analyze_corpus, default_computations
+from repro.analyze.corpus import default_computations, generated_computations
 from repro.core.computation import GraphComputation
 from repro.core.executor import AnalyticsExecutor, ExecutionMode
 from repro.core.view_collection import collection_from_diffs
@@ -163,10 +163,10 @@ class TestCorpus:
             assert not report.findings, f"{name}:\n{report.render()}"
 
     def test_corpus_includes_generated_plans(self):
-        reports = analyze_corpus(seed=3, generated=3)
-        generated = [label for label in reports if label.startswith("gen-")]
-        assert len(generated) == 3
-        assert all(report.ok for report in reports.values())
+        plans = list(generated_computations(seed=3, count=3))
+        assert [label[:4] for label, _ in plans] == ["gen-"] * 3
+        for label, computation in plans:
+            assert analyze_computation(computation).ok, label
 
 
 class TestFacade:
@@ -193,32 +193,6 @@ class TestFacade:
         text = gs.explain("hist", analysis=report)
         assert "static analysis: 1 error(s)" in text
         assert "GS-P102" in text
-
-
-class TestDotColoring:
-    def test_findings_color_flagged_operators(self):
-        from repro.differential.debug import to_dot
-
-        df = Dataflow()
-        edges = df.new_input("edges")
-
-        def body(inner, scope):
-            return inner.concat(
-                inner.map(lambda rec: rec, name="flip").negate())
-
-        df.capture(edges.iterate(body, name="loop"), "out")
-        edges.map(lambda rec: rec, name="dead")
-        report = analyze(df)
-        plain = to_dot(df)
-        assert "fillcolor" not in plain
-        colored = to_dot(df, report)
-        assert "fillcolor=red" in colored      # GS-P102 (error)
-        assert "fillcolor=yellow" in colored   # GS-P104 (warning)
-        for line in colored.splitlines():
-            if "fillcolor=red" in line:
-                assert "negate" in line
-            if "fillcolor=yellow" in line:
-                assert "dead" in line
 
 
 class TestCli:

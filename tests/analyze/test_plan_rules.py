@@ -123,7 +123,7 @@ class TestRedundantArrange:
         df = Dataflow()
         edges = df.new_input("edges")
         arr = edges.arrange(name="idx")
-        arr.as_collection().arrange(name="idx.again")
+        Collection(df, arr.op, arr.scope).arrange(name="idx.again")
         hits = findings_for(analyze(df), "GS-P103")
         assert any("re-indexes" in f.message for f in hits)
 
@@ -243,7 +243,7 @@ class TestRearrangedJoin:
         df = Dataflow()
         edges = df.new_input("edges")
         arr = edges.arrange(name="idx")
-        df.capture(edges.join(arr.as_collection(),
+        df.capture(edges.join(Collection(df, arr.op, arr.scope),
                               lambda k, x, y: (k, x)), "out")
         hits = findings_for(analyze(df), "GS-P107")
         assert hits

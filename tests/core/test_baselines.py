@@ -43,7 +43,7 @@ class TestIncrementalSssp:
         initial = snapshots[0]
         source = min(src for src, _dst in initial)
         sssp = IncrementalSssp(source)
-        sssp.initialize([(u, v, w) for (u, v), w in initial.items()])
+        sssp.apply_diff([(u, v, w) for (u, v), w in initial.items()], [])
         for step, (additions, removals) in enumerate(history):
             if step > 0:
                 sssp.apply_diff(additions, removals)
@@ -54,14 +54,14 @@ class TestIncrementalSssp:
 
     def test_source_losing_out_edges_clears(self):
         sssp = IncrementalSssp(0)
-        sssp.initialize([(0, 1, 2)])
+        sssp.apply_diff([(0, 1, 2)], [])
         assert sssp.dist == {0: 0, 1: 2}
         sssp.apply_diff([], [(0, 1, 2)])
         assert sssp.dist == {}
 
     def test_deletion_invalidates_downstream(self):
         sssp = IncrementalSssp(0)
-        sssp.initialize([(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 10)])
+        sssp.apply_diff([(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 10)], [])
         assert sssp.dist[3] == 3
         sssp.apply_diff([], [(1, 2, 1)])
         assert sssp.dist == {0: 0, 1: 1, 3: 10}
@@ -73,7 +73,7 @@ class TestIncrementalPageRank:
         history, snapshots = churn_sequence(seed, churn=3)
         pr = IncrementalPageRank(iterations=30)
         initial = snapshots[0]
-        pr.initialize([pair for pair in initial])
+        pr.apply_diff([pair for pair in initial], [])
         for step, (additions, removals) in enumerate(history):
             if step > 0:
                 pr.apply_diff([(u, v) for u, v, _w in additions],
@@ -91,14 +91,14 @@ class TestIncrementalPageRank:
 
     def test_vertex_leaves_when_isolated(self):
         pr = IncrementalPageRank()
-        pr.initialize([(0, 1), (1, 0)])
+        pr.apply_diff([(0, 1), (1, 0)], [])
         assert set(pr.ranks) == {0, 1}
         pr.apply_diff([], [(0, 1), (1, 0)])
         assert pr.ranks == {}
 
     def test_work_counter_increases(self):
         pr = IncrementalPageRank()
-        pr.initialize([(0, 1), (1, 2), (2, 0)])
+        pr.apply_diff([(0, 1), (1, 2), (2, 0)], [])
         before = pr.work
         pr.apply_diff([(0, 2)], [])
         assert pr.work > before

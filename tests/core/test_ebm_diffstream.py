@@ -11,13 +11,9 @@ from repro.core.diff_stream import (
     accumulate_view,
     compute_diff_stream,
     diff_sizes,
-    total_diff_count,
     view_sizes_from_diffs,
 )
-from repro.core.ebm import (
-    build_ebm,
-    build_ebm_from_memberships,
-)
+from repro.core.ebm import EdgeBooleanMatrix, build_ebm
 from repro.core.resilience import FaultPlan
 from repro.errors import GvdlTypeError, InjectedFault, UnknownPropertyError
 from repro.graph.edge_stream import EdgeStream
@@ -37,7 +33,7 @@ bool_matrices = st.integers(1, 8).flatmap(
 def ebm_from_rows(rows):
     edges = [(i, i, i + 1, 1) for i in range(len(rows))]
     names = [f"v{j}" for j in range(len(rows[0]))]
-    return build_ebm_from_memberships(edges, names, rows)
+    return EdgeBooleanMatrix(edges, names, np.array(rows, dtype=bool))
 
 
 class TestEbm:
@@ -46,9 +42,9 @@ class TestEbm:
             parse(f"create view v on g edges where duration <= {d}").predicate
             for d in (1, 10, 35)]
         ebm = build_ebm(call_graph, ["d1", "d10", "d35"], predicates)
-        assert ebm.num_edges == 15
+        assert len(ebm.edges) == 15
         assert ebm.num_views == 3
-        assert ebm.view_sizes()[2] == 15  # everything satisfies d<=35
+        assert ebm.matrix[:, 2].sum() == 15  # everything satisfies d<=35
         # Columns are monotone: duration<=1 implies duration<=10.
         assert np.all(ebm.matrix[:, 0] <= ebm.matrix[:, 1])
 
@@ -101,7 +97,7 @@ class TestDiffStream:
         diffs = compute_diff_stream(ebm)
         for j in range(ebm.num_views):
             view = accumulate_view(diffs, j)
-            expected = {ebm.edges[i] for i in range(ebm.num_edges)
+            expected = {ebm.edges[i] for i in range(len(ebm.edges))
                         if rows[i][j]}
             assert set(view) == expected
             assert all(mult == 1 for mult in view.values())
@@ -111,7 +107,7 @@ class TestDiffStream:
     def test_view_sizes_match_column_sums(self, rows):
         ebm = ebm_from_rows(rows)
         diffs = compute_diff_stream(ebm)
-        assert view_sizes_from_diffs(diffs) == ebm.view_sizes()
+        assert view_sizes_from_diffs(diffs) == ebm.matrix.sum(axis=0).tolist()
 
     @settings(max_examples=40, deadline=None)
     @given(bool_matrices)
@@ -125,7 +121,7 @@ class TestDiffStream:
                 if cell != previous:
                     expected += 1
                 previous = cell
-        assert total_diff_count(diffs) == expected
+        assert sum(diff_sizes(diffs)) == expected
 
     def test_diff_sizes(self):
         ebm = ebm_from_rows([[True, False, True]])
@@ -221,7 +217,7 @@ class TestBuildEbmContract:
                       workers=workers)
         assert caught.value.invocation == at
         assert caught.value.context == "1"
-        assert plan.invocations("operator") == at + 1
+        assert plan._counters["operator"] == at + 1
 
     def test_corrupt_fault_inflates_one_unit(self):
         graph = seeded_graph()
@@ -230,7 +226,7 @@ class TestBuildEbmContract:
         meter = WorkMeter(2, fault_plan=plan)
         build_ebm(graph, *pin_views(), meter=meter, workers=2)
         assert meter.total_work == 2 * m + 999
-        assert plan.invocations("operator") == 2 * m
+        assert plan._counters["operator"] == 2 * m
 
     def test_predicate_errors_surface_unwrapped(self):
         def predicate(source):
@@ -269,7 +265,7 @@ class TestDiffStreamContract:
             for _eid, src, _dst, _w in diff:
                 buckets[shard_for(src, workers)] += 1
         assert any(mult < 0 for diff in diffs for mult in diff.values())
-        assert meter.total_work == total_diff_count(diffs)
+        assert meter.total_work == sum(diff_sizes(diffs))
         assert meter.supersteps == 1
         assert meter.parallel_time == max(buckets)
 
@@ -301,19 +297,19 @@ class TestDiffStreamContract:
 
     def test_operator_fault_fires_at_its_unit(self):
         ebm = self.ordered_ebm(seeded_graph, 2)
-        total = total_diff_count(compute_diff_stream(ebm))
+        total = sum(diff_sizes(compute_diff_stream(ebm)))
         at = total // 2
         plan = FaultPlan.single("operator", at=at)
         with pytest.raises(InjectedFault) as caught:
             compute_diff_stream(ebm, meter=WorkMeter(2, fault_plan=plan))
         assert caught.value.invocation == at
-        assert plan.invocations("operator") == at + 1
+        assert plan._counters["operator"] == at + 1
 
     def test_corrupt_fault_inflates_one_unit(self):
         ebm = self.ordered_ebm(seeded_graph, 2)
-        total = total_diff_count(compute_diff_stream(ebm))
+        total = sum(diff_sizes(compute_diff_stream(ebm)))
         plan = FaultPlan.single("operator", at=total - 3, kind="corrupt")
         meter = WorkMeter(2, fault_plan=plan)
         compute_diff_stream(ebm, meter=meter)
         assert meter.total_work == total + 999
-        assert plan.invocations("operator") == total
+        assert plan._counters["operator"] == total

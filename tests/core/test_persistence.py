@@ -1,10 +1,12 @@
-"""Collection persistence round trips."""
+"""Collection payload round trips and the atomic-write helper."""
+
+import json
 
 import pytest
 
 from repro.algorithms import Wcc
 from repro.core.executor import AnalyticsExecutor, ExecutionMode
-from repro.core.persistence import load_collection, save_collection
+from repro.core.persistence import collection_from_payload, collection_payload
 from repro.core.view_collection import ViewCollectionDefinition
 from repro.errors import StoreError
 from repro.gvdl.parser import parse
@@ -21,27 +23,26 @@ def collection(call_graph):
     return definition.materialize(call_graph)
 
 
+def round_trip(collection):
+    """Through JSON text, as a fuzzer repro file carries the payload."""
+    return collection_from_payload(
+        json.loads(json.dumps(collection_payload(collection))))
+
+
 class TestRoundTrip:
-    def test_metadata_preserved(self, collection, tmp_path):
-        path = tmp_path / "hist.json"
-        save_collection(collection, path)
-        loaded = load_collection(path)
+    def test_metadata_preserved(self, collection):
+        loaded = round_trip(collection)
         assert loaded.name == collection.name
         assert loaded.source == collection.source
         assert loaded.view_names == collection.view_names
         assert loaded.view_sizes == collection.view_sizes
         assert loaded.diff_sizes == collection.diff_sizes
 
-    def test_diffs_identical(self, collection, tmp_path):
-        path = tmp_path / "hist.json"
-        save_collection(collection, path)
-        loaded = load_collection(path)
-        assert loaded.diffs == collection.diffs
+    def test_diffs_identical(self, collection):
+        assert round_trip(collection).diffs == collection.diffs
 
-    def test_analytics_on_loaded_collection(self, collection, tmp_path):
-        path = tmp_path / "hist.json"
-        save_collection(collection, path)
-        loaded = load_collection(path)
+    def test_analytics_on_loaded_collection(self, collection):
+        loaded = round_trip(collection)
         original = AnalyticsExecutor().run_on_collection(
             Wcc(), collection, mode=ExecutionMode.DIFF_ONLY,
             keep_outputs=True)
@@ -51,131 +52,23 @@ class TestRoundTrip:
             assert left.output == right.output
 
 
-class TestFormatV2:
-    def test_writes_checksummed_envelope(self, collection, tmp_path):
-        import json
-
-        path = tmp_path / "hist.json"
-        save_collection(collection, path)
-        document = json.loads(path.read_text())
-        assert document["format"] == 2
-        assert len(document["sha256"]) == 64
-        assert document["payload"]["name"] == collection.name
-
-    def test_gzip_round_trip_by_suffix(self, collection, tmp_path):
-        path = tmp_path / "hist.json.gz"
-        save_collection(collection, path)
-        assert path.read_bytes()[:2] == b"\x1f\x8b"
-        loaded = load_collection(path)
-        assert loaded.diffs == collection.diffs
-
-    def test_gzip_round_trip_explicit(self, collection, tmp_path):
-        path = tmp_path / "hist.bin"
-        save_collection(collection, path, compress=True)
-        assert load_collection(path).diffs == collection.diffs
-
-    def test_gzip_smaller_than_plain(self, collection, tmp_path):
-        plain = tmp_path / "plain.json"
-        packed = tmp_path / "packed.json.gz"
-        save_collection(collection, plain)
-        save_collection(collection, packed)
-        assert packed.stat().st_size < plain.stat().st_size
-
-    def test_atomic_write_leaves_no_temp_files(self, collection, tmp_path):
-        path = tmp_path / "hist.json"
-        save_collection(collection, path)
-        save_collection(collection, path)  # overwrite in place
-        assert [p.name for p in tmp_path.iterdir()] == ["hist.json"]
-
-    def test_v1_documents_still_load(self, collection, tmp_path):
-        import json
-
-        path = tmp_path / "hist.json"
-        save_collection(collection, path)
-        payload = json.loads(path.read_text())["payload"]
-        legacy = dict(payload, format=1)
-        path.write_text(json.dumps(legacy))
-        loaded = load_collection(path)
-        assert loaded.diffs == collection.diffs
-        assert loaded.view_names == collection.view_names
-
-
 class TestErrors:
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(StoreError, match="cannot read"):
-            load_collection(tmp_path / "nope.json")
-
-    def test_garbage_file(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(StoreError, match="cannot read"):
-            load_collection(path)
-
-    def test_wrong_format_version(self, tmp_path):
-        path = tmp_path / "v999.json"
-        path.write_text('{"format": 999}')
-        with pytest.raises(StoreError, match="unsupported"):
-            load_collection(path)
-
-    def test_corrupted_payload_fails_checksum(self, collection, tmp_path):
-        path = tmp_path / "hist.json"
-        save_collection(collection, path)
-        text = path.read_text()
-        # Flip a view name inside the payload; the envelope checksum no
-        # longer matches.
-        path.write_text(text.replace("y2013", "y2031", 1))
-        with pytest.raises(StoreError, match="checksum"):
-            load_collection(path)
-
-    def test_truncated_file_rejected(self, collection, tmp_path):
-        path = tmp_path / "hist.json"
-        save_collection(collection, path)
-        data = path.read_bytes()
-        path.write_bytes(data[:len(data) // 2])
-        with pytest.raises(StoreError, match=str(path)):
-            load_collection(path)
-
-    def test_truncated_gzip_rejected(self, collection, tmp_path):
-        path = tmp_path / "hist.json.gz"
-        save_collection(collection, path)
-        data = path.read_bytes()
-        path.write_bytes(data[:len(data) // 2])
-        with pytest.raises(StoreError, match="cannot read"):
-            load_collection(path)
-
-    @pytest.mark.parametrize("mutate, hint", [
-        (lambda p: p.pop("edges"), "edges"),
-        (lambda p: p.pop("diffs"), "diffs"),
-        (lambda p: p.pop("name"), "name"),
-        (lambda p: p.update(diffs=123), "malformed"),
-        (lambda p: p.update(diffs=[[[999999, 1]]]), "malformed"),
-        (lambda p: p.update(diffs=[[[0]]]), "malformed"),
-        (lambda p: p.update(edges=[[1, 2], 7]), "malformed"),
-    ])
-    def test_malformed_documents_surface_as_store_error(
-            self, collection, tmp_path, mutate, hint):
-        import json
-
-        path = tmp_path / "hist.json"
-        save_collection(collection, path)
-        payload = json.loads(path.read_text())["payload"]
+    @pytest.mark.parametrize("mutate", [
+        lambda p: p.pop("edges"),
+        lambda p: p.pop("diffs"),
+        lambda p: p.pop("name"),
+        lambda p: p.update(diffs=123),
+        lambda p: p.update(diffs=[[[999999, 1]]]),
+        lambda p: p.update(diffs=[[[0]]]),
+        lambda p: p.update(edges=[[1, 2], 7]),
+    ], ids=["no-edges", "no-diffs", "no-name", "diffs-not-list",
+            "edge-index-out-of-range", "short-entry", "edge-not-list"])
+    def test_malformed_payloads_surface_as_store_error(self, collection,
+                                                        mutate):
+        payload = collection_payload(collection)
         mutate(payload)
-        path.write_text(json.dumps(dict(payload, format=1)))
-        with pytest.raises(StoreError) as info:
-            load_collection(path)
-        assert str(path) in str(info.value)
-
-    def test_non_object_document_rejected(self, tmp_path):
-        path = tmp_path / "list.json"
-        path.write_text("[1, 2, 3]")
         with pytest.raises(StoreError, match="malformed"):
-            load_collection(path)
-
-    def test_v2_without_payload_rejected(self, tmp_path):
-        path = tmp_path / "empty.json"
-        path.write_text('{"format": 2, "sha256": "00"}')
-        with pytest.raises(StoreError, match="payload"):
-            load_collection(path)
+            collection_from_payload(payload)
 
 
 class TestAtomicWrite:

@@ -1,26 +1,8 @@
-"""reorder_collection, graph transforms, and dataset statistics."""
-
-import pytest
+"""reorder_collection keeps every view and reduces the diffs."""
 
 from repro.core.view_collection import reorder_collection
 from repro.bench.workloads import perturbation_collection
-from repro.datasets import community_graph, social_like
-from repro.datasets.stats import (
-    degree_histogram,
-    describe,
-    gini_coefficient,
-    powerlaw_alpha_mle,
-    reciprocity,
-)
-from repro.errors import SchemaError
-from repro.graph.property_graph import PropertyGraph
-from repro.graph.transforms import (
-    filter_nodes,
-    induced_subgraph,
-    merge_graphs,
-    relabel,
-    reverse,
-)
+from repro.datasets import community_graph
 
 
 class TestReorderCollection:
@@ -48,95 +30,3 @@ class TestReorderCollection:
         for index, name in enumerate(reordered.view_names):
             assert frozenset(reordered.full_view_edges(index)) == \
                 original_views[name]
-
-
-class TestTransforms:
-    @pytest.fixture
-    def small(self):
-        graph = PropertyGraph("g")
-        for node in range(4):
-            graph.add_node(node)
-        graph.add_edge(0, 1)
-        graph.add_edge(1, 2)
-        graph.add_edge(2, 0)
-        graph.add_edge(2, 3)
-        return graph
-
-    def test_reverse(self, small):
-        rev = reverse(small)
-        assert {(e.src, e.dst) for e in rev.edges} == \
-            {(1, 0), (2, 1), (0, 2), (3, 2)}
-
-    def test_induced_subgraph(self, small):
-        sub = induced_subgraph(small, [0, 1, 2])
-        assert sub.num_nodes == 3
-        assert sub.num_edges == 3
-
-    def test_induced_subgraph_unknown_node(self, small):
-        with pytest.raises(SchemaError, match="unknown node"):
-            induced_subgraph(small, [0, 99])
-
-    def test_filter_nodes(self, call_graph):
-        la_only = filter_nodes(call_graph,
-                               lambda props: props["city"] == "LA")
-        assert la_only.num_nodes == 5
-        for edge in la_only.edges:
-            assert la_only.node_property(edge.src, "city") == "LA"
-
-    def test_relabel_dense(self, small):
-        relabeled = relabel(induced_subgraph(small, [1, 2, 3]))
-        assert sorted(relabeled.nodes) == [0, 1, 2]
-        assert relabeled.num_edges == 2
-
-    def test_relabel_validation(self, small):
-        with pytest.raises(SchemaError, match="not injective"):
-            relabel(small, {0: 1, 1: 1, 2: 2, 3: 3})
-        with pytest.raises(SchemaError, match="misses"):
-            relabel(small, {0: 0})
-
-    def test_merge_graphs(self, small):
-        merged = merge_graphs(small, small)
-        assert merged.num_nodes == 8
-        assert merged.num_edges == 8
-        # Second copy shifted: edge (0,1) appears as (4,5).
-        assert any(e.src == 4 and e.dst == 5 for e in merged.edges)
-
-    def test_merge_schema_mismatch(self, small, call_graph):
-        with pytest.raises(SchemaError, match="different schemas"):
-            merge_graphs(small, call_graph)
-
-
-class TestStats:
-    def test_degree_histogram_counts_all(self, call_graph):
-        histogram = degree_histogram(call_graph)
-        assert sum(histogram.values()) == call_graph.num_nodes
-        assert sum(d * c for d, c in histogram.items()) == \
-            call_graph.num_edges
-
-    def test_gini_uniform_vs_skewed(self):
-        assert gini_coefficient([5, 5, 5, 5]) == pytest.approx(0.0)
-        skewed = gini_coefficient([1] * 99 + [1000])
-        assert skewed > 0.8
-
-    def test_generated_social_graph_is_heavy_tailed(self):
-        graph = social_like(num_nodes=400, num_edges=3000, seed=0)
-        histogram = degree_histogram(graph, direction="in")
-        degrees = [d for d, c in histogram.items() for _ in range(c)]
-        alpha = powerlaw_alpha_mle([d for d in degrees if d >= 1])
-        assert 1.2 < alpha < 4.0
-        assert gini_coefficient(degrees) > 0.3
-
-    def test_describe_renders(self, call_graph):
-        description = describe(call_graph)
-        assert description.num_nodes == 8
-        assert "|E|=15" in description.render()
-
-    def test_reciprocity(self, call_graph):
-        value = reciprocity(call_graph)
-        assert 0.0 <= value <= 1.0
-        # The call graph has several mutual pairs (1<->2, 1<->3, ...).
-        assert value > 0.4
-
-    def test_powerlaw_needs_tail(self):
-        with pytest.raises(ValueError):
-            powerlaw_alpha_mle([1])

@@ -80,15 +80,16 @@ class TestAdaptiveSplitter:
         # Batch exhausted: next decision is fresh.
         assert splitter.decide(7, 100, 10**6) is SplitDecision.SCRATCH
 
-    def test_split_points_recorded(self):
+    def test_decisions_recorded(self):
         splitter = AdaptiveSplitter(batch_size=1)
         splitter.decide(0, 100, 100)
         splitter.observe_scratch(100, 1.0)     # scratch very cheap
         splitter.decide(1, 100, 100)
         splitter.observe_differential(100, 50.0)
         assert splitter.decide(2, 100, 100) is SplitDecision.SCRATCH
-        assert 2 in splitter.split_points()
-        assert 0 not in splitter.split_points()
+        assert [rec.decision for rec in splitter.history] == [
+            SplitDecision.SCRATCH, SplitDecision.DIFFERENTIAL,
+            SplitDecision.SCRATCH]
 
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.ebm import (
-    EdgeBooleanMatrix,
-    build_ebm,
-    build_ebm_from_memberships,
-)
+from repro.core.ebm import EdgeBooleanMatrix, build_ebm
 from repro.core.view_collection import (
     ViewCollectionDefinition,
     collection_from_diffs,
@@ -105,9 +101,9 @@ class TestZeroViews:
         from repro.core.diff_stream import compute_diff_stream
         from repro.timely.meter import WorkMeter
 
-        ebm = build_ebm_from_memberships(
-            [(0, 0, 1, 1), (1, 1, 2, 1)], [], [[], []])
-        assert (ebm.num_edges, ebm.num_views) == (2, 0)
+        ebm = EdgeBooleanMatrix([(0, 0, 1, 1), (1, 1, 2, 1)], [],
+                                np.zeros((2, 0), dtype=bool))
+        assert (len(ebm.edges), ebm.num_views) == (2, 0)
         meter = WorkMeter(2)
         assert compute_diff_stream(ebm, meter=meter) == []
         assert meter.snapshot() == WorkMeter(2).snapshot()
@@ -121,11 +117,10 @@ class TestCreationErrorsAreTyped:
         lambda graph: build_ebm(graph, ["a"], []),
         lambda graph: EdgeBooleanMatrix([(0, 0, 1, 1)], ["a", "b"],
                                         np.zeros((1, 1), dtype=bool)),
-        lambda graph: build_ebm_from_memberships(
-            [(0, 0, 1, 1)], ["a", "b"], [[True, False]]).reorder([0, 0]),
-        lambda graph: build_ebm_from_memberships(
-            [(0, 0, 1, 1)], ["a"], [True]),
-    ], ids=["build_ebm", "init", "reorder", "from_memberships"])
+        lambda graph: EdgeBooleanMatrix(
+            [(0, 0, 1, 1)], ["a", "b"],
+            np.array([[True, False]])).reorder([0, 0]),
+    ], ids=["build_ebm", "init", "reorder"])
     def test_creation_site_raises_config_error(self, call_graph, site):
         with pytest.raises(ValueError) as caught:
             site(call_graph)

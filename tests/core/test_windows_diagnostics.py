@@ -6,10 +6,8 @@ from repro.core.diagnostics import summarize_collection
 from repro.core.windows import (
     cumulative_windows,
     expand_shrink_slide,
-    product_windows,
     sliding_windows,
 )
-from repro.datasets import citations_like
 from repro.errors import ConfigError, GraphsurgeError
 from repro.graph.property_graph import PropertyGraph
 from repro.graph.schema import PropertyType, Schema
@@ -96,36 +94,6 @@ class TestExpandShrinkSlide:
     def test_empty_phases_raise_config_error_naming_builder(self):
         with pytest.raises(ConfigError, match="expand_shrink_slide"):
             expand_shrink_slide("e", "g", "year", phases=[])
-
-
-class TestProductWindows:
-    def test_caut_shape(self):
-        graph = citations_like(num_nodes=150, num_edges=500, seed=1)
-        definition = product_windows(
-            "p", "citations",
-            outer_prop="year", outer_phases=[(1990, 2000), (2000, 2010)],
-            inner_prop="authors", inner_bounds=[5, 10, 30])
-        collection = definition.materialize(graph)
-        assert collection.num_views == 6
-        # Inner expansion within a phase: addition-only diffs.
-        for index in (1, 2, 4, 5):
-            assert all(m == 1 for m in collection.diffs[index].values())
-
-    def test_inner_bounds_generator_is_reused_per_phase(self):
-        # Regression: a generator passed as inner_bounds was exhausted on
-        # the first outer phase, silently dropping every later phase's
-        # views.
-        definition = product_windows(
-            "p", "citations",
-            outer_prop="year", outer_phases=[(1990, 2000), (2000, 2010)],
-            inner_prop="authors", inner_bounds=iter([5, 10, 30]))
-        assert len(definition.views) == 6
-
-    def test_empty_product_raises_config_error_naming_builder(self):
-        with pytest.raises(ConfigError, match="product_windows"):
-            product_windows("p", "citations",
-                            outer_prop="year", outer_phases=[],
-                            inner_prop="authors", inner_bounds=[5])
 
 
 class TestDiagnostics:

@@ -77,20 +77,11 @@ class TestJoinArranged:
         two_private_1 = a.join(b)
         two_private_2 = c.join(b)
         df.step({"b": {("k", value): 1 for value in range(100)}})
-        shared_entries = arranged.record_count()
+        shared_entries = arranged.op.trace.record_count()
         private_entries = (two_private_1.op.traces[1].record_count()
                            + two_private_2.op.traces[1].record_count())
         assert shared_entries == 100
         assert private_entries == 200
-
-    def test_as_collection_passthrough(self):
-        df = Dataflow()
-        b = df.new_input("b")
-        arranged = b.arrange()
-        out = df.capture(arranged.as_collection().map(lambda rec: rec[0]),
-                         "keys")
-        df.step({"b": {("k", 1): 1, ("j", 2): 1}})
-        assert out.value_at_epoch(0) == {"k": 1, "j": 1}
 
     def test_scope_mismatch_rejected(self):
         df = Dataflow()

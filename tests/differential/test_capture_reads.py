@@ -149,7 +149,7 @@ class TestFrontierReadCost:
         for diff in churn(9, 60, keys=40):
             epoch = df.step({"edges": diff})
             arrived += len(out.diff_at((epoch,)))
-            scanned += out.total_diff_count()
+            scanned += sum(len(diff) for diff in out.trace.values())
             assert len(out.value_at_epoch(epoch)) > 0
         assert arrived > 200 and scanned > 10 * arrived
         assert touched[0] <= 2 * arrived

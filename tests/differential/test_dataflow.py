@@ -72,28 +72,3 @@ class TestDriver:
         df.step({"in": {1: 1, 2: 1}})
         assert df.meter.total_work > 0
         assert df.meter.workers == 4
-
-
-class TestCapture:
-    def test_records_at_epoch_expands_multiplicity(self):
-        df = Dataflow()
-        source = df.new_input("in")
-        out = df.capture(source, "out")
-        df.step({"in": {"a": 2, "b": 1}})
-        assert sorted(out.records_at_epoch(0)) == ["a", "a", "b"]
-
-    def test_records_at_epoch_rejects_negative(self):
-        df = Dataflow()
-        source = df.new_input("in")
-        out = df.capture(source.negate(), "out")
-        df.step({"in": {"a": 1}})
-        with pytest.raises(ValueError, match="negative"):
-            out.records_at_epoch(0)
-
-    def test_total_diff_count(self):
-        df = Dataflow()
-        source = df.new_input("in")
-        out = df.capture(source, "out")
-        df.step({"in": {"a": 1, "b": 1}})
-        df.step({"in": {"a": -1}})
-        assert out.total_diff_count() == 3

@@ -1,7 +1,7 @@
-"""Debug tooling: DOT export, trace statistics, consistency checking."""
+"""Debug tooling: the ``Out(t) = Op(In(t))`` consistency check."""
 
 from repro.differential import Dataflow
-from repro.differential.debug import check_consistency, to_dot, trace_stats
+from repro.differential.debug import check_consistency
 
 
 def bfs_dataflow():
@@ -18,40 +18,6 @@ def bfs_dataflow():
 
     out = df.capture(roots.iterate(body, name="bfsloop"), "dists")
     return df, out
-
-
-class TestDot:
-    def test_contains_operators_and_cluster(self):
-        df, _out = bfs_dataflow()
-        dot = to_dot(df)
-        assert dot.startswith("digraph")
-        assert "unionmin" in dot
-        assert "subgraph cluster_" in dot
-        assert "feedback" in dot
-
-    def test_edges_reference_defined_nodes(self):
-        df, _out = bfs_dataflow()
-        dot = to_dot(df)
-        defined = {line.split()[0] for line in dot.splitlines()
-                   if line.strip().startswith("n") and "[label=" in line}
-        for line in dot.splitlines():
-            if "->" in line:
-                src = line.strip().split()[0]
-                assert src in defined
-
-
-class TestTraceStats:
-    def test_reports_state_after_run(self):
-        df, _out = bfs_dataflow()
-        df.step({"edges": {(0, 1): 1, (1, 2): 1}, "roots": {(0, 0): 1}})
-        stats = trace_stats(df)
-        assert stats
-        names = {s.name for s in stats}
-        assert "unionmin" in names
-        assert all(s.entries >= 0 for s in stats)
-        # Sorted by entries, descending.
-        entries = [s.entries for s in stats]
-        assert entries == sorted(entries, reverse=True)
 
 
 class TestConsistency:

@@ -30,14 +30,6 @@ class TestJoinBasics:
         df.step({"a": {("x", 1): 1}, "b": {("x", 2): 1, ("y", 3): 1}})
         assert out.value_at_epoch(0) == {("x", (1, 2)): 1}
 
-    def test_join_map_builder(self):
-        df = Dataflow()
-        a = df.new_input("a")
-        b = df.new_input("b")
-        out = df.capture(a.join_map(b, lambda k, x, y: x + y), "out")
-        df.step({"a": {("k", 10): 1}, "b": {("k", 5): 1}})
-        assert out.value_at_epoch(0) == {15: 1}
-
     def test_multiplicities_multiply(self):
         df = Dataflow()
         a = df.new_input("a")
@@ -160,47 +152,6 @@ class TestReduceFamily:
             a.reduce(lambda key, vals: sorted(vals)[:2]), "out")
         df.step({"a": {("k", 3): 1, ("k", 1): 1, ("k", 2): 1}})
         assert out.value_at_epoch(0) == {("k", 1): 1, ("k", 2): 1}
-
-
-class TestTopKThreshold:
-    def test_top_k_keeps_largest(self):
-        df = Dataflow()
-        a = df.new_input("a")
-        out = df.capture(a.top_k(2), "out")
-        df.step({"a": {("k", 5): 1, ("k", 9): 1, ("k", 1): 1}})
-        assert out.value_at_epoch(0) == {("k", 9): 1, ("k", 5): 1}
-
-    def test_top_k_respects_multiplicity(self):
-        df = Dataflow()
-        a = df.new_input("a")
-        out = df.capture(a.top_k(3), "out")
-        df.step({"a": {("k", 7): 2, ("k", 3): 2}})
-        assert out.value_at_epoch(0) == {("k", 7): 2, ("k", 3): 1}
-
-    def test_top_k_updates_incrementally(self):
-        df = Dataflow()
-        a = df.new_input("a")
-        out = df.capture(a.top_k(1), "out")
-        df.step({"a": {("k", 5): 1}})
-        df.step({"a": {("k", 9): 1}})
-        df.step({"a": {("k", 9): -1}})
-        assert out.value_at_epoch(1) == {("k", 9): 1}
-        assert out.value_at_epoch(2) == {("k", 5): 1}
-
-    def test_top_k_validation(self):
-        df = Dataflow()
-        a = df.new_input("a")
-        with pytest.raises(ValueError):
-            a.top_k(0)
-
-    def test_threshold_filters_by_multiplicity(self):
-        df = Dataflow()
-        a = df.new_input("a")
-        out = df.capture(a.threshold(2), "out")
-        df.step({"a": {("k", "x"): 3, ("k", "y"): 1}})
-        assert out.value_at_epoch(0) == {("k", "x"): 1}
-        df.step({"a": {("k", "x"): -2}})
-        assert out.value_at_epoch(1) == {}
 
 
 class TestSemijoinAntijoin:

@@ -1,20 +1,9 @@
 """Unit and property tests for the multiset algebra."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.differential.multiset import (
-    add_into,
-    assert_nonnegative,
-    consolidate,
-    from_records,
-    from_weighted,
-    is_empty,
-    negate,
-    size,
-    subtract,
-)
+from repro.differential.multiset import add_into, consolidate, is_empty, negate, size
 
 diffs = st.dictionaries(st.integers(0, 9), st.integers(-5, 5).filter(bool),
                         max_size=8)
@@ -52,28 +41,10 @@ class TestAddInto:
         assert 0 not in target.values()
 
 
-class TestSubtractNegate:
-    @given(diffs)
-    def test_self_subtraction_is_empty(self, a):
-        assert subtract(a, a) == {}
-
+class TestNegate:
     @given(diffs)
     def test_negate_twice_is_identity(self, a):
         assert negate(negate(a)) == a
-
-    @given(diffs, diffs)
-    def test_subtract_then_add_back(self, a, b):
-        result = subtract(a, b)
-        add_into(result, b)
-        assert result == consolidate(dict(a))
-
-
-class TestConstructors:
-    def test_from_records_counts(self):
-        assert from_records(["x", "y", "x"]) == {"x": 2, "y": 1}
-
-    def test_from_weighted_cancels(self):
-        assert from_weighted([("x", 2), ("x", -2), ("y", 1)]) == {"y": 1}
 
 
 class TestPredicates:
@@ -84,10 +55,3 @@ class TestPredicates:
     @given(diffs)
     def test_size_is_total_absolute_multiplicity(self, a):
         assert size(a) == sum(abs(m) for m in a.values())
-
-    def test_assert_nonnegative_raises(self):
-        with pytest.raises(ValueError, match="negative multiplicity"):
-            assert_nonnegative({"a": -1}, context="test")
-
-    def test_assert_nonnegative_passes(self):
-        assert_nonnegative({"a": 2})

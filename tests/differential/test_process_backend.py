@@ -17,7 +17,6 @@ from repro.differential.debug import (
     check_consistency,
     check_consolidated,
     operator_record_counts,
-    trace_stats,
 )
 from repro.errors import ConfigError, DataflowError
 
@@ -105,10 +104,12 @@ class TestDataflowEquality:
         df.capture(a.reduce(lambda k, acc: [len(acc)]), "out")
         assert df.cluster is None  # forked lazily, at the first step
         df.step({"a": {(1, 1): 1, (2, 2): 1}})
-        assert df.cluster is not None and df.cluster.alive()
         cluster = df.cluster
+        assert cluster is not None
+        assert all(proc.is_alive() for proc in cluster._procs)
         df.close()
-        assert df.cluster is None and not cluster.alive()
+        assert df.cluster is None
+        assert not any(proc.is_alive() for proc in cluster._procs)
         df.close()
 
     def test_invalid_combinations_rejected(self):
@@ -135,15 +136,12 @@ class TestDebugReadsWorkerState:
                  "b": {(k, -k): 1 for k in range(0, 50, 2)}})
         return df
 
-    def test_trace_stats_identical_across_backends(self):
+    def test_record_counts_identical_across_backends(self):
         inline, process = self.stepped("inline"), self.stepped("process")
         try:
-            want = trace_stats(inline)
-            assert {s.name: (s.keys, s.entries) for s in want} == \
-                {"deg": (50, 100), "ab": (50, 75)}
-            assert trace_stats(process) == want
-            assert operator_record_counts(process) == \
-                {s.name: s.entries for s in want}
+            want = operator_record_counts(inline)
+            assert want == {"deg": 100, "ab": 75}
+            assert operator_record_counts(process) == want
         finally:
             process.close()
 

@@ -4,15 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.differential.timestamp import (
-    extend,
-    glb,
-    leq,
-    lt,
-    lub,
-    lub_closure,
-    truncate,
-)
+from repro.differential.timestamp import extend, leq, lt, lub, lub_closure
 
 times2 = st.tuples(st.integers(0, 6), st.integers(0, 6))
 
@@ -44,18 +36,13 @@ class TestLeq:
             assert a == b
 
 
-class TestLubGlb:
+class TestLub:
     def test_lub_componentwise_max(self):
         assert lub((1, 5), (3, 2)) == (3, 5)
-
-    def test_glb_componentwise_min(self):
-        assert glb((1, 5), (3, 2)) == (1, 2)
 
     def test_arity_mismatch_raises(self):
         with pytest.raises(ValueError):
             lub((1,), (1, 2))
-        with pytest.raises(ValueError):
-            glb((1,), (1, 2))
 
     @given(times2, times2)
     def test_lub_is_upper_bound(self, a, b):
@@ -66,11 +53,6 @@ class TestLubGlb:
     def test_lub_is_least(self, a, b, c):
         if leq(a, c) and leq(b, c):
             assert leq(lub(a, b), c)
-
-    @given(times2, times2)
-    def test_lattice_duality(self, a, b):
-        assert lub(glb(a, b), a) == a
-        assert glb(lub(a, b), a) == a
 
 
 class TestClosure:
@@ -94,17 +76,10 @@ class TestClosure:
         assert set(times) <= lub_closure(times)
 
 
-class TestExtendTruncate:
+class TestExtend:
     def test_extend_appends_zero(self):
         assert extend((3,)) == (3, 0)
         assert extend((3, 1), 5) == (3, 1, 5)
-
-    def test_truncate_drops_last(self):
-        assert truncate((3, 1)) == (3,)
-
-    def test_truncate_root_raises(self):
-        with pytest.raises(ValueError):
-            truncate((3,))
 
     def test_strict_order(self):
         assert lt((1, 1), (1, 2))

@@ -101,7 +101,7 @@ class TestTimeSchedule:
         schedule = TimeSchedule()
         schedule.schedule("k", (0, 1))
         assert schedule.tasks_at((0, 1)) == {"k"}
-        assert not schedule.has_pending()
+        assert not list(schedule.pending_times())
 
     def test_lub_closure_scheduling(self):
         schedule = TimeSchedule()

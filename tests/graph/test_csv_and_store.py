@@ -1,12 +1,9 @@
-"""CSV loading/saving round trips and the graph/view stores."""
+"""CSV loading and the graph/view stores."""
 
 import pytest
 
 from repro.errors import SchemaError, StoreError, UnknownGraphError
-from repro.graph.csv_loader import (
-    load_graph_csv,
-    save_graph_csv,
-)
+from repro.graph.csv_loader import load_graph_csv
 from repro.graph.property_graph import PropertyGraph
 from repro.graph.store import GraphStore, ViewStore
 
@@ -35,18 +32,6 @@ class TestCsvLoading:
         assert graph.num_edges == 2
         assert graph.node_property(1, "vip") is True
         assert graph.edges[0].properties["duration"] == 7
-
-    def test_round_trip(self, csv_files, tmp_path):
-        nodes, edges = csv_files
-        graph = load_graph_csv("calls", nodes, edges)
-        out_nodes = tmp_path / "out.nodes.csv"
-        out_edges = tmp_path / "out.edges.csv"
-        save_graph_csv(graph, out_nodes, out_edges)
-        reloaded = load_graph_csv("calls", out_nodes, out_edges)
-        assert reloaded.num_nodes == graph.num_nodes
-        assert reloaded.num_edges == graph.num_edges
-        assert reloaded.nodes[1].properties == graph.nodes[1].properties
-        assert reloaded.edges[1].properties == graph.edges[1].properties
 
     def test_missing_id_column(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -92,19 +77,6 @@ class TestGraphStore:
     def test_unknown_raises(self):
         with pytest.raises(UnknownGraphError):
             GraphStore().get("nope")
-
-    def test_persistence_round_trip(self, csv_files, tmp_path):
-        nodes, edges = csv_files
-        store = GraphStore()
-        store.add(load_graph_csv("calls", nodes, edges))
-        directory = tmp_path / "store"
-        store.save(directory)
-        reloaded = GraphStore.load(directory)
-        assert reloaded.get("calls").num_edges == 2
-
-    def test_load_without_manifest(self, tmp_path):
-        with pytest.raises(StoreError, match="manifest"):
-            GraphStore.load(tmp_path)
 
 
 class TestViewStore:

@@ -31,10 +31,6 @@ class TestEdgeStream:
         stream = EdgeStream([(0, 1, 2, 5), (1, 1, 2, 5)])
         assert stream.as_input_diff() == {(1, (2, 5)): 2}
 
-    def test_vertices(self):
-        stream = EdgeStream([(0, 1, 2, 1), (1, 3, 1, 1)])
-        assert stream.vertices() == {1, 2, 3}
-
 
 class TestEdgeDiffToInput:
     def test_signs_preserved(self):

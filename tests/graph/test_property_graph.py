@@ -48,16 +48,6 @@ class TestQueries:
         with pytest.raises(UnknownPropertyError, match="no property"):
             call_graph.node_property(1, "height")
 
-    def test_out_neighbors(self, call_graph):
-        assert sorted(call_graph.out_neighbors(1)) == [2, 3]
-
-    def test_degree_index_includes_isolated(self):
-        graph = PropertyGraph("g")
-        graph.add_node(1)
-        graph.add_node(2)
-        graph.add_edge(1, 2)
-        assert graph.degree_index() == {1: 1, 2: 0}
-
 
 class TestFilteredViews:
     def test_filter_keeps_matching_edges(self, call_graph):
@@ -78,13 +68,3 @@ class TestFilteredViews:
         view = call_graph.filter_edges(lambda e, s, d: True)
         view.add_edge(1, 2, {"duration": 1, "year": 2000})
         assert view.num_edges == call_graph.num_edges + 1
-
-
-class TestEdgeRecords:
-    def test_default_weight(self, call_graph):
-        records = list(call_graph.edge_records())
-        assert (1, (2, 1)) in records
-
-    def test_weight_from_property(self, call_graph):
-        records = list(call_graph.edge_records(weight="duration"))
-        assert (1, (2, 7)) in records

@@ -69,10 +69,6 @@ class TestSchema:
         with pytest.raises(SchemaError, match="missing property"):
             schema.coerce_row({})
 
-    def test_header_round_trip(self):
-        header = ("city:str", "age:int")
-        assert Schema.from_header(header).header() == header
-
     def test_contains_and_len(self):
         schema = Schema.from_header(["a:int"])
         assert "a" in schema

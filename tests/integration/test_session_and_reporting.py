@@ -1,51 +1,7 @@
-"""Session persistence and experiment reporting."""
+"""Experiment reporting."""
 
-import pytest
-
-from repro import ExecutionMode, Graphsurge
-from repro.algorithms import Wcc
 from repro.bench.harness import ExperimentResult
 from repro.bench.reporting import save_report, to_markdown
-
-
-@pytest.fixture
-def populated_session(call_graph):
-    gs = Graphsurge()
-    gs.add_graph(call_graph)
-    gs.execute("create view y2019 on Calls edges where year = 2019")
-    gs.execute("create view collection hist on Calls "
-               "[a: year <= 2015], [b: year <= 2019]")
-    return gs
-
-
-class TestSessionPersistence:
-    def test_round_trip(self, populated_session, tmp_path):
-        populated_session.save_session(tmp_path / "session")
-        restored = Graphsurge.load_session(tmp_path / "session")
-        assert restored.resolve("Calls").num_edges == 15
-        assert restored.views.get_view("y2019").num_edges == 8
-        collection = restored.views.get_collection("hist")
-        assert collection.num_views == 2
-
-    def test_analytics_after_restore(self, populated_session, tmp_path):
-        populated_session.save_session(tmp_path / "session")
-        restored = Graphsurge.load_session(tmp_path / "session")
-        result = restored.run_analytics(Wcc(), "hist",
-                                        mode=ExecutionMode.DIFF_ONLY,
-                                        keep_outputs=True)
-        original = populated_session.run_analytics(
-            Wcc(), "hist", mode=ExecutionMode.DIFF_ONLY, keep_outputs=True)
-        for left, right in zip(result.views, original.views):
-            assert left.output == right.output
-
-    def test_empty_session(self, tmp_path):
-        gs = Graphsurge()
-        gs.add_graph(__import__("repro.graph.property_graph",
-                                fromlist=["PropertyGraph"]
-                                ).PropertyGraph("empty"))
-        gs.save_session(tmp_path / "s")
-        restored = Graphsurge.load_session(tmp_path / "s")
-        assert "empty" in restored.graphs
 
 
 def sample_rows():

@@ -13,7 +13,6 @@ import pytest
 from repro.algorithms.bfs import Bfs
 from repro.algorithms.wcc import Wcc
 from repro.bench.harness import run_modes
-from repro.bench.reporting import profile_rows, profiles_to_markdown
 from repro.bench.workloads import (
     CSIM_WINDOWS,
     csim_collection,
@@ -161,21 +160,6 @@ class TestBenchIntegration:
         assert traced_result.total_work == plain_result.total_work
         assert traced_result.total_parallel_time == \
             plain_result.total_parallel_time
-
-    def test_profile_rows_and_markdown(self, fig10_collection):
-        traced = run_modes(Wcc, fig10_collection,
-                           modes=(ExecutionMode.DIFF_ONLY,), workers=2,
-                           trace=True)
-        result = traced[ExecutionMode.DIFF_ONLY]
-        rows = profile_rows(result)
-        assert len(rows) == len(result.views)
-        for row, view in zip(rows, result.views):
-            assert row["parallel_time"] == view.parallel_time
-            assert row["critical_path"] == view.parallel_time
-        markdown = profiles_to_markdown(result, title="fig10")
-        assert "### fig10" in markdown
-        assert "| critical_path |" in "\n".join(
-            markdown.splitlines()[:4]) or "critical_path" in markdown
 
     def test_to_rows_reports_slowest_view(self, fig10_collection):
         from repro.bench.harness import to_rows

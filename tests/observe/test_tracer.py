@@ -126,7 +126,7 @@ class TestTraceSink:
 
     def test_spans_carry_epoch(self):
         sink = sink_with_one_step()
-        spans = list(sink.spans())
+        spans = [span for step in sink.steps for span in step.spans()]
         assert {s.epoch for s in spans} == {0}
         assert sum(s.units for s in spans) == 14
 

@@ -147,6 +147,33 @@ class TestRun:
         assert response.status == 404
         assert response.payload["error"] == "unknown-graph"
 
+    def test_client_errors_do_not_open_the_breaker(self, app):
+        """Breakers guard repeated compute failures; a request naming an
+        unknown target is the caller's error, not the computation's."""
+        for index in range(app.breakers.failure_threshold):
+            response = run(call(app, "POST", "/run", {
+                "computation": "wcc", "target": f"nosuch-{index}"}))
+            assert response.status == 404
+        assert run(call(app, "POST", "/run", RUN_WCC)).status == 200
+
+    def test_failed_fills_leave_no_locks(self, app):
+        """A fill that raises stores nothing, so it must not leave its
+        single-flight lock behind: the lock table stays bounded by the
+        entries however many distinct requests fail."""
+        async def scenario():
+            for index in range(app.cache.capacity + 44):
+                await call(app, "POST", "/run", {
+                    "computation": "wcc", "target": f"nosuch-{index}"})
+            # Concurrent identical failures share one lock and drop it.
+            return await asyncio.gather(*(call(app, "POST", "/run", {
+                "computation": "wcc", "target": "nosuch"})
+                for _ in range(4)))
+
+        responses = run(scenario())
+        assert len(app.cache._locks) == 0
+        assert len(app.cache) == 0
+        assert [r.status for r in responses] == [404] * 4
+
     def test_work_budget_exhaustion_is_503(self, app):
         response = run(call(app, "POST", "/run",
                             dict(RUN_WCC, max_work=1)))

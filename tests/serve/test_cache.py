@@ -37,7 +37,7 @@ class TestLookup:
         state, entry = cache.lookup("k", 1)
         assert state == "fresh"
         assert entry.value == {"v": 1}
-        assert cache.fills_for("k") == 2
+        assert entry.fills == 2
         assert cache.stats.fills == 2
 
 
@@ -57,13 +57,6 @@ class TestEviction:
         with pytest.raises(ConfigError):
             ResultCache(capacity=0)
 
-    def test_invalidate_all(self):
-        cache = ResultCache()
-        cache.store("a", 1, epoch=0)
-        cache.store("b", 2, epoch=0)
-        assert cache.invalidate_all() == 2
-        assert cache.lookup("a", 0) == ("miss", None)
-
 
 class TestSingleFlight:
     def test_lock_is_per_key_and_stable(self):
@@ -71,6 +64,28 @@ class TestSingleFlight:
             cache = ResultCache()
             assert cache.lock_for("k") is cache.lock_for("k")
             assert cache.lock_for("k") is not cache.lock_for("other")
+
+        asyncio.run(scenario())
+
+    def test_failed_fill_drops_the_lock_after_its_last_waiter(self):
+        async def fill(cache, key, value, entered):
+            async with cache.single_flight(key):
+                entered.append(cache.lock_for(key))
+                await asyncio.sleep(0)
+                if value is not None:
+                    cache.store(key, value, epoch=0)
+
+        async def scenario():
+            cache = ResultCache()
+            entered = []
+            await asyncio.gather(fill(cache, "k", None, entered),
+                                 fill(cache, "k", None, entered))
+            # The waiter still found the first fill's lock: it is dropped
+            # only after the last request on it leaves.
+            assert len(entered) == 2 and entered[0] is entered[1]
+            assert cache._locks == {}
+            await fill(cache, "stored", 1, entered)
+            assert list(cache._locks) == ["stored"]
 
         asyncio.run(scenario())
 

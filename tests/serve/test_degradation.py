@@ -55,7 +55,7 @@ def faulty_app(call_graph, plan: FaultPlan, *, retries: int,
 
 def fail_from_now_on(plan: FaultPlan, horizon: int = 1_000_000) -> None:
     """Every operator invocation from the current counter on will raise."""
-    start = plan.invocations("operator")
+    start = plan._counters["operator"]
     plan.specs.append(
         FaultSpec("operator", tuple(range(start, start + horizon))))
 

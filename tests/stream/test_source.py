@@ -8,7 +8,6 @@ from repro.stream import (
     StreamBatch,
     batches_from_collection,
     churn_batches,
-    cumulative_batches,
     replay_batches,
     sliding_batches,
 )
@@ -33,7 +32,6 @@ class TestStreamBatch:
         assert batch.appends == ((1, 2, 1),)
         assert batch.retracts == ((3, 4, 2),)
         assert batch.size == 2
-        assert not batch.is_empty()
 
     def test_record_roundtrip(self):
         batch = StreamBatch(appends=((1, 2, 1), (2, 3, 5)),
@@ -41,7 +39,6 @@ class TestStreamBatch:
         assert StreamBatch.from_record(batch.to_record()) == batch
 
     def test_empty(self):
-        assert StreamBatch().is_empty()
         assert StreamBatch().size == 0
 
 
@@ -124,10 +121,6 @@ class TestWindows:
             sliding_batches(base, width=1)
         with pytest.raises(ConfigError, match="width"):
             sliding_batches([], width=0)
-
-    def test_cumulative_is_identity(self):
-        base = [StreamBatch(appends=((1, 2, 1),)), StreamBatch()]
-        assert cumulative_batches(base) == base
 
 
 class TestBatchesFromCollection:

@@ -5,12 +5,16 @@ runnable script inside the package. So ``src/repro`` has exactly two
 ``__main__`` entry points, every ``make <target>`` that CI runs is defined
 in the Makefile, and every ``-m repro.…`` module that the Makefile, CI,
 README or docs run can be found. Deleting a module while a command still
-names it fails here, not in CI or in a reader's shell.
+names it fails here, not in CI or in a reader's shell. Likewise every
+backticked ``repro.…`` name in the docs must resolve, and every CI job that
+runs python against the repo must install its declared dependencies.
 """
 
 import importlib.util
 import re
 from pathlib import Path
+
+from tests.test_source_lint import declared_dependencies
 
 ROOT = Path(__file__).resolve().parents[1]
 CI = ROOT / ".github" / "workflows" / "ci.yml"
@@ -18,6 +22,8 @@ MAIN_GUARD = re.compile(r"^if __name__ == ['\"]__main__['\"]:", re.MULTILINE)
 MAKE_TARGET = re.compile(r"^([\w-]+):", re.MULTILINE)
 MAKE_CALL = re.compile(r"\bmake ([\w-]+)")
 RUN_MODULE = re.compile(r"-m (repro(?:\.\w+)*)")
+RUN_KEY = re.compile(r"\s*(?:- )?run: (.*?)\s*$")
+DOC_NAME = re.compile(r"`(repro(?:\.\w+)+)")
 
 
 def runnable(module):
@@ -56,9 +62,137 @@ def test_named_modules_are_runnable():
     assert not missing, "\n".join(missing)
 
 
+def resolves(dotted):
+    """Import the longest importable module prefix of ``dotted`` and
+    ``getattr`` the rest."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            value = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attribute in parts[cut:]:
+            if not hasattr(value, attribute):
+                return False
+            value = getattr(value, attribute)
+        return True
+    return False
+
+
+def test_documented_names_resolve():
+    """Every backticked ``repro.…`` name in the prose docs exists, so a
+    deletion cannot leave a dangling reference behind."""
+    docs = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md",
+            *sorted((ROOT / "docs").glob("*.md"))]
+    dangling = [f"{path.relative_to(ROOT)}: {name}" for path in docs
+                for name in DOC_NAME.findall(path.read_text())
+                if not resolves(name)]
+    assert not dangling, "\n".join(dangling)
+
+
 def test_rule_flags_a_deleted_module():
     makefile = ("paper:\n\t$(PYTHON) -m repro.bench all\n"
                 "serve-smoke:\n\t$(PYTHON) -m repro.serve.smoke\n"
                 "x:\n\tpython -m repro.cli fuzz; python -m repro.verify\n")
     assert unrunnable_modules(makefile) == ["repro.serve.smoke",
                                             "repro.verify"]
+
+
+def make_rules(makefile):
+    """``{target: (prerequisites, recipe)}`` of a Makefile."""
+    return {match[1]: (match[2].split(), match[3]) for match in re.finditer(
+        r"^([\w-]+):([^=\n]*)\n((?:\t.*\n?)*)", makefile, re.MULTILINE)}
+
+
+def ci_jobs(workflow):
+    """``{job id: [run command lines]}`` of a GitHub Actions workflow."""
+    jobs, job, block = {}, None, None
+    for line in workflow.splitlines():
+        indent = len(line) - len(line.lstrip())
+        if block is not None and (not line.strip() or indent > block):
+            if line.strip():
+                jobs[job].append(line.strip())
+            continue
+        block = None
+        if re.fullmatch(r"  [\w-]+:", line):
+            job = line.strip()[:-1]
+            jobs[job] = []
+        elif job is not None and (run := RUN_KEY.match(line)):
+            if run[1] in ("|", ">"):
+                block = indent
+            else:
+                jobs[job].append(run[1])
+    return jobs
+
+
+def runs_python(command, rules):
+    """The command starts the interpreter on the repo: ``python …`` that
+    is no pip call, or a make target whose recipe (or a prerequisite's)
+    runs ``$(PYTHON)``."""
+    if "pip install" in command:
+        return False
+    if re.search(r"\bpython3?\b", command):
+        return True
+
+    def target_runs_python(target):
+        prerequisites, recipe = rules.get(target, ((), ""))
+        return "$(PYTHON)" in recipe or any(
+            target_runs_python(name) for name in prerequisites)
+
+    return any(target_runs_python(target)
+               for target in MAKE_CALL.findall(command))
+
+
+def installs(command, declared):
+    """The command installs the package, or names every declared
+    runtime dependency."""
+    if "pip install" not in command:
+        return False
+    words = command.split("pip install", 1)[1].split()
+    if "." in words:
+        return True
+    named = {re.split(r"[<>=!~\[; ]", word.strip("'\""))[0].lower()
+             .replace("-", "_") for word in words}
+    return declared <= named
+
+
+def jobs_missing_dependencies(workflow, makefile, config):
+    declared = declared_dependencies(config)
+    rules = make_rules(makefile)
+    return sorted(job for job, commands in ci_jobs(workflow).items()
+                  if any(runs_python(command, rules) for command in commands)
+                  and not any(installs(command, declared)
+                              for command in commands))
+
+
+def test_ci_jobs_that_run_python_install_the_dependencies():
+    """A fresh runner has no numpy: every job that imports repro must
+    install the package (or its declared dependencies) first."""
+    missing = jobs_missing_dependencies(
+        CI.read_text(), (ROOT / "Makefile").read_text(),
+        (ROOT / "pyproject.toml").read_text())
+    assert not missing, f"CI jobs run python without numpy: {missing}"
+
+
+def test_dependency_rule_reads_jobs_and_make_recipes():
+    makefile = ("PYTHON ?= python\nverify: fuzz\n\techo\n"
+                "fuzz:\n\t$(PYTHON) -m repro.cli fuzz\n"
+                "lint:\n\truff check src\n")
+    workflow = ("jobs:\n"
+                "  bare:\n    steps:\n      - run: make verify\n"
+                "  ruff:\n    steps:\n"
+                "      - run: python -m pip install ruff\n"
+                "      - run: make lint\n"
+                "  listed:\n    steps:\n"
+                "      - run: python -m pip install \"numpy>=2.0\" pytest\n"
+                "      - run: PYTHONPATH=src python -m pytest\n"
+                "  editable:\n    steps:\n"
+                "      - run: python -m pip install -e .\n"
+                "      - name: smoke\n        run: |\n"
+                "          python -c 'import repro'\n"
+                "  script:\n    steps:\n"
+                "      - run: |\n          echo start\n"
+                "          PYTHONPATH=src python3 bench.py\n")
+    config = '[project]\ndependencies = [\n    "numpy>=2.0",\n]\n'
+    assert jobs_missing_dependencies(workflow, makefile, config) == [
+        "bare", "script"]

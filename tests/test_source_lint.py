@@ -11,7 +11,10 @@ The set of third-party top-level modules src/repro imports must equal the
 declared runtime dependencies, so neither side drifts. And a computation
 request is parsed only by the name table: outside it, no module spells the
 list parameters ``"pairs"``/``"seeds"`` (bar the two algorithms taking them
-and the fuzzer's samplers) or reads ``NAMES``/``PARAM_TYPES``.
+and the fuzzer's samplers) or reads ``NAMES``/``PARAM_TYPES``. Finally, no
+def under src/repro is reached only by tests: each needs a live caller in
+the package, perf/, examples/ or benchmarks/, bar the test oracles listed
+in ``ORACLES`` (see docs/verification.md).
 """
 
 import ast
@@ -219,3 +222,183 @@ def test_request_rule_flags_copies():
               'doc = "seeds and pairs"\n')
     assert list(request_parsing_copies(source)) == [
         (1, "NAMES"), (2, "PARAM_TYPES"), (3, "'pairs'")]
+
+
+#: Oracles: checks and references the tests compare the engine against.
+#: Nothing in the program calls them, and moving them under tests/ would
+#: reduce nothing, so they stay where they are. Every other def under
+#: src/repro needs a live caller.
+ORACLES = {
+    "repro.differential.debug.check_consistency":
+        "re-derives each reduce's output from its input trace",
+    "repro.differential.debug.check_consolidated":
+        "the no-zero-multiplicity invariant behind multiset.is_empty",
+    "repro.differential.debug._require_local_state":
+        "the two checkers' refusal to scan a live process cluster",
+    "repro.differential.trace.KeyTrace.check_cache":
+        "the cached accumulation against a scan of the entries",
+    "repro.differential.timestamp.lub_closure":
+        "TimeSchedule's reference for the closure of input times",
+    "repro.observe.export.validate_chrome_trace":
+        "the schema the exported Chrome traces are checked against",
+    "repro.core.diff_stream.accumulate_view":
+        "rebuilds a view from the difference stream for the EBM tests",
+    "repro.core.ordering.christofides.tour_length":
+        "the tour cost the 1.5x Christofides bound test compares",
+}
+#: Where code outside the package keeps a def alive (tests/ never does).
+ENTRY_POINTS = ("perf", "examples", "benchmarks")
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def skipped_strings(tree):
+    """Docstrings and ``__all__`` entries: strings that name no caller."""
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, *DEFS)) and node.body:
+            first = node.body[0]
+            if (isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)):
+                skip.add(id(first.value))
+        elif isinstance(node, (ast.Assign, ast.AugAssign)) and exported(node):
+            skip.update(id(sub) for sub in ast.walk(node.value))
+    return skip
+
+
+class References(ast.NodeVisitor):
+    """The defs of one module and the names its code references.
+
+    ``defs`` maps a def's qualified name to ``(name, enclosing def,
+    is_method)``; ``refs`` holds ``(name, kind, owner)`` per reference,
+    ``owner`` being the innermost enclosing def (``None`` at module level)
+    and ``kind`` one of ``name``, ``attr`` and ``str``. A def's decorators,
+    arguments and bases belong to its own body. Imports reference nothing.
+    """
+
+    def __init__(self, module, tree):
+        self.module, self.owner = module, None
+        self.defs, self.refs, self.classes = {}, [], set()
+        self.skip = skipped_strings(tree)
+        self.visit(tree)
+
+    def visit_def(self, node):
+        parent = self.owner
+        qualname = f"{parent or self.module}.{node.name}"
+        self.defs[qualname] = (node.name, parent, parent in self.classes)
+        if isinstance(node, ast.ClassDef):
+            self.classes.add(qualname)
+        self.owner = qualname
+        self.generic_visit(node)
+        self.owner = parent
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = visit_def
+
+    def visit_Import(self, node):
+        pass
+
+    visit_ImportFrom = visit_Import
+
+    def visit_Name(self, node):
+        self.refs.append((node.id, "name", self.owner))
+
+    def visit_Attribute(self, node):
+        self.refs.append((node.attr, "attr", self.owner))
+        self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        if (isinstance(node.value, str) and node.value.isidentifier()
+                and id(node) not in self.skip):
+            self.refs.append((node.value, "str", self.owner))
+
+
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def dead_defs(package, entry_points):
+    """Qualified names of the defs in ``package`` (``{module: source}``)
+    that no live code references, given the sources of the entry points.
+
+    Module-level code of the package and every line of an entry point are
+    live. A def turns live when a live body references its name, not from
+    inside the def itself; a method needs an attribute or string reference
+    (a bare name there is a local, not the method) unless the reference
+    sits in its own class body. Dunders live with their class.
+    """
+    defs, by_owner, by_name = {}, {}, {}
+    for module, source in package.items():
+        found = References(module, ast.parse(source))
+        defs.update(found.defs)
+        for name, kind, owner in found.refs:
+            by_owner.setdefault(owner, []).append((name, kind))
+    for source in entry_points:
+        for name, kind, _owner in References("", ast.parse(source)).refs:
+            by_owner.setdefault(None, []).append((name, kind))
+    dunders = {}
+    for qualname, (name, parent, _method) in defs.items():
+        by_name.setdefault(name, []).append(qualname)
+        if is_dunder(name):
+            dunders.setdefault(parent, []).append(qualname)
+    live = set()
+    pending = [None]
+    while pending:
+        owner = pending.pop()
+        if owner is not None:
+            if owner in live:
+                continue
+            live.add(owner)
+        pending.extend(dunders.get(owner, ()))
+        for name, kind in by_owner.get(owner, ()):
+            for target in by_name.get(name, ()):
+                _name, parent, is_method = defs[target]
+                inside = owner is not None and (
+                    owner == target or owner.startswith(target + "."))
+                if (target in live or inside
+                        or (is_method and kind == "name" and owner != parent)):
+                    continue
+                pending.append(target)
+    return sorted(set(defs) - live)
+
+
+def package_sources():
+    package = ROOT / "src"
+    return {".".join(path.relative_to(package).with_suffix("").parts)
+            .removesuffix(".__init__"): path.read_text()
+            for path in sorted((package / "repro").rglob("*.py"))}
+
+
+def test_every_def_has_a_live_caller():
+    """A def under src/repro stays only while the CLI, the experiments,
+    perf/, an example, a benchmark or another live def references it;
+    ORACLES lists the exceptions, and only defs that need the exception."""
+    entry_points = [path.read_text() for directory in ENTRY_POINTS
+                    for path in sorted((ROOT / directory).glob("*.py"))]
+    dead = dead_defs(package_sources(), entry_points)
+    callerless = [name for name in dead if name not in ORACLES]
+    assert not callerless, (
+        "defs only tests reach (delete them, or list a test oracle in "
+        "ORACLES):\n" + "\n".join(callerless))
+    stale = sorted(set(ORACLES) - set(dead))
+    assert not stale, f"ORACLES entries that are live or gone: {stale}"
+
+
+def test_dead_def_rule_flags_planted_defs():
+    module = ('"""Docstring naming planted."""\n'
+              "__all__ = ['planted']\n"
+              "def used():\n    return helper()\n"
+              "def helper():\n    return 1\n"
+              "def planted():\n    return planted() + unused_helper()\n"
+              "def unused_helper():\n    return 2\n"
+              "def by_string():\n    return 3\n"
+              "class Shape:\n"
+              "    def __init__(self):\n        self.area = 0\n"
+              "    def area(self):\n        return 1\n"
+              "    def perimeter(self):\n        return 2\n"
+              "    def outline(self):\n        perimeter = 1\n"
+              "        return perimeter\n"
+              "TABLE = {'by_string': 1}\n")
+    entry = ("from pkg.mod import used, planted\n"
+             "used()\nShape().outline()\n")
+    assert dead_defs({"pkg.mod": module}, [entry]) == [
+        "pkg.mod.Shape.perimeter", "pkg.mod.planted",
+        "pkg.mod.unused_helper"]

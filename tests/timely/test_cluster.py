@@ -78,13 +78,13 @@ class TestClusterExchange:
     def test_task_round_trip_and_close(self):
         cluster = make_cluster()
         try:
-            assert cluster.alive()
+            assert all(proc.is_alive() for proc in cluster._procs)
             replies = cluster.run_tasks(0, "hdr", [("a", 1), ("b", 2)])
             assert replies == {"a": ((1,), ("hdr", None, 1)),
                                "b": ((1,), ("hdr", None, 2))}
         finally:
             cluster.close()
-        assert not cluster.alive()
+        assert not any(proc.is_alive() for proc in cluster._procs)
         cluster.close()  # idempotent
 
     def test_updates_land_before_tasks(self):

@@ -81,13 +81,6 @@ class TestWorkMeter:
         delta = first.delta(meter.snapshot())
         assert delta.total_work == 7
 
-    def test_reset(self):
-        meter = WorkMeter()
-        meter.record("k", 5)
-        meter.reset()
-        assert meter.total_work == 0
-        assert meter.parallel_time == 0
-
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
             WorkMeter(workers=0)
