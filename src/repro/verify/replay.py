@@ -118,7 +118,7 @@ def load_repro(path: PathLike) -> ReproFile:
             shrink_info=dict(payload.get("shrink_info", {})),
             analysis=payload.get("analysis"),
         )
-    except (KeyError, TypeError, ValueError) as error:
+    except (KeyError, TypeError, ValueError, AttributeError) as error:
         raise StoreError(f"malformed repro file {path}: "
                          f"{type(error).__name__}: {error}") from None
 

@@ -22,7 +22,9 @@ from repro.algorithms.bellman_ford import BellmanFord
 from repro.algorithms.bfs import Bfs
 from repro.algorithms.mpsp import Mpsp
 from repro.algorithms.pagerank import PageRank
+from repro.algorithms.ppr import PersonalizedPageRank
 from repro.algorithms.scc import Scc
+from repro.algorithms.scoring import CompositeScore
 from repro.algorithms.wcc import Wcc
 from repro.differential import Dataflow
 from repro.differential.operators.arrange import (
@@ -52,6 +54,8 @@ ALGORITHMS = [
     BellmanFord(source=0),
     Mpsp([(0, 5), (1, 4)]),
     PageRank(iterations=3),
+    PersonalizedPageRank([0], iterations=3),
+    CompositeScore(iterations=3),
     Scc(),
 ]
 

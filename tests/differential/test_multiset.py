@@ -40,11 +40,50 @@ class TestAddInto:
             assert target.get(key, 0) == expected
         assert 0 not in target.values()
 
+    @given(diffs, diffs)
+    def test_commutative(self, a, b):
+        assert add_into(dict(a), b) == add_into(dict(b), a)
+
+    @given(diffs, diffs, diffs)
+    def test_associative(self, a, b, c):
+        left = add_into(add_into(dict(a), b), c)
+        right = add_into(dict(a), add_into(dict(b), c))
+        assert left == right
+
+    def test_returns_the_target(self):
+        target = {"a": 1}
+        assert add_into(target, {"b": 1}) is target
+
+    def test_consolidate_is_in_place(self):
+        diff = {"a": 0, "b": 1}
+        assert consolidate(diff) is diff
+        assert diff == {"b": 1}
+
 
 class TestNegate:
     @given(diffs)
     def test_negate_twice_is_identity(self, a):
         assert negate(negate(a)) == a
+
+    @given(diffs)
+    def test_negation_is_the_additive_inverse(self, a):
+        assert add_into(dict(a), negate(a)) == {}
+
+    @given(diffs, diffs)
+    def test_factor_minus_one_adds_the_negation(self, a, b):
+        assert add_into(dict(a), b, factor=-1) == add_into(dict(a), negate(b))
+
+    @given(diffs, diffs)
+    def test_subtract_then_add_back(self, a, b):
+        result = add_into(dict(a), b, factor=-1)
+        add_into(result, b)
+        assert result == consolidate(dict(a))
+
+    @given(diffs)
+    def test_negation_keeps_size_and_leaves_input_alone(self, a):
+        before = dict(a)
+        assert size(negate(a)) == size(a)
+        assert a == before
 
 
 class TestPredicates:

@@ -35,6 +35,10 @@ class TestLeq:
         if leq(a, b) and leq(b, a):
             assert a == b
 
+    @given(times2)
+    def test_reflexivity(self, a):
+        assert leq(a, a)
+
 
 class TestLub:
     def test_lub_componentwise_max(self):
@@ -53,6 +57,23 @@ class TestLub:
     def test_lub_is_least(self, a, b, c):
         if leq(a, c) and leq(b, c):
             assert leq(lub(a, b), c)
+
+    @given(times2, times2)
+    def test_lub_is_commutative(self, a, b):
+        assert lub(a, b) == lub(b, a)
+
+    @given(times2, times2, times2)
+    def test_lub_is_associative(self, a, b, c):
+        assert lub(lub(a, b), c) == lub(a, lub(b, c))
+
+    @given(times2)
+    def test_lub_is_idempotent(self, a):
+        assert lub(a, a) == a
+
+    @given(times2, times2)
+    def test_lub_of_ordered_pair_is_the_larger(self, a, b):
+        if leq(a, b):
+            assert lub(a, b) == b
 
 
 class TestClosure:
@@ -84,3 +105,11 @@ class TestExtend:
     def test_strict_order(self):
         assert lt((1, 1), (1, 2))
         assert not lt((1, 1), (1, 1))
+
+    @given(times2, times2)
+    def test_lt_is_leq_without_equality(self, a, b):
+        assert lt(a, b) == (leq(a, b) and a != b)
+
+    @given(times2, times2, st.integers(0, 6))
+    def test_extend_preserves_the_order(self, a, b, inner):
+        assert leq(extend(a, inner), extend(b, inner)) == leq(a, b)

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import SchemaError, StoreError, UnknownGraphError
 from repro.graph.csv_loader import load_graph_csv
 from repro.graph.property_graph import PropertyGraph
+from repro.graph.schema import Schema
 from repro.graph.store import GraphStore, ViewStore
 
 
@@ -59,6 +60,43 @@ class TestCsvLoading:
         with pytest.raises(SchemaError, match="empty"):
             load_graph_csv("g", empty, empty)
 
+    def test_headers_declare_the_schemas(self, csv_files):
+        graph = load_graph_csv("calls", *csv_files)
+        assert graph.node_schema == Schema.from_header(["city:str",
+                                                        "vip:bool"])
+        assert graph.edge_schema == Schema.from_header(["duration:int"])
+
+    def test_blank_lines_are_skipped(self, csv_files):
+        nodes, edges = csv_files
+        edges.write_text("src,dst,duration:int\n\n1,2,7\n\n")
+        assert load_graph_csv("calls", nodes, edges).num_edges == 1
+
+    def test_edges_get_sequential_ids_in_file_order(self, csv_files):
+        graph = load_graph_csv("calls", *csv_files)
+        assert [(e.id, e.src, e.dst) for e in graph.edges] == [
+            (0, 1, 2), (1, 2, 3)]
+
+    def test_edge_to_unknown_node_rejected(self, csv_files, tmp_path):
+        nodes, _ = csv_files
+        bad = tmp_path / "bad_edges.csv"
+        bad.write_text("src,dst,duration:int\n1,9,7\n")
+        with pytest.raises(SchemaError, match="unknown destination node 9"):
+            load_graph_csv("g", nodes, bad)
+
+    def test_duplicate_node_id_rejected(self, csv_files, tmp_path):
+        _, edges = csv_files
+        bad = tmp_path / "bad_nodes.csv"
+        bad.write_text("id,city:str,vip:bool\n1,LA,true\n1,NY,false\n")
+        with pytest.raises(SchemaError, match="duplicate node id 1"):
+            load_graph_csv("g", bad, edges)
+
+    def test_badly_typed_value_rejected(self, csv_files, tmp_path):
+        nodes, _ = csv_files
+        bad = tmp_path / "bad_edges.csv"
+        bad.write_text("src,dst,duration:int\n1,2,long\n")
+        with pytest.raises(SchemaError, match="as int"):
+            load_graph_csv("g", nodes, bad)
+
 
 class TestGraphStore:
     def test_add_get(self):
@@ -67,6 +105,13 @@ class TestGraphStore:
         store.add(graph)
         assert store.get("g") is graph
         assert "g" in store
+
+    def test_add_under_another_name(self):
+        store = GraphStore()
+        store.add(PropertyGraph("g"), name="alias")
+        store.add(PropertyGraph("h"))
+        assert list(store.names()) == ["alias", "h"]
+        assert "g" not in store
 
     def test_duplicate_rejected(self):
         store = GraphStore()
@@ -100,3 +145,11 @@ class TestViewStore:
             store.get_collection("v")
         with pytest.raises(UnknownGraphError):
             store.get_view("missing")
+
+    def test_names_in_insertion_order(self):
+        store = ViewStore()
+        store.add_view("v2", PropertyGraph("v2"))
+        store.add_collection("c", object())
+        store.add_view("v1", PropertyGraph("v1"))
+        assert list(store.view_names()) == ["v2", "v1"]
+        assert list(store.collection_names()) == ["c"]

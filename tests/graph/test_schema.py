@@ -25,7 +25,8 @@ class TestPropertyType:
     @pytest.mark.parametrize("raw,expected", [
         ("true", True), ("True", True), ("1", True), ("yes", True),
         ("false", False), ("0", False), ("no", False), (True, True),
-        (False, False),
+        (False, False), ("t", True), ("f", False), (" TRUE ", True),
+        ("No", False),
     ])
     def test_bool_coercion(self, raw, expected):
         assert PropertyType.BOOL.coerce(raw) is expected
@@ -74,3 +75,10 @@ class TestSchema:
         assert "a" in schema
         assert "b" not in schema
         assert len(schema) == 1
+
+    def test_equality_compares_names_and_types(self):
+        schema = Schema.from_header(["a:int", "b"])
+        assert schema == Schema({"a": PropertyType.INT,
+                                 "b": PropertyType.STRING})
+        assert schema != Schema.from_header(["a:str", "b"])
+        assert schema != {"a": PropertyType.INT, "b": PropertyType.STRING}

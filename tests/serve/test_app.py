@@ -174,6 +174,40 @@ class TestRun:
         assert len(app.cache) == 0
         assert [r.status for r in responses] == [404] * 4
 
+    def test_client_errors_record_no_breaker_failure(self, app):
+        for _ in range(2):
+            run(call(app, "POST", "/run",
+                     {"computation": "wcc", "target": "nosuch"}))
+        breaker = app.breakers.get("wcc")
+        assert breaker.total_failures == 0
+        assert breaker.consecutive_failures == 0
+
+    def test_compute_failures_still_open_the_breaker(self, app):
+        """A 5xx (here a blown work budget) is a compute failure: the
+        threshold-th one trips the breaker for every later request."""
+        for _ in range(app.breakers.failure_threshold):
+            response = run(call(app, "POST", "/run",
+                                dict(RUN_WCC, max_work=1)))
+            assert response.status == 503
+            assert response.payload["error"] == "budget-exhausted"
+        tripped = run(call(app, "POST", "/run", RUN_WCC))
+        assert tripped.status == 503
+        assert tripped.payload["error"] == "circuit-open"
+
+    def test_a_success_after_client_errors_keeps_the_breaker_closed(
+            self, app):
+        run(call(app, "POST", "/run",
+                 {"computation": "wcc", "target": "nosuch"}))
+        assert run(call(app, "POST", "/run", RUN_WCC)).status == 200
+        breaker = app.breakers.get("wcc")
+        assert breaker.total_successes == 1
+        assert breaker.times_opened == 0
+
+    def test_successful_fill_keeps_its_lock_for_the_entry(self, app):
+        run(call(app, "POST", "/run", RUN_WCC))
+        assert len(app.cache) == 1
+        assert len(app.cache._locks) == 1
+
     def test_work_budget_exhaustion_is_503(self, app):
         response = run(call(app, "POST", "/run",
                             dict(RUN_WCC, max_work=1)))

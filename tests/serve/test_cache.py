@@ -89,6 +89,47 @@ class TestSingleFlight:
 
         asyncio.run(scenario())
 
+    def test_fill_that_raises_drops_its_lock(self):
+        async def scenario():
+            cache = ResultCache()
+            with pytest.raises(RuntimeError):
+                async with cache.single_flight("k"):
+                    raise RuntimeError("fill failed")
+            assert cache._locks == {}
+            assert cache._holders == {}
+
+        asyncio.run(scenario())
+
+    def test_fills_of_one_key_stay_serialized(self):
+        """Dropping idle locks must not break single flight: a second
+        request on the key enters only after the first has left."""
+        async def fill(cache, events, name):
+            async with cache.single_flight("k"):
+                events.append(f"{name} in")
+                await asyncio.sleep(0)
+                await asyncio.sleep(0)
+                events.append(f"{name} out")
+
+        async def scenario():
+            cache = ResultCache()
+            events = []
+            await asyncio.gather(*(fill(cache, events, name)
+                                   for name in "abc"))
+            return events
+
+        events = asyncio.run(scenario())
+        assert events == ["a in", "a out", "b in", "b out", "c in", "c out"]
+
+    def test_evicted_entry_takes_its_lock_along(self):
+        async def scenario():
+            cache = ResultCache(capacity=1)
+            for key in ("a", "b"):
+                async with cache.single_flight(key):
+                    cache.store(key, key, epoch=0)
+            return sorted(cache._locks)
+
+        assert asyncio.run(scenario()) == ["b"]
+
 
 class TestPayload:
     def test_to_payload_shape(self):

@@ -14,6 +14,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+import pytest
+
 from tests.test_source_lint import declared_dependencies
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -79,15 +81,31 @@ def resolves(dotted):
     return False
 
 
-def test_documented_names_resolve():
+DOCS = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md",
+        *sorted((ROOT / "docs").glob("*.md"))]
+
+
+@pytest.mark.parametrize("path", DOCS,
+                         ids=lambda path: path.relative_to(ROOT).as_posix())
+def test_documented_names_resolve(path):
     """Every backticked ``repro.…`` name in the prose docs exists, so a
     deletion cannot leave a dangling reference behind."""
-    docs = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md",
-            *sorted((ROOT / "docs").glob("*.md"))]
-    dangling = [f"{path.relative_to(ROOT)}: {name}" for path in docs
-                for name in DOC_NAME.findall(path.read_text())
-                if not resolves(name)]
-    assert not dangling, "\n".join(dangling)
+    dangling = sorted({name for name in DOC_NAME.findall(path.read_text())
+                       if not resolves(name)})
+    assert not dangling, f"{path.relative_to(ROOT)}: {dangling}"
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("repro.algorithms", True),
+    ("repro.algorithms.Wcc", True),
+    ("repro.core.persistence.atomic_write_bytes", True),
+    ("repro.differential.trace.KeyTrace.check_cache", True),
+    ("repro.graph.validation", False),
+    ("repro.differential.debug.to_dot", False),
+    ("repro.algorithms.Wcc.no_such_method", False),
+])
+def test_resolves_imports_the_module_then_walks_attributes(name, expected):
+    assert resolves(name) is expected
 
 
 def test_rule_flags_a_deleted_module():
@@ -107,7 +125,10 @@ def make_rules(makefile):
 def ci_jobs(workflow):
     """``{job id: [run command lines]}`` of a GitHub Actions workflow."""
     jobs, job, block = {}, None, None
-    for line in workflow.splitlines():
+    lines = workflow.splitlines()
+    if "jobs:" in lines:
+        lines = lines[lines.index("jobs:"):]
+    for line in lines:
         indent = len(line) - len(line.lstrip())
         if block is not None and (not line.strip() or indent > block):
             if line.strip():
@@ -196,3 +217,35 @@ def test_dependency_rule_reads_jobs_and_make_recipes():
     config = '[project]\ndependencies = [\n    "numpy>=2.0",\n]\n'
     assert jobs_missing_dependencies(workflow, makefile, config) == [
         "bare", "script"]
+
+
+def runs_python_before_installing(commands, declared, rules):
+    """A command starts python on the repo before any command has
+    installed the package or its declared dependencies."""
+    for command in commands:
+        if installs(command, declared):
+            return False
+        if runs_python(command, rules):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("job", sorted(ci_jobs(CI.read_text())))
+def test_ci_job_installs_before_it_runs_python(job):
+    """Order matters too: a step that imports repro before the install
+    step fails on a fresh runner even though the job installs later."""
+    commands = ci_jobs(CI.read_text())[job]
+    assert not runs_python_before_installing(
+        commands, declared_dependencies((ROOT / "pyproject.toml").read_text()),
+        make_rules((ROOT / "Makefile").read_text())), (
+        f"{job} runs python before installing the package: {commands}")
+
+
+def test_ordering_rule_flags_an_install_after_use():
+    rules = make_rules("PYTHON ?= python\nfuzz:\n\t$(PYTHON) -m repro.cli\n")
+    declared = {"numpy"}
+    late = ["make fuzz", "python -m pip install -e ."]
+    early = ["python -m pip install -e .", "make fuzz"]
+    assert runs_python_before_installing(late, declared, rules)
+    assert not runs_python_before_installing(early, declared, rules)
+    assert not runs_python_before_installing(["echo hi"], declared, rules)

@@ -402,3 +402,65 @@ def test_dead_def_rule_flags_planted_defs():
     assert dead_defs({"pkg.mod": module}, [entry]) == [
         "pkg.mod.Shape.perimeter", "pkg.mod.planted",
         "pkg.mod.unused_helper"]
+
+
+#: One rule of the scan per case: ``(module source, entry-point source,
+#: the defs the scan must report dead)``. The module is ``pkg.mod``.
+SCAN_CASES = {
+    "entry-point-call-keeps-live": (
+        "def run():\n    return 1\n", "run()\n", []),
+    "uncalled-def-is-dead": (
+        "def run():\n    return 1\n", "", ["pkg.mod.run"]),
+    "live-body-keeps-helper-live": (
+        "def run():\n    return helper()\n"
+        "def helper():\n    return 1\n", "run()\n", []),
+    "dead-body-keeps-nothing-live": (
+        "def run():\n    return helper()\n"
+        "def helper():\n    return 1\n", "",
+        ["pkg.mod.helper", "pkg.mod.run"]),
+    "self-recursion-is-no-caller": (
+        "def loop(n):\n    return loop(n - 1) if n else 0\n", "",
+        ["pkg.mod.loop"]),
+    "import-is-no-reference": (
+        "def run():\n    return 1\n", "from pkg.mod import run\n",
+        ["pkg.mod.run"]),
+    "all-entry-is-no-reference": (
+        "__all__ = ['run']\ndef run():\n    return 1\n", "",
+        ["pkg.mod.run"]),
+    "docstring-is-no-reference": (
+        '"""See run."""\ndef run():\n    return 1\n', "",
+        ["pkg.mod.run"]),
+    "string-constant-is-a-reference": (
+        "def run():\n    return 1\nTABLE = {'run': 1}\n", "", []),
+    "module-level-code-is-live": (
+        "def run():\n    return 1\nVALUE = run()\n", "", []),
+    "decorator-belongs-to-its-def": (
+        "def deco(fn):\n    return fn\n"
+        "@deco\ndef run():\n    return 1\n", "",
+        ["pkg.mod.deco", "pkg.mod.run"]),
+    "attribute-call-keeps-method-live": (
+        "class Shape:\n    def area(self):\n        return 1\n",
+        "Shape().area()\n", []),
+    "bare-name-is-no-method-call": (
+        "class Shape:\n    def area(self):\n        return 1\n"
+        "    def outline(self):\n        area = 2\n        return area\n",
+        "Shape().outline()\n", ["pkg.mod.Shape.area"]),
+    "class-body-name-keeps-method-live": (
+        "class Shape:\n    def area(self):\n        return 1\n"
+        "    size = area\n", "Shape()\n", []),
+    "dunders-live-with-their-class": (
+        "class Shape:\n    def __len__(self):\n        return 1\n",
+        "Shape()\n", []),
+    "dunders-of-a-dead-class-are-dead": (
+        "class Shape:\n    def __len__(self):\n        return 1\n", "",
+        ["pkg.mod.Shape", "pkg.mod.Shape.__len__"]),
+    "nested-def-lives-with-its-caller": (
+        "def run():\n    def inner():\n        return 1\n"
+        "    return inner()\n", "run()\n", []),
+}
+
+
+@pytest.mark.parametrize("module, entry, expected", SCAN_CASES.values(),
+                         ids=SCAN_CASES.keys())
+def test_dead_def_scan_rules(module, entry, expected):
+    assert dead_defs({"pkg.mod": module}, [entry]) == expected

@@ -11,6 +11,7 @@ from repro.verify.invariants import build_check
 from repro.verify.oracles import AlgorithmSpec
 from repro.verify.replay import (
     ReproFile,
+    _digest,
     load_repro,
     replay_repro,
     write_repro,
@@ -126,3 +127,102 @@ class TestReproFiles:
         path = write_repro(tmp_path / "m.json", repro)
         assert load_repro(path).params == {"pairs": [(0, 1), (2, 3)]}
         assert replay_repro(path) is None
+
+
+def _healthy_repro():
+    collection = random_churn_collection(seed=4, num_views=3, num_nodes=6,
+                                         churn=3)
+    return ReproFile(seed=4, kind="churn", algorithm="wcc", params={},
+                     check=dict(CHECK), detail="", collection=collection)
+
+
+def _rewrite_payload(path, mutate):
+    """Apply ``mutate`` to the payload and re-seal its checksum, so only
+    the payload's shape can make loading fail."""
+    document = json.loads(path.read_text())
+    mutate(document["payload"])
+    document["sha256"] = _digest(document["payload"])
+    path.write_text(json.dumps(document))
+
+
+class TestReproFileErrors:
+    """Every unreadable or malformed repro file is a :class:`StoreError`
+    naming the file, never a raw ``KeyError`` or ``JSONDecodeError``."""
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(StoreError, match="cannot read"):
+            load_repro(tmp_path / "nope.json")
+
+    def test_garbage_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        with pytest.raises(StoreError, match="cannot read"):
+            load_repro(path)
+
+    def test_wrong_format_version(self, tmp_path):
+        path = tmp_path / "v999.json"
+        path.write_text('{"format": 999}')
+        with pytest.raises(StoreError, match="unsupported repro format"):
+            load_repro(path)
+
+    def test_non_object_document_rejected(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2, 3]")
+        with pytest.raises(StoreError, match="unsupported repro format"):
+            load_repro(path)
+
+    def test_envelope_without_payload_rejected(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"format": 1, "sha256": "00"}')
+        with pytest.raises(StoreError, match="no payload object"):
+            load_repro(path)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path = write_repro(tmp_path / "r.json", _healthy_repro())
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+        with pytest.raises(StoreError, match=str(path)):
+            load_repro(path)
+
+    def test_corrupted_collection_fails_checksum(self, tmp_path):
+        path = write_repro(tmp_path / "r.json", _healthy_repro())
+        document = json.loads(path.read_text())
+        document["payload"]["collection"]["view_names"][0] = "tampered"
+        path.write_text(json.dumps(document))
+        with pytest.raises(StoreError, match="checksum"):
+            load_repro(path)
+
+    def test_overwrite_leaves_no_temp_files(self, tmp_path):
+        repro = _healthy_repro()
+        write_repro(tmp_path / "r.json", repro)
+        write_repro(tmp_path / "r.json", repro)  # overwrite in place
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+    @pytest.mark.parametrize("mutate", [
+        lambda p: p.pop("seed"),
+        lambda p: p.pop("check"),
+        lambda p: p.update(seed="not-a-number"),
+        lambda p: p.update(params=[1, 2]),
+    ], ids=["no-seed", "no-check", "seed-not-int", "params-not-dict"])
+    def test_malformed_envelope_fields(self, tmp_path, mutate):
+        path = write_repro(tmp_path / "r.json", _healthy_repro())
+        _rewrite_payload(path, mutate)
+        with pytest.raises(StoreError, match="malformed repro file"):
+            load_repro(path)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda c: c.pop("edges"),
+        lambda c: c.pop("diffs"),
+        lambda c: c.pop("name"),
+        lambda c: c.update(diffs=123),
+        lambda c: c.update(diffs=[[[999999, 1]]]),
+        lambda c: c.update(diffs=[[[0]]]),
+        lambda c: c.update(edges=[[1, 2], 7]),
+    ], ids=["no-edges", "no-diffs", "no-name", "diffs-not-list",
+            "edge-index-out-of-range", "short-entry", "edge-not-list"])
+    def test_malformed_collections_surface_as_store_error(self, tmp_path,
+                                                          mutate):
+        path = write_repro(tmp_path / "r.json", _healthy_repro())
+        _rewrite_payload(path, lambda payload: mutate(payload["collection"]))
+        with pytest.raises(StoreError, match="malformed collection"):
+            load_repro(path)
