@@ -109,7 +109,7 @@ def _digest_captures(captures) -> str:
     canonical = tuple(
         (cap.name, tuple(sorted(
             (time_, tuple(sorted(diff.items())))
-            for time_, diff in cap.trace.items())))
+            for time_, diff in cap.trace.entries.items())))
         for cap in captures)
     return _digest(canonical)
 

@@ -55,6 +55,7 @@ from repro.core.computation import GraphComputation
 from repro.core.executor import CollectionRunResult, ExecutionMode
 from repro.core.system import Graphsurge
 from repro.errors import GraphsurgeError
+from repro.stream.engine import COMPACT_EVERY, KEEP_EPOCHS
 from repro.timely.worker import canonical_order_key
 
 
@@ -280,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     stream = subcommands.add_parser(
         "stream", help="stream edge batches into continuously maintained "
-                       "queries (see docs/streaming.md)")
+                       "queries; closed history folds every "
+                       f"{COMPACT_EVERY} epochs, keeping the last "
+                       f"{KEEP_EPOCHS} exact (see docs/streaming.md)")
     stream.add_argument(
         "queries", nargs="+", metavar="QUERY",
         help="computations to maintain, as NAME or NAME:key=value,... "
@@ -327,12 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "final epoch")
     stream.add_argument("--out", default=None, metavar="FILE",
                         help="write per-epoch meter rows to a CSV file")
-    stream.add_argument("--compact-every", type=int, default=8,
-                        help="trace-compaction cadence in epochs; 0 "
-                             "disables (default 8)")
-    stream.add_argument("--keep-epochs", type=int, default=4,
-                        help="epochs of exact per-epoch history kept by "
-                             "compaction (default 4)")
 
     fuzz = subcommands.add_parser(
         "fuzz", help="fuzz randomized view collections against the "
@@ -636,8 +633,6 @@ def _stream_cmd(session: Graphsurge, args: argparse.Namespace) -> int:
         seed_target = (None if args.stream_source == "replay"
                        else args.target)
         engine = session.stream(seed_target, queries,
-                                compact_every=args.compact_every,
-                                keep_epochs=args.keep_epochs,
                                 journal_path=args.journal)
     if args.stream_source == "replay":
         batches = replay_batches(session.resolve(args.target),

@@ -200,7 +200,7 @@ class ResidentDataflow:
 
     def capture_times(self) -> int:
         """Distinct timestamps the output capture still holds."""
-        return len(self.capture.trace) if self.capture is not None else 0
+        return len(self.capture.trace.entries) if self.capture is not None else 0
 
     # -- lifecycle ------------------------------------------------------------
 

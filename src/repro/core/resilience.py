@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.core.persistence import atomic_write_text
 from repro.errors import (
     BudgetExceededError,
     CheckpointError,
@@ -421,10 +421,8 @@ class CheckpointWriter:
         """Start a new journal, replacing any previous file atomically."""
         writer = cls(path, fault_plan)
         header = dict(header, type="header", version=CHECKPOINT_VERSION)
-        tmp = writer.path.with_name(writer.path.name + ".tmp")
-        tmp.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(writer._line_for(header), encoding="utf-8")
-        os.replace(tmp, writer.path)
+        writer.path.parent.mkdir(parents=True, exist_ok=True)
+        atomic_write_text(writer.path, writer._line_for(header))
         writer._handle = writer.path.open("a", encoding="utf-8")
         return writer
 
@@ -437,12 +435,9 @@ class CheckpointWriter:
         tail), so appended records always follow intact lines.
         """
         writer = cls(path, fault_plan)
-        tmp = writer.path.with_name(writer.path.name + ".tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            handle.write(writer._line_for(state.header))
-            for record in state.views:
-                handle.write(writer._line_for(record))
-        os.replace(tmp, writer.path)
+        atomic_write_text(writer.path, "".join(
+            writer._line_for(record)
+            for record in [state.header, *state.views]))
         writer._handle = writer.path.open("a", encoding="utf-8")
         return writer
 

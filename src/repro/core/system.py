@@ -256,9 +256,7 @@ class Graphsurge:
                                     keep_output=True,
                                     view_name=target, budget=budget)
 
-    def stream(self, target: Optional[str], queries,
-               compact_every: int = 8, keep_epochs: int = 4,
-               journal_path=None):
+    def stream(self, target: Optional[str], queries, journal_path=None):
         """Open a streaming session over a loaded graph or view.
 
         ``queries`` is a list of computation names or ``(name, params?)``
@@ -278,8 +276,7 @@ class Graphsurge:
         graph = self.resolve(target) if target else None
         engine = StreamEngine(
             graph, workers=self.workers, backend=self.backend,
-            weight_property=self.weight_property,
-            compact_every=compact_every, keep_epochs=keep_epochs)
+            weight_property=self.weight_property)
         try:
             for name, params in query_entries(queries):
                 engine.register(name, params)

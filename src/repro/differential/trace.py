@@ -27,6 +27,13 @@ from typing import Any, Dict, Iterable, Iterator, Optional, Set
 from repro.differential.multiset import Diff, add_into, consolidate
 from repro.differential.timestamp import Time, leq, lub
 
+#: A key's history folds (:meth:`Trace.maybe_compact`) once it holds more
+#: than this many distinct times.
+KEY_FOLD_THRESHOLD = 24
+#: A key's scheduled-time set folds (:meth:`TimeSchedule.schedule`) once
+#: it holds more than this many times.
+SCHEDULE_FOLD_THRESHOLD = 48
+
 
 class KeyTrace:
     """Trace of differences for the values of a single key."""
@@ -238,16 +245,16 @@ class Trace:
         for key in empty:
             del self._keys[key]
 
-    def maybe_compact(self, key: Any, epoch: int,
-                      threshold: int = 24) -> None:
-        """Compact one key's history when it has grown past ``threshold``.
+    def maybe_compact(self, key: Any, epoch: int) -> None:
+        """Compact one key's history once it has grown past
+        :data:`KEY_FOLD_THRESHOLD` times.
 
         Called opportunistically by keyed operators right before they scan
         a key's entries, so only touched keys pay and the cost amortizes
         into the scan they were about to do anyway.
         """
         trace = self._keys.get(key)
-        if trace is not None and len(trace.entries) > threshold:
+        if trace is not None and len(trace.entries) > KEY_FOLD_THRESHOLD:
             trace.compact_below(epoch)
 
     def record_count(self) -> int:
@@ -278,7 +285,7 @@ class TimeSchedule:
         seen = self._seen.get(key)
         if seen is None:
             seen = self._seen[key] = set()
-        elif len(seen) > 48:
+        elif len(seen) > SCHEDULE_FOLD_THRESHOLD:
             # Compact: times from past epochs collapse per iteration suffix
             # (same argument as KeyTrace.compact_below — their joins with
             # any current/future time are unchanged). The map preserves

@@ -15,8 +15,8 @@ views are the stream's prefixes.
 
 Memory stays bounded through frontier-driven trace compaction
 (:meth:`repro.core.resident.ResidentDataflow.compact`): every
-``compact_every`` epochs, history older than ``keep_epochs`` epochs
-folds into epoch-0 representatives, on both backends.
+:data:`COMPACT_EVERY` epochs, history older than :data:`KEEP_EPOCHS`
+epochs folds into epoch-0 representatives, on both backends.
 
 Durability uses the PR 1 journal format: the engine appends each
 ingested batch to a checkpoint journal; :meth:`StreamEngine.resume`
@@ -49,6 +49,11 @@ from repro.errors import (
 from repro.graph.edge_stream import EdgeStream, edges_to_input
 from repro.observe.stream_metrics import EpochMetric, StreamMeter
 from repro.stream.source import EdgeTriple, StreamBatch
+
+#: Every this many epochs the engine folds closed trace history.
+COMPACT_EVERY = 8
+#: Epochs of exact per-epoch history a fold leaves unfolded.
+KEEP_EPOCHS = 4
 
 
 class ContinuousQuery:
@@ -111,13 +116,10 @@ class StreamEngine:
     def __init__(self, graph=None, workers: int = 1,
                  backend: str = "inline",
                  weight_property: Optional[str] = None,
-                 compact_every: int = 8, keep_epochs: int = 4,
                  fault_plan: Optional[FaultPlan] = None):
         self.workers = workers
         self.backend = backend
         self.weight_property = weight_property
-        self.compact_every = int(compact_every)
-        self.keep_epochs = max(1, int(keep_epochs))
         self.fault_plan = fault_plan
         self.meter = StreamMeter()
         #: Accumulated (src, dst, weight) multiset — the live edge set.
@@ -125,7 +127,6 @@ class StreamEngine:
         self.epoch = 0
         self.queries: Dict[str, ContinuousQuery] = {}
         self._writer: Optional[CheckpointWriter] = None
-        self._journal_header: Optional[dict] = None
         self._batches_journaled = 0
         if graph is not None:
             stream = EdgeStream.from_graph(graph, weight=weight_property)
@@ -153,7 +154,15 @@ class StreamEngine:
         :class:`repro.errors.AnalysisError` *before* any dataflow is
         seeded, so a continuous query that would leak memory or corrupt
         retractions never starts serving.
+
+        Once a journal is attached the query set is fixed (the journal
+        header names it), so registering raises
+        :class:`~repro.errors.RequestError`.
         """
+        if self._writer is not None:
+            raise RequestError(
+                "cannot register a query once a journal is attached: "
+                "the journal header fixes the query set")
         query = ContinuousQuery(name, params, self.workers,
                                 self.backend, self.fault_plan)
         if query.signature in self.queries:
@@ -186,7 +195,14 @@ class StreamEngine:
         return {t: m for t, m in delta.items() if m}
 
     def ingest(self, batch: StreamBatch) -> Dict[str, Any]:
-        """Absorb one batch as the next epoch across every query."""
+        """Absorb one batch as the next epoch across every query.
+
+        A query whose epoch fails (an injected fault, a budget breach)
+        does not stop the others: every query absorbs the batch, the
+        journal records it, and then the first error is raised. The
+        failed query's resident rebuilds from the live edges on its next
+        feed or read.
+        """
         if not self.queries:
             raise RequestError("no continuous queries registered")
         delta = self._batch_delta(batch)
@@ -198,15 +214,21 @@ class StreamEngine:
                 self.edges.pop(triple, None)
         self.epoch += 1
         results: List[EpochResult] = []
+        failure: Optional[Exception] = None
         for signature in sorted(self.queries):
             query = self.queries[signature]
-            results.append(self._advance_query(query, delta, batch.size))
+            try:
+                results.append(self._advance_query(query, delta, batch.size))
+            except Exception as error:
+                failure = failure or error
         if self._writer is not None:
             self._writer.append_view(dict(
                 batch.to_record(), index=self._batches_journaled,
                 view_name=f"epoch-{self.epoch}"))
             self._batches_journaled += 1
         self._maybe_compact()
+        if failure is not None:
+            raise failure
         return {
             "epoch": self.epoch,
             "batch_size": batch.size,
@@ -238,10 +260,10 @@ class StreamEngine:
                            work, parallel_time, latency)
 
     def _maybe_compact(self) -> None:
-        if self.compact_every <= 0 or self.epoch % self.compact_every:
+        if self.epoch % COMPACT_EVERY:
             return
         for query in self.queries.values():
-            query.resident.compact(self.keep_epochs)
+            query.resident.compact(KEEP_EPOCHS)
 
     # -- reads ----------------------------------------------------------------
 
@@ -278,9 +300,7 @@ class StreamEngine:
 
     def attach_journal(self, path) -> None:
         """Start journaling ingested batches to ``path`` (fresh file)."""
-        header = self._header()
-        self._writer = CheckpointWriter.fresh(path, header)
-        self._journal_header = header
+        self._writer = CheckpointWriter.fresh(path, self._header())
         self._batches_journaled = 0
 
     def _header(self) -> dict:
@@ -291,8 +311,6 @@ class StreamEngine:
             "workers": self.workers,
             "backend": self.backend,
             "weight_property": self.weight_property,
-            "compact_every": self.compact_every,
-            "keep_epochs": self.keep_epochs,
         }
 
     @classmethod
@@ -307,7 +325,10 @@ class StreamEngine:
         the journal for appending. A torn final line (killed mid-write)
         is dropped, exactly like run checkpoints. ``backend`` overrides
         the journaled backend (the cross-backend equivalence the fuzzer
-        checks makes this safe).
+        checks makes this safe). A header from an engine that compacted
+        on another cadence than :data:`COMPACT_EVERY`/:data:`KEEP_EPOCHS`
+        raises :class:`CheckpointError`: replaying it here would change
+        its work counters.
         """
         state = load_checkpoint(path)
         if state is None:
@@ -316,20 +337,24 @@ class StreamEngine:
             raise CheckpointError(
                 f"checkpoint {path} is not a stream journal "
                 f"(kind={state.header.get('kind')!r})")
+        for key, value in (("compact_every", COMPACT_EVERY),
+                           ("keep_epochs", KEEP_EPOCHS)):
+            if state.header.get(key, value) != value:
+                raise CheckpointError(
+                    f"stream journal {path} was written with "
+                    f"{key}={state.header[key]!r}; this engine compacts "
+                    f"with {key}={value}")
         engine = cls(
             graph,
             workers=int(state.header.get("workers", 1)),
             backend=(backend if backend is not None
                      else state.header.get("backend", "inline")),
-            weight_property=state.header.get("weight_property"),
-            compact_every=int(state.header.get("compact_every", 8)),
-            keep_epochs=int(state.header.get("keep_epochs", 4)))
+            weight_property=state.header.get("weight_property"))
         for name, params in state.header.get("queries", ()):
             engine.register(name, params)
         for record in state.views:
             engine.ingest(StreamBatch.from_record(record))
         engine._writer = CheckpointWriter.resume(path, state)
-        engine._journal_header = state.header
         engine._batches_journaled = len(state.views)
         return engine
 

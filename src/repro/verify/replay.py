@@ -14,7 +14,6 @@ mismatch still reproduces on the current code.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +24,12 @@ from repro.core.persistence import (
     collection_from_payload,
     collection_payload,
 )
-from repro.core.resilience import decode_value, encode_value
+from repro.core.resilience import (
+    _canonical,
+    _digest,
+    decode_value,
+    encode_value,
+)
 from repro.core.view_collection import MaterializedCollection
 from repro.errors import StoreError
 from repro.verify.invariants import Mismatch, build_check
@@ -55,12 +59,6 @@ class ReproFile:
     analysis: Optional[Dict[str, Any]] = None
 
 
-def _digest(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True,
-                           separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(canonical).hexdigest()
-
-
 def write_repro(path: PathLike, repro: ReproFile) -> Path:
     """Atomically persist a repro file; returns the written path."""
     payload = {
@@ -78,7 +76,7 @@ def write_repro(path: PathLike, repro: ReproFile) -> Path:
     }
     envelope = {
         "format": REPRO_FORMAT,
-        "sha256": _digest(payload),
+        "sha256": _digest(_canonical(payload)),
         "payload": payload,
     }
     path = Path(path)
@@ -101,7 +99,7 @@ def load_repro(path: PathLike) -> ReproFile:
     payload = document.get("payload")
     if not isinstance(payload, dict):
         raise StoreError(f"malformed repro file {path}: no payload object")
-    if document.get("sha256") != _digest(payload):
+    if document.get("sha256") != _digest(_canonical(payload)):
         raise StoreError(f"repro file {path} failed checksum verification: "
                          f"the file is corrupted")
     try:

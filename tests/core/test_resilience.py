@@ -249,6 +249,20 @@ class TestCheckpointJournal:
         assert "garbage" not in path.read_text()
         assert not load_checkpoint(path).truncated
 
+    def test_fresh_and_resume_leave_no_temp_file_behind(self, tmp_path):
+        path = tmp_path / "nested" / "run.ckpt"
+        writer = CheckpointWriter.fresh(path, {"kind": "run"})
+        writer.append_view({"index": 0, "view_name": "v0"})
+        writer.close()
+        assert [p.name for p in path.parent.iterdir()] == ["run.ckpt"]
+        writer = CheckpointWriter.resume(path, load_checkpoint(path))
+        writer.append_view({"index": 1, "view_name": "v1"})
+        writer.close()
+        assert [p.name for p in path.parent.iterdir()] == ["run.ckpt"]
+        state = load_checkpoint(path)
+        assert [r["view_name"] for r in state.views] == ["v0", "v1"]
+        assert not state.truncated
+
     def test_non_contiguous_prefix_rejected(self, tmp_path):
         path = tmp_path / "run.ckpt"
         AnalyticsExecutor().run_on_collection(

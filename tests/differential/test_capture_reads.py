@@ -9,8 +9,9 @@ from repro.algorithms import Wcc
 from repro.core.resident import ResidentDataflow
 from repro.core.resilience import FaultPlan
 from repro.differential import Dataflow
+from repro.differential import trace as trace_module
 from repro.differential.multiset import add_into
-from repro.differential.operators import io as capture_module
+from repro.differential.operators import CaptureOp
 from repro.differential.timestamp import leq
 from repro.errors import InjectedFault
 
@@ -18,7 +19,7 @@ from repro.errors import InjectedFault
 def scan(capture, time):
     """The reference: sum of the stored diffs at times ``<= time``."""
     acc = {}
-    for s, diff in capture.trace.items():
+    for s, diff in capture.trace.entries.items():
         if leq(s, time):
             add_into(acc, diff)
     return acc
@@ -69,7 +70,7 @@ class TestFrontierReadEqualsScan:
             df.step({"edges": diff})
         before = out.value_at_epoch(df.epoch)
         df.compact(15)
-        assert len(out.trace) <= 6
+        assert len(out.trace.entries) <= 6
         assert out.value_at_epoch(df.epoch) == before
         assert_reads_equal_scan(out, df.epoch)
         # An out-of-frontier write (replay) reopens the compacted range.
@@ -117,7 +118,7 @@ class TestFrontierReadEqualsScan:
         df.step({"seeds": {(0, 0): 1, (1, 5): 1}})
         df.step({"seeds": {(1, 5): -1, (1, 1): 1}})
         (inner,) = inner_captures
-        times = list(inner.trace)
+        times = list(inner.trace.entries)
         assert times and all(len(time) == 2 for time in times)
         for time in times + [(5, 5), (0, 0)]:
             assert inner.accumulated(time) == scan(inner, time)
@@ -138,18 +139,34 @@ class TestFrontierReadCost:
         each arriving diff entry a bounded number of times, where a scan
         per read re-adds every earlier epoch's diff (Θ(k · Σ|diff|))."""
         touched = [0]
+        inside = [False]
 
         def counting_add_into(target, source, factor=1):
-            touched[0] += len(source)
+            if inside[0]:
+                touched[0] += len(source)
             return add_into(target, source, factor)
 
-        monkeypatch.setattr(capture_module, "add_into", counting_add_into)
+        def counted(method):
+            # Count only the folds the capture's own trace makes, not the
+            # count operator's trace upstream of it.
+            def within_capture(capture, *args):
+                inside[0] = True
+                try:
+                    return method(capture, *args)
+                finally:
+                    inside[0] = False
+            return within_capture
+
+        monkeypatch.setattr(trace_module, "add_into", counting_add_into)
+        for name in ("on_delta", "accumulated"):
+            monkeypatch.setattr(CaptureOp, name,
+                                counted(getattr(CaptureOp, name)))
         df, out = count_dataflow()
         arrived = scanned = 0
         for diff in churn(9, 60, keys=40):
             epoch = df.step({"edges": diff})
             arrived += len(out.diff_at((epoch,)))
-            scanned += sum(len(diff) for diff in out.trace.values())
+            scanned += sum(len(diff) for diff in out.trace.entries.values())
             assert len(out.value_at_epoch(epoch)) > 0
         assert arrived > 200 and scanned > 10 * arrived
         assert touched[0] <= 2 * arrived

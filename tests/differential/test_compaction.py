@@ -45,11 +45,11 @@ class TestCaptureCompaction:
         for epoch in range(8):
             df.step({"edges": {(epoch % 2, epoch): 1}})
         before = out.value_at_epoch(7)
-        assert len(out.trace) == 8
+        assert len(out.trace.entries) == 8
         df.compact(6)
         assert out.value_at_epoch(7) == before
         # Epochs 0..5 folded into one representative; 6 and 7 stay exact.
-        assert len(out.trace) == 3
+        assert len(out.trace.entries) == 3
         assert out.diff_at((7,)) != {}
 
     def test_bounded_under_continuous_churn(self):
@@ -65,7 +65,7 @@ class TestCaptureCompaction:
                 df.compact(df.epoch - 2)
         # One live record: the capture holds the fold plus the recent
         # exact epochs, not one entry per epoch streamed.
-        assert len(out.trace) <= 12
+        assert len(out.trace.entries) <= 12
         assert out.value_at_epoch(df.epoch) == {("a", 1): 1}
 
     def test_compact_is_idempotent_and_clamped(self):

@@ -128,8 +128,8 @@ class TestFakeClusterEqualsInline:
     def test_outputs_and_meter_call_sequence(self):
         inline, inline_caps, inline_counts = all_five_operators(faked=False)
         faked, faked_caps, faked_counts = all_five_operators(faked=True)
-        assert [cap.trace for cap in faked_caps] == \
-            [cap.trace for cap in inline_caps]
+        assert [cap.trace.entries for cap in faked_caps] == \
+            [cap.trace.entries for cap in inline_caps]
         # Not just equal totals: the same (key, units) calls in the same
         # order, which is what keeps fault plans and tracers aligned.
         assert faked.meter.calls == inline.meter.calls

@@ -29,7 +29,7 @@ def snapshot(df, captures):
         df.meter.parallel_time,
         df.meter.supersteps,
         tuple(tuple(sorted((t, tuple(sorted(d.items())))
-                           for t, d in cap.trace.items()))
+                           for t, d in cap.trace.entries.items()))
               for cap in captures),
     )
 

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.differential.timestamp import leq, lub, lub_closure
-from repro.differential.trace import KeyTrace, TimeSchedule, Trace
+from repro.differential.trace import (
+    KEY_FOLD_THRESHOLD,
+    KeyTrace,
+    TimeSchedule,
+    Trace,
+)
 
 times2 = st.tuples(st.integers(0, 4), st.integers(0, 4))
 entries = st.lists(
@@ -89,11 +94,15 @@ class TestTrace:
 
     def test_maybe_compact_only_past_threshold(self):
         trace = Trace()
-        for epoch in range(30):
+        for epoch in range(KEY_FOLD_THRESHOLD):
             trace.update("k", (epoch, 0), {"a": 1})
-        trace.maybe_compact("k", 30, threshold=24)
+        trace.maybe_compact("k", KEY_FOLD_THRESHOLD)
+        assert len(trace.get("k").entries) == KEY_FOLD_THRESHOLD
+        trace.update("k", (KEY_FOLD_THRESHOLD, 0), {"a": 1})
+        trace.maybe_compact("k", KEY_FOLD_THRESHOLD + 1)
         assert len(trace.get("k").entries) == 1
-        assert trace.accumulate("k", (30, 0)) == {"a": 30}
+        assert trace.accumulate("k", (30, 0)) == \
+            {"a": KEY_FOLD_THRESHOLD + 1}
 
 
 class TestTimeSchedule:

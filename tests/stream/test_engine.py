@@ -15,9 +15,11 @@ from repro.errors import (
 from repro.differential.multiset import add_into
 from repro.graph.property_graph import PropertyGraph
 from repro.stream import StreamBatch, StreamEngine, churn_batches
+from repro.stream.engine import COMPACT_EVERY, KEEP_EPOCHS
 from repro.verify.oracles import output_map, resolve_algorithms
 
 WCC = '{"computation":"wcc","params":{}}'
+DEGREES = '{"computation":"degrees","params":{}}'
 
 
 def wcc_engine(**kwargs):
@@ -26,11 +28,15 @@ def wcc_engine(**kwargs):
     return engine
 
 
-def expected_wcc(engine):
-    spec = resolve_algorithms(["wcc"])[0]
+def expected_output(engine, name):
+    spec = resolve_algorithms([name])[0]
     triples = [triple for triple, mult in sorted(engine.edges.items())
                for _ in range(mult)]
     return spec.expected(triples, {})
+
+
+def expected_wcc(engine):
+    return expected_output(engine, "wcc")
 
 
 class TestRegistration:
@@ -165,6 +171,35 @@ class TestFaultRecovery:
         finally:
             engine.close()
 
+    def test_a_failed_epoch_still_reaches_every_query(self, tmp_path):
+        # Register is "epoch" invocation 0 and 1; the first ingest's
+        # first query (degrees, in signature order) faults.
+        engine = StreamEngine(fault_plan=FaultPlan.single("epoch", 2))
+        journal = tmp_path / "faulted.ckpt"
+        try:
+            assert engine.register("degrees") == DEGREES
+            assert engine.register("wcc") == WCC
+            engine.attach_journal(journal)
+            with pytest.raises(InjectedFault):
+                engine.ingest(StreamBatch(appends=((1, 2, 1), (2, 3, 1))))
+            engine.ingest(StreamBatch(appends=((5, 6, 1),)))
+            live = {signature: engine.snapshot(signature)
+                    for signature in (DEGREES, WCC)}
+            assert output_map(live[WCC]) == \
+                {1: 1, 2: 1, 3: 1, 5: 5, 6: 5}
+            assert output_map(live[DEGREES]) == \
+                expected_output(engine, "degrees")
+            assert output_map(live[WCC]) == expected_wcc(engine)
+        finally:
+            engine.close()
+        resumed = StreamEngine.resume(journal)
+        try:
+            assert resumed.epoch == 2
+            assert {signature: resumed.snapshot(signature)
+                    for signature in (DEGREES, WCC)} == live
+        finally:
+            resumed.close()
+
 
 class TestIncrementality:
     def test_streamed_work_is_well_under_per_epoch_recompute(self):
@@ -189,34 +224,54 @@ class TestIncrementality:
 
 
 class TestCompaction:
+    # Right after a fold the capture holds the fold, KEEP_EPOCHS exact
+    # epochs and the current one; COMPACT_EVERY - 1 more epochs arrive
+    # before the next fold.
+    BOUND = KEEP_EPOCHS + COMPACT_EVERY + 1
+
     def test_capture_times_stay_bounded(self):
-        engine = wcc_engine(compact_every=4, keep_epochs=2)
+        engine = wcc_engine()
         try:
             for batch in churn_batches(7, 40, num_nodes=10, churn=3,
                                        base_edges=5):
                 engine.ingest(batch)
                 capture = engine.queries[WCC].resident.capture
-                assert len(capture.trace) <= 8
+                assert len(capture.trace.entries) <= self.BOUND
             assert output_map(engine.snapshot(WCC)) == \
                 expected_wcc(engine)
         finally:
             engine.close()
 
+    def test_resident_memory_stays_bounded_over_a_thousand_epochs(self):
+        engine = wcc_engine()
+        records = []
+        try:
+            for batch in churn_batches(13, 1000, num_nodes=12, churn=3,
+                                       base_edges=8):
+                engine.ingest(batch)
+                memory = engine.resident_memory()[WCC]
+                assert memory["capture_times"] <= self.BOUND
+                records.append(memory["records"])
+            assert output_map(engine.snapshot(WCC)) == \
+                expected_wcc(engine)
+        finally:
+            engine.close()
+        # Stored records follow the live graph, not the epoch count: the
+        # second 500 epochs never hold more than the first 500 did.
+        assert max(records[500:]) <= max(records[:500])
+
 
 class TestBackends:
-    # Compaction reaches process workers as a broadcast; with it on, each
-    # worker's shard traces are folded every fourth epoch.
-    @pytest.mark.parametrize("compaction", [
-        {"compact_every": 0},
-        {"compact_every": 4, "keep_epochs": 2},
-    ], ids=["compaction-off", "compaction-on"])
-    def test_process_backend_matches_inline_per_epoch(self, compaction):
+    def test_process_backend_matches_inline_per_epoch(self):
+        # Compaction reaches process workers as a broadcast; over 17
+        # epochs each worker's shard traces fold twice.
         rows = {}
         for backend in ("inline", "process"):
-            engine = wcc_engine(workers=2, backend=backend, **compaction)
+            engine = wcc_engine(workers=2, backend=backend)
             try:
                 observed = []
-                for batch in churn_batches(5, 8, num_nodes=8, churn=2,
+                for batch in churn_batches(5, 2 * COMPACT_EVERY + 1,
+                                           num_nodes=8, churn=2,
                                            base_edges=4):
                     payload = engine.ingest(batch)
                     row = payload["results"][WCC]
@@ -323,6 +378,23 @@ class TestDurability:
         header = load_checkpoint(tmp_path / "new.ckpt").header
         assert header["queries"] == [["bfs", {"source": 3}],
                                      ["pagerank", {}]]
+        assert "compact_every" not in header
+        assert "keep_epochs" not in header
+
+    @pytest.mark.parametrize("cadence", [
+        {"compact_every": 0},
+        {"compact_every": 8, "keep_epochs": 2},
+    ])
+    def test_resume_rejects_another_compaction_cadence(self, tmp_path,
+                                                       cadence):
+        from repro.core.resilience import CheckpointWriter
+
+        path = tmp_path / "cadence.ckpt"
+        CheckpointWriter.fresh(path, dict(
+            kind=StreamEngine.JOURNAL_KIND, queries=[["wcc", {}]],
+            **cadence)).close()
+        with pytest.raises(CheckpointError, match="was written with"):
+            StreamEngine.resume(path)
 
     def test_resume_rejects_non_stream_journal(self, tmp_path):
         from repro.core.resilience import CheckpointWriter
@@ -369,6 +441,26 @@ class TestSystemFacade:
         with pytest.raises(GraphsurgeError, match="'queries' entries"):
             Graphsurge().stream(None, ["wcc", ["pr", 10]])
         assert len(closed) == 2
+
+    def test_registering_after_the_journal_is_attached_is_refused(
+            self, tmp_path):
+        # The journal header fixes the query set: a query registered
+        # later would be missing from the resumed engine.
+        journal = tmp_path / "fixed.ckpt"
+        engine = Graphsurge().stream(None, ["wcc"], journal_path=journal)
+        try:
+            with pytest.raises(RequestError, match="journal is attached"):
+                engine.register("degrees")
+            assert list(engine.queries) == [WCC]
+            engine.ingest(StreamBatch(appends=((1, 2, 1),)))
+        finally:
+            engine.close()
+        resumed = StreamEngine.resume(journal)
+        try:
+            assert list(resumed.queries) == [WCC]
+            assert output_map(resumed.snapshot(WCC)) == {1: 1, 2: 1}
+        finally:
+            resumed.close()
 
     def test_stream_without_target_starts_empty(self):
         engine = Graphsurge().stream(None, ["wcc"])

@@ -14,7 +14,9 @@ list parameters ``"pairs"``/``"seeds"`` (bar the two algorithms taking them
 and the fuzzer's samplers) or reads ``NAMES``/``PARAM_TYPES``. Finally, no
 def under src/repro is reached only by tests: each needs a live caller in
 the package, perf/, examples/ or benchmarks/, bar the test oracles listed
-in ``ORACLES`` (see docs/verification.md).
+in ``ORACLES`` (see docs/verification.md). And closed epochs fold in one
+place: the ``_compacted_below`` guard and the ``(0,) + t[1:]`` epoch fold
+appear only in ``differential/trace.py``.
 """
 
 import ast
@@ -222,6 +224,58 @@ def test_request_rule_flags_copies():
               'doc = "seeds and pairs"\n')
     assert list(request_parsing_copies(source)) == [
         (1, "NAMES"), (2, "PARAM_TYPES"), (3, "'pairs'")]
+
+
+#: The one module that decides how closed epochs fold into a history.
+FOLD_OWNER = "differential/trace.py"
+
+
+#: The guard that skips a fold already applied, as an attribute or slot.
+FOLD_GUARD = "_compacted_below"
+#: ``(0,) + t[1:]``: a time mapped onto its epoch-0 representative.
+EPOCH_FOLD = re.compile(r"\(0,\) \+ [\w.]+\[1:\]")
+
+
+def history_fold_copies(source):
+    """``(line, what)`` for each fold guard or epoch fold in a module."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and \
+                EPOCH_FOLD.fullmatch(ast.unparse(node)):
+            yield node.lineno, "(0,) + t[1:]"
+        elif FOLD_GUARD in (getattr(node, "attr", None),
+                            getattr(node, "id", None),
+                            getattr(node, "value", None)):
+            yield node.lineno, FOLD_GUARD
+
+
+def test_history_folds_only_in_the_trace_module():
+    """One owner for folding closed epochs: every other store of
+    timestamped differences keeps a ``KeyTrace`` instead of a copy."""
+    package = ROOT / "src" / "repro"
+    found = [f"{path.relative_to(ROOT)}:{line}: {what}"
+             for path in sorted(package.rglob("*.py"))
+             if str(path.relative_to(package)) != FOLD_OWNER
+             for line, what in history_fold_copies(path.read_text())]
+    assert not found, "history folded outside the trace module:\n" + \
+        "\n".join(found)
+    owner = (package / FOLD_OWNER).read_text()
+    assert {what for _line, what in history_fold_copies(owner)} == \
+        {"(0,) + t[1:]", "_compacted_below"}
+
+
+def test_fold_rule_flags_planted_copies():
+    source = ('class Log:\n'
+              '    __slots__ = ("_compacted_below",)\n'
+              '    def fold(self, time, epoch):\n'
+              '        if epoch <= self._compacted_below:\n'
+              '            return time\n'
+              '        return (0,) + time[1:]\n'
+              'keep = (0,) + time[2:]\n'
+              'other = (1,) + time[1:]\n'
+              'whole = (0,) + time[1:3]\n')
+    assert sorted(history_fold_copies(source)) == [
+        (2, "_compacted_below"), (4, "_compacted_below"),
+        (6, "(0,) + t[1:]")]
 
 
 #: Oracles: checks and references the tests compare the engine against.

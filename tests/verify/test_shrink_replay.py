@@ -5,13 +5,13 @@ import json
 import pytest
 
 from repro.algorithms import Wcc
+from repro.core.resilience import _canonical, _digest
 from repro.errors import StoreError
 from repro.verify.generator import random_churn_collection
 from repro.verify.invariants import build_check
 from repro.verify.oracles import AlgorithmSpec
 from repro.verify.replay import (
     ReproFile,
-    _digest,
     load_repro,
     replay_repro,
     write_repro,
@@ -141,7 +141,7 @@ def _rewrite_payload(path, mutate):
     the payload's shape can make loading fail."""
     document = json.loads(path.read_text())
     mutate(document["payload"])
-    document["sha256"] = _digest(document["payload"])
+    document["sha256"] = _digest(_canonical(document["payload"]))
     path.write_text(json.dumps(document))
 
 
