@@ -28,9 +28,10 @@ class CaptureOp(Operator):
     Stores diffs per timestamp in one :class:`KeyTrace`; exposes both the
     raw difference stream (what the Graphsurge executor ships to the user
     per view) and accumulated values (for verification against reference
-    algorithms). The trace's accumulation cache makes a frontier read
-    incremental: it folds in only the epochs that arrived since the last
-    read.
+    algorithms). A root-scope delta also advances the trace's
+    accumulation cache to its epoch, so the cache holds the running sum
+    and a frontier read is a copy of it; a read behind the frontier
+    rescans.
     """
 
     def __init__(self, dataflow, scope, name, source: Operator):
@@ -39,6 +40,8 @@ class CaptureOp(Operator):
 
     def on_delta(self, port: int, time: Time, diff: Diff) -> None:
         self.trace.update(time, diff)
+        if len(time) == 1:
+            self.trace.accumulate(time)
 
     def compact_below(self, epoch: int) -> None:
         """Fold diffs of epochs before ``epoch`` into one representative.

@@ -39,7 +39,7 @@ from repro.core.resilience import (
     load_checkpoint,
     render_output,
 )
-from repro.differential.multiset import Diff
+from repro.differential.multiset import Diff, add_into
 from repro.errors import (
     AnalysisError,
     CheckpointError,
@@ -71,6 +71,9 @@ class ContinuousQuery:
         self.resident = ResidentDataflow(
             self.computation, workers=workers,
             fault_plan=fault_plan, backend=backend)
+        #: Output delta absorbed in an epoch that raised for another
+        #: query, so never reported; the next reported delta carries it.
+        self.owed: Diff = {}
 
     def input_for(self, triples: Dict[EdgeTriple, int]) -> Diff:
         """Dataflow input records for an edge-triple difference."""
@@ -201,7 +204,9 @@ class StreamEngine:
         does not stop the others: every query absorbs the batch, the
         journal records it, and then the first error is raised. The
         failed query's resident rebuilds from the live edges on its next
-        feed or read.
+        feed or read; the other queries' unreported output deltas are
+        carried into their next reported ones, so summed deltas still
+        equal the snapshot.
         """
         if not self.queries:
             raise RequestError("no continuous queries registered")
@@ -228,6 +233,8 @@ class StreamEngine:
             self._batches_journaled += 1
         self._maybe_compact()
         if failure is not None:
+            for res in results:
+                self.queries[res.query].owed = res.output_delta
             raise failure
         return {
             "epoch": self.epoch,
@@ -249,6 +256,9 @@ class StreamEngine:
             # output, so summed deltas stay equal to the snapshot.
             output_delta, spent = resident.advance_by(feed)
             work, parallel_time = spent.total_work, spent.parallel_time
+        if query.owed:
+            output_delta = add_into(query.owed, output_delta)
+            query.owed = {}
         latency = _time.perf_counter() - started
         self.meter.record(EpochMetric(
             epoch=self.epoch, query=query.signature,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.resident import ResidentDataflow
-from repro.core.resilience import FaultPlan, decode_diff
+from repro.core.resilience import FaultPlan, FaultSpec, decode_diff
 from repro.core.system import Graphsurge
 from repro.errors import (
     CheckpointError,
@@ -182,9 +182,15 @@ class TestFaultRecovery:
             engine.attach_journal(journal)
             with pytest.raises(InjectedFault):
                 engine.ingest(StreamBatch(appends=((1, 2, 1), (2, 3, 1))))
-            engine.ingest(StreamBatch(appends=((5, 6, 1),)))
+            payload = engine.ingest(StreamBatch(appends=((5, 6, 1),)))
             live = {signature: engine.snapshot(signature)
                     for signature in (DEGREES, WCC)}
+            # Both queries started empty, so the one delivered delta of
+            # each owes the failed epoch's output too: wcc absorbed that
+            # batch, but its result was never reported.
+            for signature in (DEGREES, WCC):
+                assert decode_diff(payload["results"][signature]
+                                   ["output_delta"]) == live[signature]
             assert output_map(live[WCC]) == \
                 {1: 1, 2: 1, 3: 1, 5: 5, 6: 5}
             assert output_map(live[DEGREES]) == \
@@ -199,6 +205,39 @@ class TestFaultRecovery:
                     for signature in (DEGREES, WCC)} == live
         finally:
             resumed.close()
+
+
+    def test_every_querys_summed_deltas_equal_its_snapshot_under_faults(
+            self):
+        # Faults land on different queries at different epochs, two of
+        # them in one epoch and some in back-to-back epochs.
+        plan = FaultPlan([FaultSpec("epoch", fires=(7, 8, 12, 13, 14, 22))])
+        engine = StreamEngine(fault_plan=plan)
+        names = ("degrees", "sssp", "wcc")
+        try:
+            signatures = [engine.register(name) for name in names]
+            summed = {signature: {} for signature in signatures}
+            failures = 0
+            for batch in churn_batches(5, 14, num_nodes=8, churn=2):
+                try:
+                    payload = engine.ingest(batch)
+                except InjectedFault:
+                    failures += 1
+                    continue
+                for signature in signatures:
+                    add_into(summed[signature], decode_diff(
+                        payload["results"][signature]["output_delta"]))
+            payload = engine.ingest(StreamBatch(appends=((1, 7, 1),)))
+            for signature in signatures:
+                add_into(summed[signature], decode_diff(
+                    payload["results"][signature]["output_delta"]))
+            assert failures >= 3
+            for name, signature in zip(names, signatures):
+                assert summed[signature] == engine.snapshot(signature)
+                assert output_map(summed[signature]) == \
+                    expected_output(engine, name)
+        finally:
+            engine.close()
 
 
 class TestIncrementality:
