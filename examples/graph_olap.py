@@ -16,7 +16,7 @@ from repro.datasets import social_like
 
 def main() -> None:
     graph = social_like(num_nodes=300, num_edges=1800, seed=3,
-                        with_attributes=True, name="network")
+                        name="network")
     gs = Graphsurge()
     gs.add_graph(graph)
     print(f"base graph: {graph!r}")

@@ -67,8 +67,7 @@ def main() -> None:
         executor = AnalyticsExecutor()
 
         # --- Workload 1: temporal history -------------------------------
-        temporal = load_snap_temporal(directory / "interactions.txt",
-                                      name="interactions")
+        temporal = load_snap_temporal(directory / "interactions.txt")
         print(f"loaded {temporal!r} from SNAP temporal format")
         # A 150M-second initial window expanded in 25M-second steps — like
         # the paper's C_sim, the initial window carries most of the data
@@ -92,8 +91,7 @@ def main() -> None:
               f"({scratch.total_work / diff.total_work:.1f}x shared)\n")
 
         # --- Workload 2: community perturbation --------------------------
-        social = load_snap_edge_list(directory / "social.txt",
-                                     name="social", undirected=False)
+        social = load_snap_edge_list(directory / "social.txt")
         communities = load_communities(social,
                                        directory / "social.cmty.txt")
         print(f"loaded {social!r} with {communities} ground-truth "

@@ -143,9 +143,11 @@ def reference_sssp(edges: EdgeList,
     return dist
 
 
-def reference_pagerank(edges: EdgeList, iterations: int = 10,
-                       quantum: int = SCALE // 1000) -> Dict[int, int]:
-    """Integer PageRank with the exact update rule of the dataflow version."""
+def reference_pagerank(edges: EdgeList,
+                       iterations: int = 10) -> Dict[int, int]:
+    """Integer PageRank with the exact update rule of the dataflow version
+    (at its default quantum)."""
+    quantum = SCALE // 1000
     edges = _as_triples(edges)
     verts = sorted(_vertices(edges))
     out_edges: Dict[int, List[int]] = {}

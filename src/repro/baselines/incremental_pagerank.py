@@ -22,13 +22,17 @@ from repro.algorithms.pagerank import BASE, DAMPING_DEN, DAMPING_NUM, SCALE
 
 EdgePair = Tuple[int, int]
 
+#: The rank grid: ``PageRank``'s default quantum.
+QUANTUM = SCALE // 1000
+#: Refinement rounds before giving up on quiescence: ten per iteration of
+#: the 8-iteration PageRank the §7.5 experiment compares against.
+MAX_ROUNDS = 80
+
 
 class IncrementalPageRank:
     """Maintains integer PageRank over an evolving edge set."""
 
-    def __init__(self, iterations: int = 10, quantum: int = SCALE // 1000):
-        self.iterations = iterations
-        self.quantum = quantum
+    def __init__(self):
         self.out_edges: Dict[int, Set[int]] = {}
         self.in_edges: Dict[int, Set[int]] = {}
         self.ranks: Dict[int, int] = {}
@@ -81,7 +85,7 @@ class IncrementalPageRank:
             incoming += (DAMPING_NUM * share) // DAMPING_DEN
             self.work += 1
         raw = BASE + incoming
-        return ((raw + self.quantum // 2) // self.quantum) * self.quantum
+        return ((raw + QUANTUM // 2) // QUANTUM) * QUANTUM
 
     def _refine(self, dirty: Set[int]) -> None:
         """Dependency-driven refinement from the dirty frontier.
@@ -90,7 +94,7 @@ class IncrementalPageRank:
         generous round cap as a safety net against grid oscillation.
         """
         frontier = {v for v in dirty if v in self.ranks}
-        for _round in range(10 * self.iterations):
+        for _round in range(MAX_ROUNDS):
             if not frontier:
                 break
             changed: Set[int] = set()

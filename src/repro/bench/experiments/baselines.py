@@ -36,7 +36,7 @@ def run(quick: bool = False) -> List[ExperimentResult]:
     source = min(s for (_e, s, _d, _w) in collection.diffs[0])
     executor = AnalyticsExecutor()
 
-    pr_maintainer = IncrementalPageRank(iterations=8)
+    pr_maintainer = IncrementalPageRank()
     for index in range(collection.num_views):
         pr_maintainer.apply_diff(
             *_edge_changes(collection, index, weighted=False))

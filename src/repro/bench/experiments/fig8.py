@@ -27,14 +27,13 @@ from repro.graph.property_graph import PropertyGraph
 MODES = (ExecutionMode.DIFF_ONLY, ExecutionMode.ADAPTIVE)
 
 
-def mpsp_pairs(graph: PropertyGraph, count: int = 5, seed: int = 0):
+def mpsp_pairs(graph: PropertyGraph):
     """The paper's MPSP setup: src = first vertex with an outgoing edge,
-    dst random among the others."""
-    rng = random.Random(seed)
-    sources = sorted({edge.src for edge in graph.edges})
-    src = sources[0]
+    five dsts drawn (seed 0) among the others."""
+    rng = random.Random(0)
+    src = min(edge.src for edge in graph.edges)
     others = [v for v in sorted(graph.nodes) if v != src]
-    return [(src, rng.choice(others)) for _ in range(count)]
+    return [(src, rng.choice(others)) for _ in range(5)]
 
 
 def algorithms(graph: PropertyGraph) -> Tuple[Tuple[str, Callable], ...]:

@@ -38,46 +38,32 @@ class ExperimentResult:
 def run_modes(computation_factory: Callable[[], GraphComputation],
               collection: MaterializedCollection,
               modes: Sequence[ExecutionMode] = ALL_MODES,
-              workers: int = 1, batch_size: int = 10,
-              cost_metric: str = "work", trace: bool = False
+              workers: int = 1, batch_size: int = 10
               ) -> Dict[ExecutionMode, CollectionRunResult]:
     """Run one computation over one collection under several modes.
 
-    A fresh computation instance per mode keeps runs independent. With
-    ``trace=True``, each mode runs under its own
-    :class:`repro.observe.TraceSink`, so every result carries per-view
-    critical-path profiles (``result.profile``) — the work/parallel-time
-    counters are unchanged by tracing.
+    A fresh executor and computation instance per mode keep runs
+    independent; the adaptive splitter decides on metered work, so the
+    tables are deterministic.
     """
     results: Dict[ExecutionMode, CollectionRunResult] = {}
     for mode in modes:
-        if trace:
-            from repro.observe import TraceSink
-
-            executor = AnalyticsExecutor(workers=workers,
-                                         tracer=TraceSink(workers))
-        else:
-            executor = AnalyticsExecutor(workers=workers)
-        computation = computation_factory()
+        executor = AnalyticsExecutor(workers=workers)
         results[mode] = executor.run_on_collection(
-            computation, collection, mode=mode, batch_size=batch_size,
-            cost_metric=cost_metric)
+            computation_factory(), collection, mode=mode,
+            batch_size=batch_size, cost_metric="work")
     return results
 
 
 def to_rows(results: Dict[ExecutionMode, CollectionRunResult],
             experiment: str, dataset: str, config: str, **extra_fields
             ) -> List[ExperimentResult]:
-    """One row per mode; ``extra`` holds the split points, the slowest
-    view of a traced run and any ``extra_fields`` the caller adds."""
+    """One row per mode; ``extra`` holds the split points and any
+    ``extra_fields`` the caller adds."""
     rows = []
     for mode, result in results.items():
         extra: Dict[str, object] = {"split_points": list(result.split_points),
                                     **extra_fields}
-        profile = getattr(result, "profile", None)
-        if profile is not None and (slowest := profile.slowest()) is not None:
-            extra["slowest_view"] = slowest.view_name
-            extra["slowest_critical_path"] = slowest.critical_path.length
         rows.append(ExperimentResult(
             experiment=experiment,
             dataset=dataset,

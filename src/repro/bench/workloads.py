@@ -168,20 +168,18 @@ def _year_window_predicate(lo: int, hi: int,
     return And(tuple(terms))
 
 
-def csl_collection(graph: PropertyGraph,
-                   name: str = "csl") -> MaterializedCollection:
+def csl_collection(graph: PropertyGraph) -> MaterializedCollection:
     """§7.3 C_sl: decade windows sliding by 5 years, [1936,1945] ...
     [2011,2020] — 16 views, each adding and removing 5 years of papers."""
     views = []
     for lo in range(1936, 2012, 5):
         hi = lo + 9
         views.append((f"{lo}-{hi}", _year_window_predicate(lo, hi)))
-    definition = ViewCollectionDefinition(name, graph.name, tuple(views))
+    definition = ViewCollectionDefinition("csl", graph.name, tuple(views))
     return definition.materialize(graph)
 
 
-def cex_sh_sl_collection(graph: PropertyGraph,
-                         name: str = "cex-sh-sl") -> MaterializedCollection:
+def cex_sh_sl_collection(graph: PropertyGraph) -> MaterializedCollection:
     """§7.3 C_ex-sh-sl: [1995,2000] expands to [1995,2005], shrinks to
     [2000,2005], then slides to [2005,2010], all by one-year steps."""
     windows: List[Tuple[int, int]] = [(1995, 2000)]
@@ -193,12 +191,12 @@ def cex_sh_sl_collection(graph: PropertyGraph,
         windows.append((2000 + step, 2005 + step))
     views = [(f"{lo}-{hi}", _year_window_predicate(lo, hi))
              for lo, hi in windows]
-    definition = ViewCollectionDefinition(name, graph.name, tuple(views))
+    definition = ViewCollectionDefinition("cex-sh-sl", graph.name,
+                                          tuple(views))
     return definition.materialize(graph)
 
 
-def caut_collection(graph: PropertyGraph,
-                    name: str = "caut") -> MaterializedCollection:
+def caut_collection(graph: PropertyGraph) -> MaterializedCollection:
     """§7.3 C_aut: the Cartesian product of 5-year non-overlapping year
     windows [1996,2000] ... [2016,2020] with an expanding author-count
     window [0,5] ... [0,25]. Author expansion yields addition-only diffs;
@@ -211,7 +209,7 @@ def caut_collection(graph: PropertyGraph,
                 f"{lo}-{hi}xA{authors}",
                 _year_window_predicate(lo, hi, max_authors=authors),
             ))
-    definition = ViewCollectionDefinition(name, graph.name, tuple(views))
+    definition = ViewCollectionDefinition("caut", graph.name, tuple(views))
     return definition.materialize(graph)
 
 
@@ -220,9 +218,7 @@ def caut_collection(graph: PropertyGraph,
 # ---------------------------------------------------------------------------
 
 def perturbation_collection(graph: PropertyGraph, top_n: int, k: int,
-                            order_method: str = "identity", seed: int = 0,
-                            workers: int = 1,
-                            name: Optional[str] = None
+                            order_method: str = "identity", seed: int = 0
                             ) -> MaterializedCollection:
     """§7.4 C_{N,k}: one view per k-combination of the N largest
     communities, removing those communities. ``order_method`` selects the
@@ -230,24 +226,22 @@ def perturbation_collection(graph: PropertyGraph, top_n: int, k: int,
     the R1/R2/R3 baselines via ``seed``)."""
     views = perturbation_views(graph, top_n, k)
     definition = ViewCollectionDefinition(
-        name or f"{graph.name}-{top_n}C{k}", graph.name, tuple(views))
-    return definition.materialize(
-        graph, order_method=order_method, seed=seed, workers=workers)
+        f"{graph.name}-{top_n}C{k}", graph.name, tuple(views))
+    return definition.materialize(graph, order_method=order_method,
+                                  seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # Figure 10 (§7.6): scalability collection on the TW-like graph
 # ---------------------------------------------------------------------------
 
-def scalability_collection(num_nodes: int = 400, num_edges: int = 2400,
-                           seed: int = 0,
-                           name: str = "locality"
+def scalability_collection(num_nodes: int = 400, num_edges: int = 2400
                            ) -> Tuple[PropertyGraph, MaterializedCollection]:
     """The 9-view same-city/state/country x affinity collection."""
-    graph = social_like(num_nodes, num_edges, seed=seed,
-                        with_attributes=True, name="twitter-like")
+    graph = social_like(num_nodes, num_edges, seed=0, name="twitter-like")
     views = locality_affinity_views()
-    definition = ViewCollectionDefinition(name, graph.name, tuple(views))
+    definition = ViewCollectionDefinition("locality", graph.name,
+                                          tuple(views))
     return graph, definition.materialize(graph)
 
 
@@ -255,25 +249,25 @@ def scalability_collection(num_nodes: int = 400, num_edges: int = 2400,
 # Default experiment graphs
 # ---------------------------------------------------------------------------
 
-def default_so_graph(scale: float = 1.0, seed: int = 0) -> PropertyGraph:
+def default_so_graph(scale: float = 1.0) -> PropertyGraph:
     return stackoverflow_like(num_nodes=int(300 * scale),
-                              num_edges=int(1500 * scale), seed=seed)
+                              num_edges=int(1500 * scale), seed=0)
 
 
-def default_pc_graph(scale: float = 1.0, seed: int = 0) -> PropertyGraph:
+def default_pc_graph(scale: float = 1.0) -> PropertyGraph:
     return citations_like(num_nodes=int(400 * scale),
-                          num_edges=int(1600 * scale), seed=seed)
+                          num_edges=int(1600 * scale), seed=0)
 
 
-def default_lj_graph(scale: float = 1.0, seed: int = 0) -> PropertyGraph:
+def default_lj_graph(scale: float = 1.0) -> PropertyGraph:
     return community_graph(num_nodes=int(300 * scale),
                            intra_edges=int(1200 * scale),
                            background_edges=int(300 * scale),
-                           seed=seed, name="livejournal-like")
+                           seed=0, name="livejournal-like")
 
 
-def default_wtc_graph(scale: float = 1.0, seed: int = 1) -> PropertyGraph:
+def default_wtc_graph(scale: float = 1.0) -> PropertyGraph:
     return community_graph(num_nodes=int(250 * scale),
                            intra_edges=int(1000 * scale),
                            background_edges=int(250 * scale),
-                           seed=seed, overlap=0.35, name="wiki-topcats-like")
+                           seed=1, overlap=0.35, name="wiki-topcats-like")

@@ -134,13 +134,13 @@ class CollectionSummary:
     def min_jaccard(self) -> float:
         return min(self.jaccard) if self.jaccard else 1.0
 
-    def likely_split_points(self, churn_threshold: float = 1.0) -> List[int]:
-        """Views whose churn ratio exceeds the threshold — candidates for
-        running from scratch (the adaptive optimizer confirms at run
-        time)."""
+    def likely_split_points(self) -> List[int]:
+        """Views whose churn ratio is at least 1 (the difference set is as
+        large as the view) — candidates for running from scratch (the
+        adaptive optimizer confirms at run time)."""
         return [index + 1
                 for index, ratio in enumerate(self.churn_ratios)
-                if ratio >= churn_threshold]
+                if ratio >= 1.0]
 
     def render(self) -> str:
         lines = [

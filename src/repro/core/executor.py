@@ -197,13 +197,11 @@ class AnalyticsExecutor:
 
     def run_on_view(self, computation: GraphComputation,
                     edges: EdgeStream,
-                    keep_output: bool = True,
                     view_name: str = "view",
-                    budget: Optional[RunBudget] = None,
-                    fault_plan: Optional[FaultPlan] = None) -> ViewRunResult:
+                    budget: Optional[RunBudget] = None) -> ViewRunResult:
         """Run a computation on one materialized view (paper §3.1.2)."""
         started = time.perf_counter()
-        resident = self._resident(computation, fault_plan)
+        resident = self._resident(computation, None)
         try:
             mark = self.tracer.mark() if self.tracer is not None else 0
             spent = resident.advance_by(
@@ -225,7 +223,7 @@ class AnalyticsExecutor:
             view_size=len(edges),
             diff_size=len(edges),
             output_diff_size=len(output),
-            output=output if keep_output else None,
+            output=output,
             profile=profile,
         )
 

@@ -35,12 +35,16 @@ def diff_count_for_order(matrix: np.ndarray,
     return first + changes
 
 
-def exact_best_order(matrix: np.ndarray, max_views: int = 9) -> List[int]:
+#: The most views :func:`exact_best_order` will permute (9! orders).
+MAX_EXACT_VIEWS = 9
+
+
+def exact_best_order(matrix: np.ndarray) -> List[int]:
     """Brute-force the optimal COP order (small k only; tests/ablations)."""
     k = matrix.shape[1]
-    if k > max_views:
-        raise ValueError(
-            f"exact ordering is factorial; refusing k={k} > {max_views}")
+    if k > MAX_EXACT_VIEWS:
+        raise ValueError(f"exact ordering is factorial; refusing "
+                         f"k={k} > {MAX_EXACT_VIEWS}")
     best_order = list(range(k))
     best_cost = diff_count_for_order(matrix, best_order)
     for perm in itertools.permutations(range(k)):

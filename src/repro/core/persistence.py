@@ -39,10 +39,9 @@ def atomic_write_bytes(path: PathLike, data: bytes) -> None:
             tmp.unlink()
 
 
-def atomic_write_text(path: PathLike, text: str,
-                      encoding: str = "utf-8") -> None:
-    """Text-mode convenience wrapper around :func:`atomic_write_bytes`."""
-    atomic_write_bytes(path, text.encode(encoding))
+def atomic_write_text(path: PathLike, text: str) -> None:
+    """UTF-8 text-mode wrapper around :func:`atomic_write_bytes`."""
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def collection_payload(collection: MaterializedCollection) -> dict:

@@ -27,7 +27,7 @@ from repro.core.view_collection import (
     MaterializedCollection,
     ViewCollectionDefinition,
 )
-from repro.errors import UnknownGraphError
+from repro.errors import ConfigError, UnknownGraphError
 from repro.graph.csv_loader import load_graph_csv
 from repro.graph.edge_stream import EdgeStream
 from repro.graph.property_graph import PropertyGraph
@@ -222,7 +222,9 @@ class Graphsurge:
 
         The resilience options (``checkpoint_path``, ``resume_from``,
         ``budget``, ``retry_policy`` — see :mod:`repro.core.resilience`)
-        apply to collection runs; ``budget`` also guards single-view runs.
+        apply to collection runs; ``budget`` also guards single-view runs,
+        and a view or graph target refuses the other three
+        (:class:`repro.errors.ConfigError`).
         With ``tracer`` (a :class:`repro.observe.TraceSink`) the run is
         traced: per-view critical-path profiles are attached to the
         result, and the sink holds the exportable span stream. Tracing
@@ -251,10 +253,16 @@ class Graphsurge:
                 checkpoint_path=checkpoint_path, resume_from=resume_from,
                 budget=budget, retry_policy=retry_policy)
         graph = self.resolve(target)
+        collection_only = [option for option, value in (
+            ("checkpoint_path", checkpoint_path), ("resume_from", resume_from),
+            ("retry_policy", retry_policy)) if value is not None]
+        if collection_only:
+            raise ConfigError(
+                f"{', '.join(collection_only)}: options of a collection "
+                f"run, and {target!r} is not a view collection")
         edges = EdgeStream.from_graph(graph, weight=self.weight_property)
-        return executor.run_on_view(computation, edges,
-                                    keep_output=True,
-                                    view_name=target, budget=budget)
+        return executor.run_on_view(computation, edges, view_name=target,
+                                    budget=budget)
 
     def stream(self, target: Optional[str], queries, journal_path=None):
         """Open a streaming session over a loaded graph or view.
@@ -290,7 +298,6 @@ class Graphsurge:
     def profile(self, computation: GraphComputation, target: str,
                 mode: ExecutionMode = ExecutionMode.ADAPTIVE,
                 batch_size: int = 10,
-                cost_metric: str = "wall",
                 trace_out=None):
         """Run a computation traced; answer "why is view k slow".
 
@@ -307,7 +314,7 @@ class Graphsurge:
         sink = TraceSink(self.workers)
         result = self.run_analytics(
             computation, target, mode=mode, batch_size=batch_size,
-            cost_metric=cost_metric, tracer=sink)
+            tracer=sink)
         report = ProfileReport(result=result, sink=sink, target=target)
         if trace_out is not None:
             report.write_chrome_trace(trace_out)

@@ -139,8 +139,7 @@ class ViewCollectionDefinition:
 
 
 def reorder_collection(collection: MaterializedCollection,
-                       order_method: str = "christofides",
-                       workers: int = 1, seed: int = 0
+                       order_method: str = "christofides", seed: int = 0
                        ) -> MaterializedCollection:
     """Re-run the ordering optimizer on an already-materialized collection.
 
@@ -162,7 +161,8 @@ def reorder_collection(collection: MaterializedCollection,
         matrix[:, view] = current > 0
     ebm = EdgeBooleanMatrix(list(edge_index), collection.view_names, matrix)
     return _order_and_diff(collection.name, collection.source, ebm,
-                           order_method, workers, seed, started)
+                           order_method, workers=1, seed=seed,
+                           started=started)
 
 
 def collection_from_diffs(name: str, diffs: Sequence[EdgeDiff],

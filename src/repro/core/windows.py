@@ -11,9 +11,7 @@ callers don't hand-assemble predicates:
                                     bounds=range(2010, 2020))
     collection = definition.materialize(graph)
 
-All builders accept ``target``: ``"edge"`` windows an edge property (e.g.
-SO's ``ts``); ``"nodes"`` windows a node property on *both* endpoints
-(e.g. the citation graph's ``year``).
+All builders window an edge property (e.g. SO's ``ts``).
 """
 
 from __future__ import annotations
@@ -21,24 +19,19 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.view_collection import ViewCollectionDefinition
-from repro.errors import ConfigError, GraphsurgeError
+from repro.errors import ConfigError
 from repro.gvdl.ast import And, Comparison, Literal, Predicate, PropRef
 
 
-def _bound_predicate(prop: str, target: str, lo: Optional[int],
+def _bound_predicate(prop: str, lo: Optional[int],
                      hi: Optional[int]) -> Predicate:
-    """`lo <= prop < hi` on the edge or on both endpoints."""
-    if target not in ("edge", "nodes"):
-        raise GraphsurgeError(f"target must be 'edge' or 'nodes', "
-                              f"got {target!r}")
-    sides = ("edge",) if target == "edge" else ("src", "dst")
+    """`lo <= prop < hi` on the edge."""
+    ref = PropRef("edge", prop)
     terms: List[Comparison] = []
-    for side in sides:
-        ref = PropRef(side, prop)
-        if lo is not None:
-            terms.append(Comparison(ref, ">=", Literal(lo)))
-        if hi is not None:
-            terms.append(Comparison(ref, "<", Literal(hi)))
+    if lo is not None:
+        terms.append(Comparison(ref, ">=", Literal(lo)))
+    if hi is not None:
+        terms.append(Comparison(ref, "<", Literal(hi)))
     if not terms:
         raise ConfigError("window needs at least one bound")
     if len(terms) == 1:
@@ -47,8 +40,7 @@ def _bound_predicate(prop: str, target: str, lo: Optional[int],
 
 
 def cumulative_windows(name: str, source: str, prop: str,
-                       bounds: Iterable[int],
-                       target: str = "edge") -> ViewCollectionDefinition:
+                       bounds: Iterable[int]) -> ViewCollectionDefinition:
     """One view per bound: everything with ``prop < bound``.
 
     Produces an inclusion chain — each view a superset of its predecessor
@@ -58,15 +50,15 @@ def cumulative_windows(name: str, source: str, prop: str,
     views = []
     for bound in bounds:
         views.append((f"lt-{bound}",
-                      _bound_predicate(prop, target, None, bound)))
+                      _bound_predicate(prop, None, bound)))
     if not views:
         raise ConfigError("cumulative_windows needs at least one bound")
     return ViewCollectionDefinition(name, source, tuple(views))
 
 
 def sliding_windows(name: str, source: str, prop: str, start: int,
-                    width: int, slide: int, count: int,
-                    target: str = "edge") -> ViewCollectionDefinition:
+                    width: int, slide: int,
+                    count: int) -> ViewCollectionDefinition:
     """``count`` windows ``[start + i·slide, start + i·slide + width)``.
 
     ``slide < width`` gives overlapping views (partial sharing);
@@ -81,13 +73,13 @@ def sliding_windows(name: str, source: str, prop: str, start: int,
         lo = start + index * slide
         hi = lo + width
         views.append((f"win-{lo}-{hi}",
-                      _bound_predicate(prop, target, lo, hi)))
+                      _bound_predicate(prop, lo, hi)))
     return ViewCollectionDefinition(name, source, tuple(views))
 
 
 def expand_shrink_slide(name: str, source: str, prop: str,
-                        phases: Sequence[Tuple[int, int]],
-                        target: str = "edge") -> ViewCollectionDefinition:
+                        phases: Sequence[Tuple[int, int]]
+                        ) -> ViewCollectionDefinition:
     """A collection from an explicit list of ``(lo, hi)`` windows.
 
     The paper's C_ex-sh-sl (§7.3) is the canonical instance: expand the
@@ -101,5 +93,5 @@ def expand_shrink_slide(name: str, source: str, prop: str,
         if hi <= lo:
             raise ConfigError(
                 f"expand_shrink_slide: empty window [{lo}, {hi})")
-        views.append((f"{lo}-{hi}", _bound_predicate(prop, target, lo, hi)))
+        views.append((f"{lo}-{hi}", _bound_predicate(prop, lo, hi)))
     return ViewCollectionDefinition(name, source, tuple(views))

@@ -16,10 +16,12 @@ from repro.graph.schema import PropertyType, Schema
 
 YEAR_MIN = 1936
 YEAR_MAX = 2020
+#: The most authors a paper has.
+MAX_AUTHORS = 30
 
 
 def citations_like(num_nodes: int = 400, num_edges: int = 1600,
-                   seed: int = 0, max_authors: int = 30) -> PropertyGraph:
+                   seed: int = 0) -> PropertyGraph:
     """Generate the PC analogue."""
     rng = random.Random(seed)
     graph = PropertyGraph(
@@ -33,7 +35,7 @@ def citations_like(num_nodes: int = 400, num_edges: int = 1600,
     for node in range(num_nodes):
         # Quadratic skew: publication volume grows over the decades.
         year = YEAR_MIN + int(span * (rng.random() ** 0.5))
-        authors = 1 + min(max_authors - 1, int(rng.expovariate(1 / 4.0)))
+        authors = 1 + min(MAX_AUTHORS - 1, int(rng.expovariate(1 / 4.0)))
         graph.add_node(node, {"year": year, "authors": authors})
         years.append(year)
     order = sorted(range(num_nodes), key=lambda v: (years[v], v))

@@ -1,10 +1,10 @@
 """Large social-network analogues (paper datasets "TW" and "Orkut").
 
-``social_like`` generates a heavy-tailed directed social graph. With
-``with_attributes=True`` it adds the §7.6 scalability experiment's
-properties: per-user ``city``/``state``/``country`` locations and a
-per-edge ``affinity`` level (1=low, 2=medium, 3=high), from which the
-9-view collection "same city/state/country x affinity >= low/med/high" is
+``social_like`` generates a heavy-tailed directed social graph with the
+§7.6 scalability experiment's properties: per-user
+``city``/``state``/``country`` locations (two countries) and a per-edge
+``affinity`` level (1=low, 2=medium, 3=high), from which the 9-view
+collection "same city/state/country x affinity >= low/med/high" is
 defined.
 """
 
@@ -20,46 +20,34 @@ from repro.gvdl.ast import And, Comparison, Literal, Predicate, PropRef
 
 CITIES_PER_STATE = 3
 STATES_PER_COUNTRY = 2
+COUNTRIES = 2
 
 
 def social_like(num_nodes: int = 400, num_edges: int = 2400, seed: int = 0,
-                with_attributes: bool = False,
-                num_countries: int = 2,
                 name: str = "social") -> PropertyGraph:
     """Generate the TW/Orkut analogue."""
     rng = random.Random(seed)
-    if with_attributes:
-        node_schema = Schema({
-            "city": PropertyType.STRING,
-            "state": PropertyType.STRING,
-            "country": PropertyType.STRING,
-        })
-        edge_schema = Schema({"affinity": PropertyType.INT})
-    else:
-        node_schema = Schema()
-        edge_schema = Schema()
+    node_schema = Schema({
+        "city": PropertyType.STRING,
+        "state": PropertyType.STRING,
+        "country": PropertyType.STRING,
+    })
+    edge_schema = Schema({"affinity": PropertyType.INT})
     graph = PropertyGraph(name, node_schema=node_schema,
                           edge_schema=edge_schema)
-    num_states = num_countries * STATES_PER_COUNTRY
-    num_cities = num_states * CITIES_PER_STATE
+    num_cities = COUNTRIES * STATES_PER_COUNTRY * CITIES_PER_STATE
     for node in range(num_nodes):
-        if with_attributes:
-            city = rng.randrange(num_cities)
-            state = city // CITIES_PER_STATE
-            country = state // STATES_PER_COUNTRY
-            graph.add_node(node, {
-                "city": f"city{city}",
-                "state": f"state{state}",
-                "country": f"country{country}",
-            })
-        else:
-            graph.add_node(node)
+        city = rng.randrange(num_cities)
+        state = city // CITIES_PER_STATE
+        country = state // STATES_PER_COUNTRY
+        graph.add_node(node, {
+            "city": f"city{city}",
+            "state": f"state{state}",
+            "country": f"country{country}",
+        })
     for src, dst in random_edge_pairs(num_nodes, num_edges, seed=seed,
                                       rng=rng):
-        if with_attributes:
-            graph.add_edge(src, dst, {"affinity": rng.randrange(1, 4)})
-        else:
-            graph.add_edge(src, dst)
+        graph.add_edge(src, dst, {"affinity": rng.randrange(1, 4)})
     return graph
 
 

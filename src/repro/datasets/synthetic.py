@@ -6,13 +6,18 @@ import random
 from typing import List, Optional, Set, Tuple
 
 
+#: Chance that a new edge's destination is drawn from the endpoint history.
+PREFERENTIAL = 0.6
+#: Exponent of :func:`zipf_sizes`' ``1 / rank^exponent`` weights.
+ZIPF_EXPONENT = 1.2
+
+
 def random_edge_pairs(num_nodes: int, num_edges: int, seed: int,
-                      preferential: float = 0.6,
                       rng: Optional[random.Random] = None
                       ) -> List[Tuple[int, int]]:
     """Generate a simple directed graph with a heavy-tailed degree profile.
 
-    With probability ``preferential`` the destination of a new edge is drawn
+    With probability ``PREFERENTIAL`` the destination of a new edge is drawn
     from the endpoint history (a Yule-Simon-style rich-get-richer process,
     giving the power-law-ish degrees of social networks); otherwise both
     endpoints are uniform. Self-loops and duplicates are rejected.
@@ -35,7 +40,7 @@ def random_edge_pairs(num_nodes: int, num_edges: int, seed: int,
             raise RuntimeError(
                 "edge sampling failed to converge; lower the density")
         src = rng.randrange(num_nodes)
-        if endpoint_pool and rng.random() < preferential:
+        if endpoint_pool and rng.random() < PREFERENTIAL:
             dst = endpoint_pool[rng.randrange(len(endpoint_pool))]
         else:
             dst = rng.randrange(num_nodes)
@@ -48,10 +53,9 @@ def random_edge_pairs(num_nodes: int, num_edges: int, seed: int,
     return edges
 
 
-def zipf_sizes(total: int, buckets: int, rng: random.Random,
-               exponent: float = 1.2) -> List[int]:
+def zipf_sizes(total: int, buckets: int, rng: random.Random) -> List[int]:
     """Split ``total`` items into ``buckets`` Zipf-ish decreasing sizes."""
-    weights = [1.0 / (i + 1) ** exponent for i in range(buckets)]
+    weights = [1.0 / (i + 1) ** ZIPF_EXPONENT for i in range(buckets)]
     norm = sum(weights)
     sizes = [max(1, int(total * w / norm)) for w in weights]
     # Fix rounding drift.

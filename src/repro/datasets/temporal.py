@@ -18,6 +18,9 @@ from repro.graph.schema import PropertyType, Schema
 EPOCH_START = 1209600000
 SECONDS_PER_DAY = 86400
 SECONDS_PER_YEAR = 365 * SECONDS_PER_DAY
+#: Years the timestamps span, and the skew of activity toward their end.
+SPAN_YEARS = 8.0
+GROWTH = 2.0
 
 
 def ts_after(days: float = 0, years: float = 0) -> int:
@@ -26,12 +29,11 @@ def ts_after(days: float = 0, years: float = 0) -> int:
 
 
 def stackoverflow_like(num_nodes: int = 300, num_edges: int = 1500,
-                       seed: int = 0, span_years: float = 8.0,
-                       growth: float = 2.0) -> PropertyGraph:
+                       seed: int = 0) -> PropertyGraph:
     """Generate the SO analogue.
 
-    ``growth`` > 1 skews timestamps toward the end of the span (activity
-    grows over the site's life): ``ts = start + span * u^(1/growth)`` for
+    Timestamps span ``SPAN_YEARS`` and skew toward its end (activity
+    grows over the site's life): ``ts = start + span * u^(1/GROWTH)`` for
     uniform ``u``.
     """
     rng = random.Random(seed)
@@ -42,11 +44,11 @@ def stackoverflow_like(num_nodes: int = 300, num_edges: int = 1500,
     )
     for node in range(num_nodes):
         graph.add_node(node)
-    span = span_years * SECONDS_PER_YEAR
+    span = SPAN_YEARS * SECONDS_PER_YEAR
     pairs = random_edge_pairs(num_nodes, num_edges, seed=seed, rng=rng)
     stamped = []
     for src, dst in pairs:
-        offset = span * (rng.random() ** (1.0 / growth))
+        offset = span * (rng.random() ** (1.0 / GROWTH))
         stamped.append((int(EPOCH_START + offset), src, dst))
     # The SNAP file is time-ordered; keep that property.
     stamped.sort()

@@ -59,13 +59,9 @@ class Dataflow:
     """An executable differential dataflow."""
 
     def __init__(self, workers: int = 1, meter: Optional[WorkMeter] = None,
-                 budget=None, fault_plan=None, tracer=None,
-                 backend: str = "inline"):
+                 fault_plan=None, backend: str = "inline"):
         self.meter = (meter if meter is not None
-                      else WorkMeter(workers, fault_plan=fault_plan,
-                                     tracer=tracer))
-        if tracer is not None:
-            self.meter.tracer = tracer
+                      else WorkMeter(workers, fault_plan=fault_plan))
         validate_backend(backend, self.meter.workers)
         #: Execution backend: ``"inline"`` runs all worker shards in this
         #: process; ``"process"`` forks one OS process per worker at the
@@ -78,16 +74,17 @@ class Dataflow:
         #: The keyed-operator shell branches on this to place key state
         #: and route per-key kernels.
         self.cluster = None
-        #: Optional :class:`repro.observe.tracer.TraceSink`. When set, the
+        #: Optional :class:`repro.observe.tracer.TraceSink`, attached around
+        #: an epoch by :func:`repro.observe.tracer.attached`. When set, the
         #: scope drivers and :meth:`Operator.send` bracket every operator
         #: apply with an attribution context; when ``None`` every hook is
         #: a single ``is None`` test and the engine behaves identically.
-        self.tracer = (tracer if tracer is not None
-                       else getattr(self.meter, "tracer", None))
-        #: Optional :class:`repro.core.resilience.RunBudget`; shared across
-        #: dataflow restarts by the executor, so work charged here
-        #: accumulates over a whole collection run.
-        self.budget = budget
+        self.tracer = None
+        #: Optional :class:`repro.core.resilience.RunBudget`, attached by
+        #: :meth:`set_budget`; shared across dataflow restarts by the
+        #: executor, so work charged here accumulates over a whole
+        #: collection run.
+        self.budget = None
         #: Optional :class:`repro.core.resilience.FaultPlan` ("epoch" site
         #: fires at the top of every :meth:`step`).
         self.fault_plan = fault_plan

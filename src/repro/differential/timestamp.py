@@ -84,6 +84,6 @@ def lub_closure(times: Iterable[Time]) -> set:
     return closed
 
 
-def extend(t: Time, inner: int = 0) -> Time:
-    """Append a loop coordinate (``enter`` in DD terminology)."""
-    return t + (inner,)
+def extend(t: Time) -> Time:
+    """Append a zero loop coordinate (``enter`` in DD terminology)."""
+    return t + (0,)

@@ -11,6 +11,7 @@ from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.differential.multiset import Diff
+from repro.errors import UnknownPropertyError
 from repro.graph.property_graph import PropertyGraph
 
 EdgeTuple = Tuple[int, int, int, int]  # (edge_id, src, dst, weight)
@@ -23,14 +24,27 @@ class EdgeStream:
         self.edges: List[EdgeTuple] = list(edges)
 
     @classmethod
-    def from_graph(cls, graph: PropertyGraph, weight: Optional[str] = None,
-                   default_weight: int = 1) -> "EdgeStream":
+    def from_graph(cls, graph: PropertyGraph,
+                   weight: Optional[str] = None) -> "EdgeStream":
+        """The graph's edges, weighted by the integer edge property
+        ``weight`` (every edge weighs 1 without one): the one reader of
+        edge weights. A weight property the edge schema does not declare,
+        or that an edge of a schema-less graph lacks, raises
+        :class:`UnknownPropertyError`."""
+        if weight is None:
+            return cls((edge.id, edge.src, edge.dst, 1)
+                       for edge in graph.edges)
+        if len(graph.edge_schema) and weight not in graph.edge_schema:
+            raise UnknownPropertyError(
+                f"unknown edge property {weight!r} (the weight property)")
         edges = []
         for edge in graph.edges:
-            if weight is not None:
-                w = int(edge.properties.get(weight, default_weight))
-            else:
-                w = default_weight
+            try:
+                w = int(edge.properties[weight])
+            except KeyError:
+                raise UnknownPropertyError(
+                    f"edge ({edge.src}, {edge.dst}) has no weight property "
+                    f"{weight!r}") from None
             edges.append((edge.id, edge.src, edge.dst, w))
         return cls(edges)
 

@@ -16,7 +16,7 @@ this system on the real files when they have them:
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from repro.errors import SchemaError
 from repro.graph.property_graph import PropertyGraph
@@ -34,13 +34,11 @@ def _data_lines(path: PathLike):
             yield line_no, line.split()
 
 
-def load_snap_edge_list(path: PathLike, name: str = "snap",
-                        undirected: bool = False,
-                        max_edges: Optional[int] = None) -> PropertyGraph:
-    """Load a SNAP-style edge list (``src dst`` per line)."""
-    graph = PropertyGraph(name)
+def load_snap_edge_list(path: PathLike) -> PropertyGraph:
+    """Load a SNAP-style edge list (``src dst`` per line) as a directed
+    graph named after the file's stem."""
+    graph = PropertyGraph(Path(path).stem)
     known = set()
-    count = 0
     for line_no, fields in _data_lines(path):
         if len(fields) < 2:
             raise SchemaError(f"{path}:{line_no}: expected 'src dst'")
@@ -50,20 +48,15 @@ def load_snap_edge_list(path: PathLike, name: str = "snap",
                 known.add(node)
                 graph.add_node(node)
         graph.add_edge(src, dst)
-        if undirected:
-            graph.add_edge(dst, src)
-        count += 1
-        if max_edges is not None and count >= max_edges:
-            break
     return graph
 
 
-def load_snap_temporal(path: PathLike, name: str = "snap-temporal",
-                       max_edges: Optional[int] = None) -> PropertyGraph:
-    """Load a SNAP temporal edge list (``src dst unix_ts`` per line)."""
-    graph = PropertyGraph(name, edge_schema=Schema({"ts": PropertyType.INT}))
+def load_snap_temporal(path: PathLike) -> PropertyGraph:
+    """Load a SNAP temporal edge list (``src dst unix_ts`` per line) as a
+    graph named after the file's stem."""
+    graph = PropertyGraph(Path(path).stem,
+                          edge_schema=Schema({"ts": PropertyType.INT}))
     known = set()
-    count = 0
     for line_no, fields in _data_lines(path):
         if len(fields) < 3:
             raise SchemaError(f"{path}:{line_no}: expected 'src dst ts'")
@@ -73,26 +66,18 @@ def load_snap_temporal(path: PathLike, name: str = "snap-temporal",
                 known.add(node)
                 graph.add_node(node)
         graph.add_edge(src, dst, {"ts": ts})
-        count += 1
-        if max_edges is not None and count >= max_edges:
-            break
     return graph
 
 
-def load_communities(graph: PropertyGraph, path: PathLike,
-                     max_communities: Optional[int] = None) -> int:
+def load_communities(graph: PropertyGraph, path: PathLike) -> int:
     """Attach SNAP ground-truth communities as boolean node properties.
 
     Returns the number of communities loaded. Nodes absent from the graph
     are ignored; all nodes get an explicit True/False for every loaded
     community, and the node schema is extended accordingly.
     """
-    communities = []
-    for _line_no, fields in _data_lines(path):
-        communities.append([int(field) for field in fields])
-        if max_communities is not None and \
-                len(communities) >= max_communities:
-            break
+    communities = [[int(field) for field in fields]
+                   for _line_no, fields in _data_lines(path)]
     for index, members in enumerate(communities):
         prop = f"c{index}"
         graph.node_schema.fields[prop] = PropertyType.BOOL

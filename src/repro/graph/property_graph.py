@@ -76,23 +76,17 @@ class PropertyGraph:
         self.edges.append(edge)
         return edge
 
-    def remove_edges(self, src: int, dst: int,
-                     limit: Optional[int] = None) -> int:
-        """Retract edges matching ``(src, dst)``; returns how many fell.
+    def remove_edges(self, src: int, dst: int) -> int:
+        """Retract every edge matching ``(src, dst)``; returns how many
+        fell.
 
         Edge ids are never reused after a removal (``add_edge`` draws from
         a monotonic counter), so difference streams keyed by edge id stay
-        unambiguous across mutations. With ``limit`` only the first
-        ``limit`` matches are removed.
+        unambiguous across mutations.
         """
-        kept: List[Edge] = []
-        removed = 0
-        for edge in self.edges:
-            if (edge.src == src and edge.dst == dst
-                    and (limit is None or removed < limit)):
-                removed += 1
-            else:
-                kept.append(edge)
+        kept = [edge for edge in self.edges
+                if edge.src != src or edge.dst != dst]
+        removed = len(self.edges) - len(kept)
         self.edges = kept
         return removed
 

@@ -117,7 +117,11 @@ def validate_chrome_trace(payload: object) -> int:
     return complete
 
 
-def flame_rollup(steps: Sequence[StepRecord], width: int = 32,
+#: Characters of the longest bar in :func:`flame_rollup`.
+FLAME_WIDTH = 32
+
+
+def flame_rollup(steps: Sequence[StepRecord],
                  top: Optional[int] = 20) -> str:
     """Flamegraph-style text rollup: units by operator, largest first.
 
@@ -145,7 +149,7 @@ def flame_rollup(steps: Sequence[StepRecord], width: int = 32,
                      for name, _units in ranked)
     for name, units in ranked:
         share = units / total
-        bar = "#" * max(1, int(width * share))
+        bar = "#" * max(1, int(FLAME_WIDTH * share))
         label = "· " * (depths[name] - 1) + name
         lines.append(f"  {label.ljust(name_width)}  {units:>10}  "
                      f"{share:>6.1%}  {bar}")

@@ -43,14 +43,11 @@ class CollectionProfile:
 
     views: List[ViewProfile] = field(default_factory=list)
 
-    def ranked(self, n: int = 5) -> List[ViewProfile]:
-        """The ``n`` views with the longest critical paths, slowest first."""
-        return sorted(self.views, key=lambda v: -v.critical_path.length)[:n]
-
     def slowest(self) -> Optional[ViewProfile]:
-        """The single view with the longest critical path (None if empty)."""
-        ranked = self.ranked(1)
-        return ranked[0] if ranked else None
+        """The view with the longest critical path, the first of a tie
+        (None if empty)."""
+        return max(self.views, key=lambda v: v.critical_path.length,
+                   default=None)
 
 
 def profile_view(sink: TraceSink, view_name: str, start: int,

@@ -10,11 +10,11 @@ drive the meter, so the sink's per-frame worker totals are — by
 construction — the very dicts whose maxima the meter sums into
 ``parallel_time``.
 
-The sink is attached to a dataflow (``Dataflow(tracer=...)``, or around
-single epochs with :func:`attached`); when it is ``None`` (the default)
-every hook is a single ``is None`` test, and the metered counters are
-byte-identical with tracing on or off: the sink only observes, it never
-feeds back into the meter.
+The sink is attached to a live dataflow around its epochs with
+:func:`attached`; when it is ``None`` (the default) every hook is a
+single ``is None`` test, and the metered counters are byte-identical
+with tracing on or off: the sink only observes, it never feeds back into
+the meter.
 """
 
 from __future__ import annotations

@@ -64,8 +64,7 @@ class ServeApp:
                  breakers: Optional[BreakerBoard] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  deadline_seconds: Optional[float] = None,
-                 max_work: Optional[int] = None,
-                 clock=time.monotonic):
+                 max_work: Optional[int] = None):
         self.session = session
         self.cache = cache if cache is not None else ResultCache()
         self.admission = (admission if admission is not None
@@ -74,8 +73,7 @@ class ServeApp:
         self.retry_policy = retry_policy
         self.deadline_seconds = deadline_seconds
         self.max_work = max_work
-        self.clock = clock
-        self.started_at = clock()
+        self.started_at = time.monotonic()
         #: Set by the lifecycle layer; the app only reads its state.
         self.lifecycle = None
         self.requests_served = 0
@@ -126,7 +124,7 @@ class ServeApp:
         return Response(payload={
             "status": "draining" if self._draining() else "ok",
             "state": state,
-            "uptime_seconds": round(self.clock() - self.started_at, 3),
+            "uptime_seconds": round(time.monotonic() - self.started_at, 3),
             "requests_served": self.requests_served,
             "session": self.session.describe(),
             "cache": self.cache.to_payload(),
@@ -334,7 +332,7 @@ class ServeApp:
                         return self._serve_stale(entry, circuit_error)
                     raise
                 budget = self._request_budget(body)
-                tracer = (TraceSink(self.session.workers) if trace
+                tracer = (TraceSink(self.session.gs.workers) if trace
                           else None)
                 try:
                     value = await self._compute(

@@ -18,7 +18,6 @@ epoch is a pure cache hit. Two deliberate departures from a plain LRU:
 from __future__ import annotations
 
 import contextlib
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
@@ -32,7 +31,6 @@ class CacheEntry:
 
     value: Any
     epoch: int
-    created_at: float
     fills: int = 1
     hits: int = 0
     stale_hits: int = 0
@@ -60,14 +58,12 @@ class ResultCache:
     answer is the last rung of the degradation ladder.
     """
 
-    def __init__(self, capacity: int = 256,
-                 clock=time.monotonic):
+    def __init__(self, capacity: int = 256):
         if capacity < 1:
             from repro.errors import ConfigError
 
             raise ConfigError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.clock = clock
         self.stats = CacheStats()
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
         self._locks: Dict[str, asyncio.Lock] = {}
@@ -105,7 +101,6 @@ class ResultCache:
     def store(self, key: str, value: Any, epoch: int) -> CacheEntry:
         previous = self._entries.pop(key, None)
         entry = CacheEntry(value=value, epoch=epoch,
-                           created_at=self.clock(),
                            fills=(previous.fills + 1 if previous else 1))
         self._entries[key] = entry
         self.stats.fills += 1

@@ -137,17 +137,20 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
 Handler = Callable[[Request], Awaitable[Response]]
 
 
+#: Seconds a client gets to send its whole request. A client that stalls
+#: mid-request (e.g. a short body under a larger Content-Length) gets a
+#: 408 instead of a hung read.
+REQUEST_TIMEOUT = 30.0
+
+
 class HttpServer:
     """Serves ``handler`` over asyncio streams, one request per connection."""
 
     def __init__(self, handler: Handler, host: str = "127.0.0.1",
-                 port: int = 0, request_timeout: float = 30.0):
+                 port: int = 0):
         self.handler = handler
         self.host = host
         self.port = port
-        #: A client that stalls mid-request (e.g. a short body under a
-        #: larger Content-Length) gets a 408 instead of a hung read.
-        self.request_timeout = request_timeout
         self._server: Optional[asyncio.AbstractServer] = None
 
     async def start(self) -> None:
@@ -166,7 +169,7 @@ class HttpServer:
         try:
             try:
                 request = await asyncio.wait_for(read_request(reader),
-                                                 self.request_timeout)
+                                                 REQUEST_TIMEOUT)
             except (RequestError, asyncio.IncompleteReadError,
                     asyncio.TimeoutError) as error:
                 if isinstance(error, asyncio.TimeoutError):

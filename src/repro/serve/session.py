@@ -56,15 +56,10 @@ class ServeSession:
 
     JOURNAL_KIND = "serve-session"
 
-    def __init__(self, system: Optional[Graphsurge] = None,
-                 workers: int = 1,
-                 fault_plan: Optional[FaultPlan] = None,
-                 backend: Optional[str] = None):
-        self.gs = system if system is not None else Graphsurge(
-            workers=workers)
-        self.workers = self.gs.workers
-        self.backend = (backend if backend is not None
-                        else getattr(self.gs, "backend", "inline"))
+    def __init__(self, system: Graphsurge,
+                 fault_plan: Optional[FaultPlan] = None):
+        #: The facade; its ``workers`` and ``backend`` are the session's.
+        self.gs = system
         self.fault_plan = fault_plan
         #: Bumped by every mutation; tags cache entries and responses.
         self.epoch = 0
@@ -170,8 +165,8 @@ class ServeSession:
             if resident is None:
                 if walker is None:
                     resident = ResidentDataflow(
-                        computation, workers=self.workers,
-                        fault_plan=self.fault_plan, backend=self.backend)
+                        computation, workers=self.gs.workers,
+                        fault_plan=self.fault_plan, backend=self.gs.backend)
                 else:
                     resident = self._residents.pop(walker)
                 self._residents[key] = resident
@@ -238,7 +233,7 @@ class ServeSession:
                 "a stream session is already open; close it first")
         base = self.gs.resolve(graph) if graph else None
         engine = StreamEngine(
-            base, workers=self.workers, backend=self.backend,
+            base, workers=self.gs.workers, backend=self.gs.backend,
             weight_property=self.gs.weight_property,
             fault_plan=self.fault_plan)
         try:
@@ -312,8 +307,8 @@ class ServeSession:
             "collections": list(self.gs.views.collection_names()),
             "epoch": self.epoch,
             "journal_entries": len(self.journal),
-            "workers": self.workers,
-            "backend": self.backend,
+            "workers": self.gs.workers,
+            "backend": self.gs.backend,
         }
 
     # -- checkpoint / restore --------------------------------------------------

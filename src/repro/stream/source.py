@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
+from repro.graph.edge_stream import EdgeStream
 
 #: One streamed edge: (src, dst, weight).
 EdgeTriple = Tuple[int, int, int]
@@ -108,27 +109,26 @@ def churn_batches(seed: int, epochs: int, num_nodes: int = 12,
 
 
 def replay_batches(graph, prop: str = "ts", num_batches: int = 10,
-                   weight: Optional[str] = None,
-                   default_weight: int = 1) -> List[StreamBatch]:
+                   weight: Optional[str] = None) -> List[StreamBatch]:
     """Replay a property graph's edges in ``prop`` order, append-only.
 
     Edges are sorted by the integer property ``prop`` (ties broken by
     endpoint ids, so replay is deterministic) and chunked into
     ``num_batches`` nearly equal batches — temporal ingestion of a graph
-    that was recorded with timestamps.
+    that was recorded with timestamps. Weights are read as
+    :meth:`repro.graph.edge_stream.EdgeStream.from_graph` reads them.
     """
     if num_batches <= 0:
         raise ConfigError("replay_batches: num_batches must be positive")
+    weighted = EdgeStream.from_graph(graph, weight)
     stamped = []
-    for edge in graph.edges:
+    for edge, (_eid, src, dst, w) in zip(graph.edges, weighted):
         ts = edge.properties.get(prop)
         if ts is None:
             raise ConfigError(
-                f"replay_batches: edge ({edge.src}, {edge.dst}) has no "
+                f"replay_batches: edge ({src}, {dst}) has no "
                 f"{prop!r} property")
-        w = (int(edge.properties.get(weight, default_weight))
-             if weight is not None else default_weight)
-        stamped.append((int(ts), edge.src, edge.dst, w))
+        stamped.append((int(ts), src, dst, w))
     stamped.sort()
     if not stamped:
         return [StreamBatch() for _ in range(num_batches)]

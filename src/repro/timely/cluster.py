@@ -60,11 +60,12 @@ Failure handling
 ----------------
 
 A worker that dies mid-superstep (or stops answering within
-``task_timeout``) surfaces as :class:`repro.errors.WorkerFailedError`
-carrying the worker index and the superstep at which the coordinator
-detected it. Detection is a poll loop with an aliveness check, and
-``close()`` bounds its joins, so the coordinator never hangs. Workers are
-daemonic as a leak backstop: they die with the coordinator no matter what.
+``TASK_TIMEOUT`` seconds) surfaces as
+:class:`repro.errors.WorkerFailedError` carrying the worker index and
+the superstep at which the coordinator detected it. Detection is a poll
+loop with an aliveness check, and ``close()`` bounds its joins, so the
+coordinator never hangs. Workers are daemonic as a leak backstop: they
+die with the coordinator no matter what.
 """
 
 from __future__ import annotations
@@ -78,6 +79,10 @@ from repro.timely.worker import shard_for
 
 #: Execution backends understood by every ``backend=`` knob in the system.
 BACKENDS = ("inline", "process")
+
+#: Seconds the coordinator waits for one worker's reply before it reports
+#: the worker failed.
+TASK_TIMEOUT = 120.0
 
 
 def validate_backend(backend: str, workers: int) -> str:
@@ -192,13 +197,11 @@ class ProcessCluster:
     """
 
     def __init__(self, workers: int, registry: Dict[int, Any],
-                 superstep: Optional[Callable[[], int]] = None,
-                 task_timeout: float = 120.0):
+                 superstep: Optional[Callable[[], int]] = None):
         if workers < 2:
             raise ConfigError(
                 f"ProcessCluster requires workers >= 2, got {workers}")
         self.workers = workers
-        self.task_timeout = task_timeout
         self._superstep = superstep if superstep is not None else lambda: -1
         self._conns: List[Any] = []
         self._procs: List[Any] = []
@@ -228,16 +231,16 @@ class ProcessCluster:
                 f"exchange channel closed while sending ({exc!r})")
 
     def _recv(self, worker: int) -> Any:
-        """Receive one reply frame, bounded by ``task_timeout``."""
+        """Receive one reply frame, bounded by ``TASK_TIMEOUT``."""
         conn = self._conns[worker]
         proc = self._procs[worker]
-        deadline = _time.monotonic() + self.task_timeout
+        deadline = _time.monotonic() + TASK_TIMEOUT
         while True:
             remaining = deadline - _time.monotonic()
             if remaining <= 0:
                 raise WorkerFailedError(
                     worker, self._superstep(),
-                    f"no reply within {self.task_timeout:.0f}s")
+                    f"no reply within {TASK_TIMEOUT:.0f}s")
             if conn.poll(min(0.05, remaining)):
                 break
             if not proc.is_alive():

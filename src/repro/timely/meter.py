@@ -59,7 +59,7 @@ class WorkMeter:
     one superstep with ``meter.charge_step(units)``.
     """
 
-    def __init__(self, workers: int = 1, fault_plan=None, tracer=None):
+    def __init__(self, workers: int = 1, fault_plan=None):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
@@ -68,11 +68,12 @@ class WorkMeter:
         #: the middle of an operator's apply — the nastiest crash point,
         #: since it leaves the dataflow's traces half-updated.
         self.fault_plan = fault_plan
-        #: Optional :class:`repro.observe.tracer.TraceSink`. The sink only
+        #: Optional :class:`repro.observe.tracer.TraceSink`, attached by
+        #: :func:`repro.observe.tracer.attached`. The sink only
         #: observes — worker sharding, unit counts, and superstep frames
         #: are computed identically with or without it, so ``total_work``
         #: and ``parallel_time`` are byte-identical either way.
-        self.tracer = tracer
+        self.tracer = None
         self.total_work = 0
         self.parallel_time = 0
         self.supersteps = 0

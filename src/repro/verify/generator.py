@@ -126,12 +126,12 @@ def random_churn_collection(seed: int,
 # -- shared random property graph --------------------------------------------
 
 
-def _random_property_graph(rng: random.Random, name: str = "g"
-                           ) -> PropertyGraph:
-    """Random graph with ``ts``/``w`` edge and ``grp`` node properties."""
+def _random_property_graph(rng: random.Random) -> PropertyGraph:
+    """Random graph ``g`` with ``ts``/``w`` edge and ``grp`` node
+    properties."""
     n = rng.randint(6, 12)
     graph = PropertyGraph(
-        name,
+        "g",
         node_schema=Schema({"grp": PropertyType.INT}),
         edge_schema=Schema({"ts": PropertyType.INT,
                             "w": PropertyType.INT}))

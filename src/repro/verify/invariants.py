@@ -238,8 +238,7 @@ def check_permutation(collection: MaterializedCollection,
 
 def check_checkpoint(collection: MaterializedCollection,
                      spec: AlgorithmSpec, params: dict,
-                     kill_at: int = 1,
-                     work_dir: Optional[str] = None) -> Optional[Mismatch]:
+                     kill_at: int = 1) -> Optional[Mismatch]:
     """Kill at the ``kill_at``-th view boundary, resume, compare outputs.
 
     ``kill_at`` indexes the dataflow's epoch invocations under DIFF_ONLY
@@ -251,7 +250,7 @@ def check_checkpoint(collection: MaterializedCollection,
         return None
     kill_at = kill_at % collection.num_views
     baseline = _run(collection, spec, params, ExecutionMode.DIFF_ONLY)
-    with tempfile.TemporaryDirectory(dir=work_dir) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.ckpt"
         plan = FaultPlan.single("epoch", kill_at)
         try:

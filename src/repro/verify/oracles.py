@@ -227,10 +227,11 @@ def describe_map_mismatch(got: Dict[Any, Any],
     return "; ".join(parts)
 
 
-def _preview(mapping: Dict[Any, Any], limit: int = 4) -> str:
-    items = sorted(mapping.items(), key=repr)[:limit]
+def _preview(mapping: Dict[Any, Any]) -> str:
+    """The first four entries of ``mapping`` and its size."""
+    items = sorted(mapping.items(), key=repr)[:4]
     text = ", ".join(f"{k!r}: {v!r}" for k, v in items)
-    suffix = ", ..." if len(mapping) > limit else ""
+    suffix = ", ..." if len(mapping) > 4 else ""
     return f"{{{text}{suffix}}} ({len(mapping)} entries)"
 
 

@@ -61,8 +61,12 @@ def _valid_stream(diffs: List[dict]) -> bool:
     return True
 
 
-def shrink(collection: MaterializedCollection, check: Check,
-           max_checks: int = 200) -> ShrinkResult:
+#: The most times :func:`shrink` runs the check, the initial run included.
+MAX_CHECKS = 200
+
+
+def shrink(collection: MaterializedCollection,
+           check: Check) -> ShrinkResult:
     """Minimize ``collection`` while ``check`` keeps failing.
 
     ``check`` must fail on the input collection (the caller observed the
@@ -81,11 +85,11 @@ def shrink(collection: MaterializedCollection, check: Check,
 
     # Pass 1: whole views, repeated until a fixed point.
     progress = True
-    while progress and len(diffs) > 1 and checks_run < max_checks:
+    while progress and len(diffs) > 1 and checks_run < MAX_CHECKS:
         progress = False
         index = 0
         while index < len(diffs) and len(diffs) > 1:
-            if checks_run >= max_checks:
+            if checks_run >= MAX_CHECKS:
                 break
             kept = diffs[:index] + diffs[index + 1:]
             if not _valid_stream(kept):
@@ -106,11 +110,11 @@ def shrink(collection: MaterializedCollection, check: Check,
 
     # Pass 2: individual difference entries.
     progress = True
-    while progress and checks_run < max_checks:
+    while progress and checks_run < MAX_CHECKS:
         progress = False
         for view_index in range(len(diffs)):
             for edge in list(diffs[view_index]):
-                if checks_run >= max_checks:
+                if checks_run >= MAX_CHECKS:
                     break
                 trimmed = [dict(diff) for diff in diffs]
                 del trimmed[view_index][edge]

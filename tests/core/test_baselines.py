@@ -71,7 +71,7 @@ class TestIncrementalPageRank:
     @pytest.mark.parametrize("seed", range(4))
     def test_tracks_reference_fixed_point(self, seed):
         history, snapshots = churn_sequence(seed, churn=3)
-        pr = IncrementalPageRank(iterations=30)
+        pr = IncrementalPageRank()
         initial = snapshots[0]
         pr.apply_diff([pair for pair in initial], [])
         for step, (additions, removals) in enumerate(history):

@@ -76,6 +76,33 @@ class TestRun:
         assert main(argv) == 1
         assert "unknown computation" in capsys.readouterr().err
 
+    def test_checkpoint_on_a_graph_target_is_refused(self, graph_files,
+                                                     tmp_path, capsys):
+        checkpoint = tmp_path / "ck.jsonl"
+        argv = load_args(graph_files) + [
+            "run", "wcc", "g", "--checkpoint", str(checkpoint),
+            "--retries", "2"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "checkpoint_path, retry_policy" in err and "'g'" in err
+        assert not checkpoint.exists()
+
+    def test_misspelled_weight_property_is_refused(self, graph_files,
+                                                   capsys):
+        argv = load_args(graph_files) + [
+            "--weight-property", "nosuch", "run", "sssp", "g"]
+        assert main(argv) == 1
+        assert "nosuch" in capsys.readouterr().err
+
+    def test_replay_stream_with_a_misspelled_weight_is_refused(
+            self, graph_files, capsys):
+        argv = load_args(graph_files) + [
+            "--weight-property", "nosuch", "stream", "wcc", "--target", "g",
+            "--stream-source", "replay", "--ts-property", "year",
+            "--epochs", "2"]
+        assert main(argv) == 1
+        assert "nosuch" in capsys.readouterr().err
+
     def test_run_unknown_target(self, graph_files, capsys):
         argv = load_args(graph_files) + ["run", "wcc", "missing"]
         assert main(argv) == 1

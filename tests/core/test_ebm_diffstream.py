@@ -183,6 +183,11 @@ class TestBuildEbmContract:
         assert meter.supersteps == 2
         assert meter.parallel_time == -(-m // workers) + max(buckets)
 
+    def test_unknown_weight_property_is_refused(self):
+        with pytest.raises(UnknownPropertyError, match="nosuch"):
+            build_ebm(seeded_graph(), *pin_views(),
+                      weight_property="nosuch")
+
     @pytest.mark.parametrize("weight", [None, "w"])
     @pytest.mark.parametrize("make_graph", [seeded_graph, mutated_graph])
     def test_edges_are_the_edge_stream(self, make_graph, weight):

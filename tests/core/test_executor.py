@@ -29,9 +29,8 @@ class TestSingleView:
         assert result.view_size == 3
 
     def test_vertex_map_requires_output(self):
-        stream = EdgeStream([(0, 0, 1, 1)])
-        result = AnalyticsExecutor().run_on_view(Bfs(), stream,
-                                                 keep_output=False)
+        result = AnalyticsExecutor().run_on_collection(
+            Bfs(), chain_collection()).views[0]
         with pytest.raises(ComputationError, match="not kept"):
             result.vertex_map()
 

@@ -134,7 +134,8 @@ class TestRecordEncoding:
 class TestRunBudget:
     def test_non_converging_iterate_raises_structured_error(self):
         budget = RunBudget(max_iterations=25)
-        dataflow = Dataflow(budget=budget)
+        dataflow = Dataflow()
+        dataflow.set_budget(budget)
         nums = dataflow.new_input("nums")
 
         def diverge(inner, scope):

@@ -4,7 +4,13 @@ import pytest
 
 from repro import ExecutionMode, Graphsurge
 from repro.algorithms import Wcc
-from repro.errors import StoreError, UnknownGraphError
+from repro.core.resilience import RetryPolicy
+from repro.errors import (
+    ConfigError,
+    StoreError,
+    UnknownGraphError,
+    UnknownPropertyError,
+)
 
 
 @pytest.fixture
@@ -94,6 +100,29 @@ class TestAnalytics:
         session.execute("create view y2019 on Calls edges where year = 2019")
         result = session.run_analytics(Wcc(), "y2019")
         assert set(result.vertex_map()) == {1, 2, 4, 5, 6, 7, 8}
+
+    @pytest.mark.parametrize("target", ["Calls", "y2019"])
+    @pytest.mark.parametrize("option", [
+        "checkpoint_path", "resume_from", "retry_policy"])
+    def test_collection_options_are_refused_on_a_graph_or_view(
+            self, session, tmp_path, target, option):
+        session.execute("create view y2019 on Calls edges where year = 2019")
+        checkpoint = tmp_path / "ck.jsonl"
+        value = RetryPolicy(max_retries=2) if option == "retry_policy" \
+            else checkpoint
+        with pytest.raises(ConfigError, match=f"{option}.*'{target}'"):
+            session.run_analytics(Wcc(), target, **{option: value})
+        assert not checkpoint.exists()
+
+    def test_unknown_weight_property_is_refused(self, call_graph):
+        gs = Graphsurge(weight_property="nosuch")
+        gs.add_graph(call_graph)
+        gs.execute("create view y2019 on Calls edges where year = 2019")
+        with pytest.raises(UnknownPropertyError, match="nosuch"):
+            gs.run_analytics(Wcc(), "y2019")
+        with pytest.raises(UnknownPropertyError, match="nosuch"):
+            gs.execute("create view collection hist on Calls "
+                       "[a: year <= 2015], [b: year <= 2019]")
 
     def test_run_on_collection_all_modes(self, session):
         session.execute(

@@ -9,7 +9,7 @@ from repro.datasets import (
     social_like,
     stackoverflow_like,
 )
-from repro.datasets.citation import YEAR_MAX, YEAR_MIN
+from repro.datasets.citation import MAX_AUTHORS, YEAR_MAX, YEAR_MIN
 from repro.datasets.community import (
     community_sizes,
     perturbation_views,
@@ -77,11 +77,10 @@ class TestCitationsLike:
             assert dst_year <= src_year
 
     def test_property_ranges(self):
-        graph = citations_like(num_nodes=100, num_edges=300, seed=1,
-                               max_authors=20)
+        graph = citations_like(num_nodes=100, num_edges=300, seed=1)
         for node in graph.nodes.values():
             assert YEAR_MIN <= node.properties["year"] <= YEAR_MAX
-            assert 1 <= node.properties["authors"] <= 20
+            assert 1 <= node.properties["authors"] <= MAX_AUTHORS
 
 
 class TestCommunityGraph:
@@ -119,8 +118,7 @@ class TestCommunityGraph:
 
 class TestSocialLike:
     def test_attribute_hierarchy(self):
-        graph = social_like(num_nodes=60, num_edges=240, seed=0,
-                            with_attributes=True)
+        graph = social_like(num_nodes=60, num_edges=240, seed=0)
         for node in graph.nodes.values():
             city = int(node.properties["city"].removeprefix("city"))
             state = int(node.properties["state"].removeprefix("state"))
@@ -129,10 +127,6 @@ class TestSocialLike:
             assert country == state // 2
         for edge in graph.edges:
             assert 1 <= edge.properties["affinity"] <= 3
-
-    def test_plain_variant_has_no_schema(self):
-        graph = social_like(num_nodes=40, num_edges=100, seed=0)
-        assert len(graph.node_schema) == 0
 
     def test_locality_affinity_views(self):
         views = locality_affinity_views()

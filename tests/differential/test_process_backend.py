@@ -213,7 +213,6 @@ class TestServeSessionBackend:
                 resident.close()
 
         session = build_session("process")
-        assert session.backend == "process"
         assert session.describe()["backend"] == "process"
         inline = build_session("inline")
         try:

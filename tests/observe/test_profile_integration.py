@@ -12,7 +12,6 @@ import pytest
 
 from repro.algorithms.bfs import Bfs
 from repro.algorithms.wcc import Wcc
-from repro.bench.harness import run_modes
 from repro.bench.workloads import (
     CSIM_WINDOWS,
     csim_collection,
@@ -144,30 +143,3 @@ class TestProfileReport:
         assert report.result.profile is not None
         assert report.result.profile.critical_path.length == \
             report.result.parallel_time
-
-
-class TestBenchIntegration:
-    def test_run_modes_trace_attaches_profiles(self, fig10_collection):
-        plain = run_modes(Wcc, fig10_collection,
-                          modes=(ExecutionMode.DIFF_ONLY,), workers=2)
-        traced = run_modes(Wcc, fig10_collection,
-                           modes=(ExecutionMode.DIFF_ONLY,), workers=2,
-                           trace=True)
-        plain_result = plain[ExecutionMode.DIFF_ONLY]
-        traced_result = traced[ExecutionMode.DIFF_ONLY]
-        assert traced_result.profile is not None
-        assert plain_result.profile is None
-        assert traced_result.total_work == plain_result.total_work
-        assert traced_result.total_parallel_time == \
-            plain_result.total_parallel_time
-
-    def test_to_rows_reports_slowest_view(self, fig10_collection):
-        from repro.bench.harness import to_rows
-
-        traced = run_modes(Wcc, fig10_collection,
-                           modes=(ExecutionMode.DIFF_ONLY,), workers=2,
-                           trace=True)
-        rows = to_rows(traced, "exp", "ds", "cfg")
-        assert rows[0].extra["slowest_critical_path"] == \
-            traced[ExecutionMode.DIFF_ONLY].profile.slowest() \
-            .critical_path.length

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.errors import RequestError
+from repro.serve import httpd
 from repro.serve.httpd import HttpServer, Request, Response, read_request
 
 
@@ -50,8 +51,8 @@ class TestRequestJson:
             request.json()
 
 
-async def _roundtrip(raw: bytes, handler=None, *, half_close: bool = False,
-                     request_timeout: float = 30.0) -> bytes:
+async def _roundtrip(raw: bytes, handler=None, *,
+                     half_close: bool = False) -> bytes:
     """Send raw bytes to a live server, return the raw response."""
     async def echo(request: Request) -> Response:
         return Response(payload={
@@ -59,8 +60,7 @@ async def _roundtrip(raw: bytes, handler=None, *, half_close: bool = False,
             "query": request.query,
             "body": request.body.decode("utf-8")})
 
-    server = HttpServer(handler or echo, port=0,
-                        request_timeout=request_timeout)
+    server = HttpServer(handler or echo, port=0)
     await server.start()
     try:
         reader, writer = await asyncio.open_connection("127.0.0.1",
@@ -102,11 +102,12 @@ class TestServerRoundtrip:
             asyncio.run(_roundtrip(raw, half_close=True)))
         assert status == 400
 
-    def test_stalled_client_gets_408_not_a_hung_read(self):
+    def test_stalled_client_gets_408_not_a_hung_read(self, monkeypatch):
         # Short body, connection held open: the read deadline answers.
+        monkeypatch.setattr(httpd, "REQUEST_TIMEOUT", 0.1)
         raw = (b"POST /run HTTP/1.1\r\nContent-Length: 50\r\n\r\nshort")
         status, _headers, payload = decode(
-            asyncio.run(_roundtrip(raw, request_timeout=0.1)))
+            asyncio.run(_roundtrip(raw)))
         assert status == 408
         assert "timed out" in json.loads(payload)["message"]
 

@@ -330,6 +330,22 @@ class TestIntrospection:
         assert memory["total_records"] > 0
         assert memory["residents"][WCC]["epochs_fed"] == 1
 
+    def test_workers_and_backend_come_from_the_facade(self, call_graph):
+        gs = Graphsurge(workers=2, backend="process")
+        gs.add_graph(call_graph)
+        session = ServeSession(gs)
+        try:
+            wcc_run(session, "Calls")
+            residents = list(session._residents.values())
+            assert residents and all(
+                (r.workers, r.backend) == (2, "process") for r in residents)
+            assert all(r.dataflow.cluster is not None for r in residents)
+            description = session.describe()
+            assert (description["workers"], description["backend"]) == \
+                (2, "process")
+        finally:
+            session.close()
+
 
 class TestCheckpointRestore:
     def test_roundtrip_reproduces_state(self, call_graph, tmp_path):

@@ -6,17 +6,19 @@ runnable script inside the package. So ``src/repro`` has exactly two
 in the Makefile, and every ``-m repro.…`` module that the Makefile, CI,
 README or docs run can be found. Deleting a module while a command still
 names it fails here, not in CI or in a reader's shell. Likewise every
-backticked ``repro.…`` name in the docs must resolve, and every CI job that
-runs python against the repo must install its declared dependencies.
+backticked ``repro.…`` name in the docs must resolve, every documented call
+must pass only keywords its def still accepts, and every CI job that runs
+python against the repo must install its declared dependencies.
 """
 
+import ast
 import importlib.util
 import re
 from pathlib import Path
 
 import pytest
 
-from tests.test_source_lint import declared_dependencies
+from tests.test_source_lint import declared_dependencies, package_sources
 
 ROOT = Path(__file__).resolve().parents[1]
 CI = ROOT / ".github" / "workflows" / "ci.yml"
@@ -249,3 +251,115 @@ def test_ordering_rule_flags_an_install_after_use():
     assert runs_python_before_installing(late, declared, rules)
     assert not runs_python_before_installing(early, declared, rules)
     assert not runs_python_before_installing(["echo hi"], declared, rules)
+
+
+FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.MULTILINE | re.DOTALL)
+INLINE = re.compile(r"`([^`\n]+)`")
+CALL_NAME = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)\(")
+KEYWORD = re.compile(r"([A-Za-z_]\w*)\s*=(?!=)")
+
+
+def code_spans(text):
+    """The fenced code blocks of a markdown text, then its inline code."""
+    yield from FENCE.findall(text)
+    yield from INLINE.findall(FENCE.sub("", text))
+
+
+def keyword_calls(code):
+    """``(called name, keywords)`` per call in ``code`` that passes
+    keywords; nested calls are reported on their own."""
+    for match in CALL_NAME.finditer(code):
+        depth, start, keywords = 1, match.end(), []
+        index = start
+        while index < len(code) and depth:
+            char = code[index]
+            if char in "([{":
+                depth += 1
+            elif char in ")]}":
+                depth -= 1
+            elif depth == 1 and (word := KEYWORD.match(code, index)) and \
+                    (index == start or not code[index - 1].isidentifier()):
+                keywords.append(word[1])
+            index += 1
+        if keywords:
+            yield match[1], keywords
+
+
+def parameter_names(function):
+    """The keywords a def accepts, or None when it takes ``**kwargs``."""
+    args = function.args
+    return None if args.kwarg else {arg.arg for arg in args.args
+                                    + args.kwonlyargs}
+
+
+def accepted_keywords(package):
+    """``{qualified def name: keywords it accepts, or None for any}``:
+    a function's parameters, a class's ``__init__``'s, a dataclass's
+    annotated fields."""
+    accepted = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                accepted[f"{prefix}.{child.name}"] = parameter_names(child)
+            elif isinstance(child, ast.ClassDef):
+                init = next((c for c in child.body
+                             if isinstance(c, ast.FunctionDef)
+                             and c.name == "__init__"), None)
+                if init is not None:
+                    fields = parameter_names(init)
+                elif any("dataclass" in ast.unparse(d)
+                         for d in child.decorator_list):
+                    fields = {c.target.id for c in child.body
+                              if isinstance(c, ast.AnnAssign)
+                              and isinstance(c.target, ast.Name)}
+                else:
+                    fields = None
+                accepted[f"{prefix}.{child.name}"] = fields
+            else:
+                continue
+            visit(child, f"{prefix}.{child.name}")
+
+    for module, source in package.items():
+        visit(ast.parse(source), module)
+    return accepted
+
+
+def stale_keywords(text, accepted):
+    """``Name(kw=)`` for each documented call whose name resolves to
+    exactly one def that no longer accepts ``kw``."""
+    stale = set()
+    for code in code_spans(text):
+        for name, keywords in keyword_calls(code):
+            matches = [qualname for qualname in accepted
+                       if qualname == name or qualname.endswith("." + name)]
+            if len(matches) != 1 or accepted[matches[0]] is None:
+                continue
+            stale.update(f"{name}({keyword}=)" for keyword in keywords
+                         if keyword not in accepted[matches[0]])
+    return sorted(stale)
+
+
+@pytest.mark.parametrize("path", DOCS,
+                         ids=lambda path: path.relative_to(ROOT).as_posix())
+def test_documented_keywords_are_accepted(path):
+    """A documented call passes only keywords its def still accepts, so a
+    deleted parameter cannot leave a stale example behind."""
+    stale = stale_keywords(path.read_text(),
+                           accepted_keywords(package_sources()))
+    assert not stale, f"{path.relative_to(ROOT)}: {stale}"
+
+
+def test_keyword_rule_flags_a_planted_stale_keyword():
+    package = {"pkg.mod": (
+        "class Server:\n    def __init__(self, port=0):\n        pass\n"
+        "    def run(self, *, budget=None):\n        pass\n"
+        "def load(path, limit=None):\n    pass\n"
+        "def open_any(**options):\n    pass\n"
+        "def twin(a=1):\n    pass\n"
+        "class Other:\n    def twin(self, b=1):\n        pass\n")}
+    text = ("Call `Server(port=1, timeout=2)` then `Server.run(...,"
+            " budget=b)`.\n```python\nload('x', limit=3, max_edges=9)\n"
+            "open_any(anything=1)\ntwin(c=1)\nprint(sep='')\n```\n")
+    assert stale_keywords(text, accepted_keywords(package)) == [
+        "Server(timeout=)", "load(max_edges=)"]

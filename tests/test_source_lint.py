@@ -14,7 +14,9 @@ list parameters ``"pairs"``/``"seeds"`` (bar the two algorithms taking them
 and the fuzzer's samplers) or reads ``NAMES``/``PARAM_TYPES``. Finally, no
 def under src/repro is reached only by tests: each needs a live caller in
 the package, perf/, examples/ or benchmarks/, bar the test oracles listed
-in ``ORACLES`` (see docs/verification.md). And closed epochs fold in one
+in ``ORACLES`` (see docs/verification.md). Likewise no defaulted
+parameter of such a def outlives its setters: one of the live calls must
+pass it, bar the seams listed in ``SEAMS``. And closed epochs fold in one
 place: the ``_compacted_below`` guard and the ``(0,) + t[1:]`` epoch fold
 appear only in ``differential/trace.py``.
 """
@@ -518,3 +520,210 @@ SCAN_CASES = {
                          ids=SCAN_CASES.keys())
 def test_dead_def_scan_rules(module, entry, expected):
     assert dead_defs({"pkg.mod": module}, [entry]) == expected
+
+
+#: Parameters kept though no live caller sets them: seams the tests use
+#: to substitute a clock, a meter or a fault, and report inputs the docs
+#: document. ``{def's qualified name: {parameter: reason}}``. Every other
+#: defaulted parameter with live call sites needs one that passes it, and
+#: a seam needs a test that passes it.
+SEAMS = {
+    "repro.cli.main": {"argv": "tests drive the CLI in-process"},
+    "repro.bench.__main__.main": {
+        "argv": "tests drive the paper tables in-process"},
+    "repro.core.resilience.RunBudget.__init__": {
+        "clock": "tests step a fake clock through the wall-time limit"},
+    "repro.serve.breakers.BreakerBoard.__init__": {
+        "clock": "tests step a fake clock through the cool-down"},
+    "repro.differential.dataflow.Dataflow.__init__": {
+        "meter": "tests pass a logging meter to see every charge"},
+    "repro.serve.session.ServeSession.__init__": {
+        "fault_plan": "tests inject faults into the residents it builds"},
+    "repro.core.resilience.FaultPlan.single": {
+        "kind": "tests plant a corrupt-kind fault, not only a raise"},
+    "repro.serve.lifecycle.run_server": {
+        "install_signals": "in-process tests must not take over SIGTERM",
+        "log": "tests capture the boot and drain lines"},
+    "repro.verify.generator.random_churn_collection": {
+        "num_views": "tests pin a case size the fuzzer draws at random",
+        "num_nodes": "tests pin a case size the fuzzer draws at random",
+        "churn": "tests pin a case size the fuzzer draws at random"},
+    "repro.core.system.Graphsurge.explain": {
+        "checkpoint_path": "a report input documented in docs/resilience.md",
+        "run_result": "a report input documented in docs/observability.md",
+        "analysis": "a report input documented in docs/analysis.md"},
+}
+
+
+def defaulted_params(node, is_method):
+    """``[(parameter, positional index or None)]`` of a def's parameters
+    that have defaults; the index counts from the first argument a call
+    passes (after ``self``/``cls`` for a method)."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    skip = 1 if is_method and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod"
+        for d in node.decorator_list) else 0
+    first_default = len(positional) - len(args.defaults)
+    found = [(arg.arg, index - skip)
+             for index, arg in enumerate(positional) if index >= first_default]
+    found += [(arg.arg, None) for arg, default
+              in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+    return found
+
+
+class Params(ast.NodeVisitor):
+    """Defaulted parameters of a module's defs, keyed by the name a call
+    uses: a function's or method's own name, a class's for its
+    ``__init__``."""
+
+    def __init__(self, module, tree):
+        self.module, self.stack, self.found = module, [], []
+        self.visit(tree)
+
+    def visit_ClassDef(self, node):
+        self.stack.append(node)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    def visit_FunctionDef(self, node):
+        parent = self.stack[-1] if self.stack else None
+        is_method = isinstance(parent, ast.ClassDef)
+        qualname = ".".join([self.module] + [n.name for n in self.stack]
+                            + [node.name])
+        called_as = parent.name if is_method and \
+            node.name == "__init__" else node.name
+        params = defaulted_params(node, is_method)
+        if params:
+            self.found.append((qualname, called_as, params))
+        self.stack.append(node)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+
+def call_sites(tree):
+    """``(called name, positional count, keywords)`` per call; a call
+    that unpacks ``*args`` or ``**kwargs`` passes everything (``None``)."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name) else
+                func.attr if isinstance(func, ast.Attribute) else None)
+        if name is None:
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) or \
+                any(k.arg is None for k in node.keywords):
+            yield name, None, None
+        else:
+            yield name, len(node.args), {k.arg for k in node.keywords}
+
+
+def unset_params(package, entry_points):
+    """``[(qualified def name, parameter)]`` for each defaulted parameter
+    of a def in ``package`` (``{module: source}``) that has call sites in
+    the package or the entry points, none of which passes it by keyword
+    or by position. Calls are matched to defs by name."""
+    defs, calls = [], {}
+    for module, source in package.items():
+        tree = ast.parse(source)
+        defs += Params(module, tree).found
+        for name, count, keywords in call_sites(tree):
+            calls.setdefault(name, []).append((count, keywords))
+    for source in entry_points:
+        for name, count, keywords in call_sites(ast.parse(source)):
+            calls.setdefault(name, []).append((count, keywords))
+    unset = []
+    for qualname, called_as, params in defs:
+        sites = calls.get(called_as, ())
+        if not sites or any(count is None for count, _ in sites):
+            continue
+        for param, index in params:
+            if not any(param in keywords or
+                       (index is not None and count > index)
+                       for count, keywords in sites):
+                unset.append((qualname, param))
+    return unset
+
+
+def entry_point_sources():
+    return [path.read_text() for directory in ENTRY_POINTS
+            for path in sorted((ROOT / directory).glob("*.py"))]
+
+
+def test_every_parameter_has_a_live_setter():
+    """A defaulted parameter stays only while a live call passes it; one
+    no caller sets is a constant, and SEAMS lists the exceptions."""
+    unset = unset_params(package_sources(), entry_point_sources())
+    unsettable = [f"{qualname}({param}=)" for qualname, param in unset
+                  if param not in SEAMS.get(qualname, {})]
+    assert not unsettable, (
+        "parameters no live caller sets (make them constants, or list a "
+        "seam in SEAMS):\n" + "\n".join(unsettable))
+    listed = {(qualname, param) for qualname, params in SEAMS.items()
+              for param in params}
+    stale = sorted(listed - set(unset))
+    assert not stale, f"SEAMS entries that a live caller sets or that are " \
+        f"gone: {stale}"
+    tests = [path.read_text() for path in sorted((ROOT / "tests").rglob(
+        "*.py"))]
+    untested = sorted(listed & set(unset_params(package_sources(), tests)))
+    assert not untested, f"SEAMS entries no test sets either: {untested}"
+
+
+#: One rule of the parameter scan per case: ``(module source, entry-point
+#: source, the parameters it must report unset)``. The module is
+#: ``pkg.mod``.
+PARAM_CASES = {
+    "unset-default-is-flagged": (
+        "def run(x, limit=4):\n    return x\nrun(1)\n", "",
+        [("pkg.mod.run", "limit")]),
+    "entry-point-keyword-sets-it": (
+        "def run(x, limit=4):\n    return x\n", "run(1, limit=2)\n", []),
+    "entry-point-position-sets-it": (
+        "def run(x, limit=4):\n    return x\n", "run(1, 2)\n", []),
+    "double-star-call-sets-everything": (
+        "def run(x, limit=4):\n    return x\n", "run(**options)\n", []),
+    "star-call-sets-everything": (
+        "def run(x, limit=4):\n    return x\n", "run(*args)\n", []),
+    "uncalled-def-is-left-to-the-dead-def-rule": (
+        "def run(x, limit=4):\n    return x\n", "", []),
+    "keyword-only-default-needs-its-keyword": (
+        "def run(x, *, limit=4):\n    return x\n", "run(1, 2)\n",
+        [("pkg.mod.run", "limit")]),
+    "constructor-call-reaches-init": (
+        "class Server:\n    def __init__(self, port=0, timeout=30):\n"
+        "        pass\n", "Server(8080)\n",
+        [("pkg.mod.Server.__init__", "timeout")]),
+    "method-position-skips-self": (
+        "class Shape:\n    def scale(self, factor=2):\n        pass\n",
+        "Shape().scale(3)\n", []),
+    "static-method-position-counts-from-zero": (
+        "class Shape:\n    @staticmethod\n    def unit(size, sides=4):\n"
+        "        pass\n", "Shape.unit(1)\n",
+        [("pkg.mod.Shape.unit", "sides")]),
+}
+
+
+@pytest.mark.parametrize("module, entry, expected", PARAM_CASES.values(),
+                         ids=PARAM_CASES.keys())
+def test_parameter_scan_rules(module, entry, expected):
+    assert unset_params({"pkg.mod": module}, [entry]) == expected
+
+
+def test_parameter_rule_flags_a_planted_parameter():
+    """A planted defaulted parameter no live caller passes fails the rule
+    over the real tree; a perf/-style caller passing it, or a call
+    unpacking ``**kwargs``, clears it."""
+    package = package_sources()
+    package["repro.planted"] = ("def planted(rows, limit=10):\n"
+                                "    return rows[:limit]\n"
+                                "VALUE = planted([1, 2])\n")
+    entry_points = entry_point_sources()
+    assert ("repro.planted.planted", "limit") in unset_params(
+        package, entry_points)
+    for caller in ("planted([], limit=3)\n", "planted(**options)\n"):
+        assert ("repro.planted.planted", "limit") not in unset_params(
+            package, entry_points + [caller])

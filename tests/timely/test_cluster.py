@@ -9,6 +9,7 @@ and superstep instead of hanging).
 import pytest
 
 from repro.errors import ConfigError, WorkerFailedError
+from repro.timely import cluster as cluster_module
 from repro.timely.cluster import BACKENDS, ProcessCluster, validate_backend
 from repro.timely.worker import shard_for
 
@@ -43,9 +44,8 @@ def key_owned_by(worker, workers):
                 if shard_for(key, workers) == worker)
 
 
-def make_cluster(workers=2, superstep=None, **kwargs):
-    return ProcessCluster(workers, {0: EchoOp()}, superstep=superstep,
-                          **kwargs)
+def make_cluster(workers=2, superstep=None):
+    return ProcessCluster(workers, {0: EchoOp()}, superstep=superstep)
 
 
 class TestValidateBackend:
@@ -169,9 +169,9 @@ class TestWorkerDeath:
         finally:
             signal.signal(signal.SIGTERM, previous)
 
-    def test_killed_worker_raises_worker_failed_not_hang(self):
-        cluster = make_cluster(workers=2, superstep=lambda: 7,
-                               task_timeout=30.0)
+    def test_killed_worker_raises_worker_failed_not_hang(self, monkeypatch):
+        monkeypatch.setattr(cluster_module, "TASK_TIMEOUT", 30.0)
+        cluster = make_cluster(workers=2, superstep=lambda: 7)
         try:
             victim = 1
             cluster._procs[victim].kill()
@@ -185,7 +185,7 @@ class TestWorkerDeath:
         finally:
             cluster.close()
 
-    def test_unresponsive_worker_times_out(self):
+    def test_unresponsive_worker_times_out(self, monkeypatch):
         class SleepOp:
             def remote_task(self, payload):
                 import time
@@ -198,8 +198,8 @@ class TestWorkerDeath:
             def remote_stats(self):
                 return 0, 0
 
-        cluster = ProcessCluster(2, {0: SleepOp()}, superstep=lambda: 3,
-                                 task_timeout=1.0)
+        monkeypatch.setattr(cluster_module, "TASK_TIMEOUT", 1.0)
+        cluster = ProcessCluster(2, {0: SleepOp()}, superstep=lambda: 3)
         try:
             with pytest.raises(WorkerFailedError, match="no reply"):
                 cluster.run_tasks(0, None, [(0, None)])

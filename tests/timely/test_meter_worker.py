@@ -157,7 +157,8 @@ class TestMeterAttributionMatchesShardFor:
         from repro.observe import TraceSink
 
         sink = TraceSink(workers)
-        meter = WorkMeter(workers=workers, tracer=sink)
+        meter = WorkMeter(workers=workers)
+        meter.tracer = sink
         meter.begin_step()
         expected = {}
         for key, units in records:
@@ -180,7 +181,8 @@ class TestMeterAttributionMatchesShardFor:
 
         workers = 4
         sink = TraceSink(workers)
-        meter = WorkMeter(workers=workers, tracer=sink)
+        meter = WorkMeter(workers=workers)
+        meter.tracer = sink
         for key, units in records:
             meter.record(key, units)
         sink.mark()
