@@ -4,6 +4,8 @@
   operator, for ``explain``'s trace-memory report.
 * :func:`check_consolidated` — no stored difference holds a zero
   multiplicity or an empty time slot.
+* :func:`check_caches` — every key's cached accumulation equals a scan
+  of its entries (:meth:`KeyTrace.check_cache`).
 * :func:`check_consistency` — re-derive every keyed operator's output from
   its input trace at a probe time and compare against the stored output
   trace: a direct executable statement of the differential invariant
@@ -12,13 +14,12 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.differential.dataflow import Dataflow, Scope
 from repro.differential.operators.base import Operator
 from repro.differential.operators.keyed import KeyedOperator
 from repro.differential.operators.reduce import ReduceOp
-from repro.differential.timestamp import Time
 from repro.errors import DataflowError
 
 
@@ -79,16 +80,33 @@ def check_consolidated(dataflow: Dataflow) -> List[str]:
     return problems
 
 
-def check_consistency(dataflow: Dataflow,
-                      time: Optional[Time] = None) -> List[str]:
-    """Verify ``Out(t) == logic(In(t))`` for every reduce at a probe time.
+def check_caches(dataflow: Dataflow) -> List[str]:
+    """Check every stored key's accumulation cache against its entries.
+
+    Returns human-readable violations (empty = every cache is exact).
+    """
+    _require_local_state(dataflow, "check_caches")
+    problems: List[str] = []
+    for op in _keyed_operators(dataflow):
+        for trace in op.local_traces():
+            for key in trace.keys():
+                try:
+                    trace.get(key).check_cache()
+                except AssertionError as error:
+                    problems.append(
+                        f"{op.name} ({trace.name}): key {key!r}: {error}")
+    return problems
+
+
+def check_consistency(dataflow: Dataflow) -> List[str]:
+    """Verify ``Out(t) == logic(In(t))`` for every reduce at the last
+    completed epoch (the only epoch a keyed trace may still be read at).
 
     Returns a list of human-readable violation descriptions (empty when
-    consistent). The probe time defaults to the last completed epoch.
+    consistent).
     """
     _require_local_state(dataflow, "check_consistency")
-    if time is None:
-        time = (dataflow.epoch,)
+    time = (dataflow.epoch,)
     problems: List[str] = []
     for ops in _scope_ops(dataflow).values():
         for op in ops:

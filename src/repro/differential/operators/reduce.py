@@ -15,6 +15,7 @@ from repro.differential.multiset import Diff
 from repro.differential.operators.keyed import ScheduledOperator
 from repro.differential.timestamp import Time
 from repro.differential.trace import Trace
+from repro.errors import DataflowError
 
 
 class ReduceOp(ScheduledOperator):
@@ -53,7 +54,7 @@ class ReduceOp(ScheduledOperator):
         if acc_in:
             for value, mult in acc_in.items():
                 if mult < 0:
-                    raise ValueError(
+                    raise DataflowError(
                         f"reduce {self.name}: key {key!r} accumulated "
                         f"negative multiplicity {mult} for {value!r} "
                         f"at {time}"

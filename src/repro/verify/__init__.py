@@ -21,6 +21,7 @@ from repro.verify.invariants import (
     build_check,
     check_analysis,
     check_checkpoint,
+    check_engine,
     check_oracle,
     check_permutation,
     check_sanitize,
@@ -65,6 +66,7 @@ __all__ = [
     "canonical_diff",
     "check_analysis",
     "check_checkpoint",
+    "check_engine",
     "check_oracle",
     "check_permutation",
     "check_sanitize",

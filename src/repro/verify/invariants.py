@@ -38,6 +38,17 @@ Invariants:
   sanitizer, :mod:`repro.verify.sanitize`) of a clean plan never fires
   and leaves outputs and both metered counters byte-identical to an
   unsanitized process run: the shadow observes, never perturbs.
+* **engine** — after every epoch of an inline differential run, the
+  engine's own identities hold inside it: every reduce's stored output
+  re-derives from its input (``check_consistency``), no trace stores a
+  zero (``check_consolidated``) and every cached accumulation equals a
+  scan of its entries (``check_caches``). Outputs can stay right while
+  these break, so no output oracle sees them.
+
+A check that raises instead of returning (an engine defect surfacing
+as an exception) still ends as a :class:`Mismatch`: :func:`build_check`,
+which the fuzz loop, the shrinker and the replayer all call through,
+turns the escaped exception into one.
 """
 
 from __future__ import annotations
@@ -64,7 +75,7 @@ from repro.verify.oracles import (
 
 #: Invariant names understood by :func:`build_check` / the repro replayer.
 INVARIANTS = ("oracle", "workers", "backend", "permutation", "checkpoint",
-              "tracing", "analysis", "stream", "sanitize")
+              "tracing", "analysis", "stream", "sanitize", "engine")
 
 
 @dataclass
@@ -479,12 +490,68 @@ def check_sanitize(collection: MaterializedCollection, spec: AlgorithmSpec,
     return None
 
 
+# -- engine identities -------------------------------------------------------
+
+
+def check_engine(collection: MaterializedCollection, spec: AlgorithmSpec,
+                 params: dict) -> Optional[Mismatch]:
+    """The engine's internal identities hold after every epoch.
+
+    Steps one inline dataflow through the collection's difference sets
+    (the differential mode's epochs) and runs the three trace checkers
+    of :mod:`repro.differential.debug` after each one; the first
+    violation is reported with its epoch and view.
+    """
+    from repro.core.resident import build_plan
+    from repro.differential.debug import (
+        check_caches,
+        check_consistency,
+        check_consolidated,
+    )
+
+    check = {"invariant": "engine"}
+    computation = spec.computation(params)
+    dataflow, _capture = build_plan(computation)
+    for index in range(collection.num_views):
+        dataflow.step({"edges": collection.input_diff_for_view(
+            index, directed=computation.directed)})
+        problems = (check_consolidated(dataflow) + check_caches(dataflow)
+                    + check_consistency(dataflow))
+        if problems:
+            more = f" (+{len(problems) - 1} more)" if len(problems) > 1 \
+                else ""
+            return Mismatch("engine", spec.name,
+                            f"epoch {dataflow.epoch}: {problems[0]}{more}",
+                            view=collection.view_names[index], check=check)
+    return None
+
+
 # -- dispatch for shrink / replay --------------------------------------------
 
 
 def build_check(spec: AlgorithmSpec, params: dict, check: Dict[str, Any]
                 ) -> Callable[[MaterializedCollection], Optional[Mismatch]]:
-    """A re-runnable closure for the exact check a ``Mismatch`` recorded."""
+    """A re-runnable closure for the exact check a ``Mismatch`` recorded.
+
+    The closure never raises: an exception escaping the check is itself
+    the mismatch, so an engine defect that crashes a run is still shrunk
+    and written as a replayable repro.
+    """
+    run = _dispatch(spec, params, check)
+
+    def guarded(collection: MaterializedCollection) -> Optional[Mismatch]:
+        try:
+            return run(collection)
+        except Exception as error:
+            return Mismatch(check["invariant"], spec.name,
+                            f"{type(error).__name__} escaped the check: "
+                            f"{error}", check=dict(check))
+
+    return guarded
+
+
+def _dispatch(spec: AlgorithmSpec, params: dict, check: Dict[str, Any]
+              ) -> Callable[[MaterializedCollection], Optional[Mismatch]]:
     invariant = check.get("invariant")
     if invariant == "oracle":
         mode = ExecutionMode(check["mode"])
@@ -524,5 +591,7 @@ def build_check(spec: AlgorithmSpec, params: dict, check: Dict[str, Any]
         workers = int(check.get("workers", 2))
         return lambda collection: check_sanitize(
             collection, spec, params, workers=workers)
+    if invariant == "engine":
+        return lambda collection: check_engine(collection, spec, params)
     raise GraphsurgeError(f"unknown invariant {invariant!r}; expected one "
                           f"of {INVARIANTS}")

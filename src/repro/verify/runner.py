@@ -2,12 +2,13 @@
 
 Per iteration the runner generates one seeded case, runs **every**
 selected algorithm under **every** :class:`ExecutionMode` against its
-oracle, then runs the metamorphic battery (worker invariance, backend
-invariance, view-order permutation, checkpoint/kill/resume, tracing
-on/off, static-analyzer stability, streaming equivalence, shadow
-sanitizer) for one rotating algorithm. The first violated check is
-shrunk to a minimal collection and written as a replayable repro file
-that also records the plan's analyzer findings.
+oracle, then runs the metamorphic battery (engine identities per epoch,
+worker invariance, backend invariance, view-order permutation,
+checkpoint/kill/resume, tracing on/off, static-analyzer stability,
+streaming equivalence, shadow sanitizer) for one rotating algorithm.
+The first violated check — or the first exception a check lets escape
+— is shrunk to a minimal collection and written as a replayable repro
+file that also records the plan's analyzer findings.
 
 Deterministic end to end: ``FuzzConfig(seed=...)`` fixes the case
 stream, every sampled parameter, the kill sites, and the permutation
@@ -23,19 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.executor import ExecutionMode
 from repro.verify.generator import GeneratedCase, generate_case
-from repro.verify.invariants import (
-    Mismatch,
-    build_check,
-    check_analysis,
-    check_backends,
-    check_checkpoint,
-    check_oracle,
-    check_permutation,
-    check_sanitize,
-    check_stream,
-    check_tracing,
-    check_workers,
-)
+from repro.verify.invariants import Mismatch, build_check
 from repro.verify.oracles import AlgorithmSpec, resolve_algorithms
 from repro.verify.replay import ReproFile, write_repro
 from repro.verify.shrinker import shrink
@@ -88,7 +77,11 @@ class FuzzReport:
 
 def run_fuzz(config: FuzzConfig,
              log: Optional[Callable[[str], None]] = None) -> FuzzReport:
-    """Execute the configured fuzz campaign; never raises on mismatches."""
+    """Execute the configured fuzz campaign; never raises on mismatches.
+
+    Every check runs through :func:`build_check`, so an exception a
+    check lets escape is reported (and shrunk) as that check's mismatch.
+    """
     rng = random.Random(config.seed)
     specs = resolve_algorithms(config.algorithms)
     report = FuzzReport(seed=config.seed)
@@ -113,7 +106,9 @@ def run_fuzz(config: FuzzConfig,
         for spec in specs:
             params = spec.sample_params(rng, vertices)
             for mode in ExecutionMode:
-                mismatch = check_oracle(case.collection, spec, params, mode)
+                check = build_check(spec, params, {"invariant": "oracle",
+                                                   "mode": mode.value})
+                mismatch = check(case.collection)
                 report.oracle_checks += 1
                 if mismatch is not None:
                     failed = True
@@ -129,22 +124,22 @@ def run_fuzz(config: FuzzConfig,
             spec = specs[iteration % len(specs)]
             params = spec.sample_params(rng, vertices)
             battery = (
-                lambda: check_workers(case.collection, spec, params),
-                lambda: check_backends(case.collection, spec, params),
-                lambda: check_permutation(case.collection, spec, params,
-                                          perm_seed=rng.randrange(2 ** 16)),
-                lambda: check_checkpoint(
-                    case.collection, spec, params,
-                    kill_at=rng.randrange(
-                        1, max(2, case.collection.num_views))),
-                lambda: check_tracing(case.collection, spec, params),
-                lambda: check_analysis(case.collection, spec, params,
-                                       perm_seed=rng.randrange(2 ** 16)),
-                lambda: check_stream(case.collection, spec, params),
-                lambda: check_sanitize(case.collection, spec, params),
+                {"invariant": "engine"},
+                {"invariant": "workers"},
+                {"invariant": "backend"},
+                {"invariant": "permutation",
+                 "perm_seed": rng.randrange(2 ** 16)},
+                {"invariant": "checkpoint",
+                 "kill_at": rng.randrange(
+                     1, max(2, case.collection.num_views))},
+                {"invariant": "tracing"},
+                {"invariant": "analysis",
+                 "perm_seed": rng.randrange(2 ** 16)},
+                {"invariant": "stream"},
+                {"invariant": "sanitize"},
             )
-            for run_check in battery:
-                mismatch = run_check()
+            for check in battery:
+                mismatch = build_check(spec, params, check)(case.collection)
                 report.invariant_checks += 1
                 if mismatch is not None:
                     failed = True

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.differential import Dataflow
+from repro.errors import DataflowError
 
 
 def brute_force_join(a, b):
@@ -142,7 +143,7 @@ class TestReduceFamily:
         df = Dataflow()
         a = df.new_input("a")
         df.capture(a.min_by_key(), "out")
-        with pytest.raises(ValueError, match="negative multiplicity"):
+        with pytest.raises(DataflowError, match="negative multiplicity"):
             df.step({"a": {("k", 1): -1}})
 
     def test_custom_logic_multiple_outputs(self):

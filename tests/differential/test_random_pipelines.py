@@ -17,6 +17,7 @@ import random
 import pytest
 
 from repro.differential import Dataflow
+from repro.errors import DataflowError
 
 
 def naive_map(state, fn):
@@ -170,7 +171,7 @@ def test_random_pipeline_matches_naive(seed):
                 "aux": random_churn(rng, aux_state)}
         try:
             df.step(feed)
-        except ValueError as error:
+        except DataflowError as error:
             # Negative accumulation inside a reduce: legal engine refusal
             # when a negate stage feeds a reduce. Only combos containing a
             # negation stage may trigger it.

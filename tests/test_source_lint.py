@@ -285,14 +285,6 @@ def test_fold_rule_flags_planted_copies():
 #: reduce nothing, so they stay where they are. Every other def under
 #: src/repro needs a live caller.
 ORACLES = {
-    "repro.differential.debug.check_consistency":
-        "re-derives each reduce's output from its input trace",
-    "repro.differential.debug.check_consolidated":
-        "the no-zero-multiplicity invariant behind multiset.is_empty",
-    "repro.differential.debug._require_local_state":
-        "the two checkers' refusal to scan a live process cluster",
-    "repro.differential.trace.KeyTrace.check_cache":
-        "the cached accumulation against a scan of the entries",
     "repro.differential.timestamp.lub_closure":
         "TimeSchedule's reference for the closure of input times",
     "repro.observe.export.validate_chrome_trace":

@@ -10,12 +10,15 @@ from repro.verify.invariants import (
     build_check,
     check_analysis,
     check_checkpoint,
+    check_engine,
     check_oracle,
     check_permutation,
     check_stream,
     check_tracing,
     check_workers,
 )
+from repro.differential.timestamp import leq
+from repro.differential.trace import KeyTrace
 from repro.errors import ConfigError
 from repro.verify.oracles import (
     ALGORITHMS,
@@ -61,6 +64,10 @@ class TestChecksPassOnHealthyEngine:
 
     def test_stream(self, collection):
         assert check_stream(collection, WCC, {}) is None
+
+    @pytest.mark.parametrize("name", ["wcc", "degrees", "scc"])
+    def test_engine(self, collection, name):
+        assert check_engine(collection, ALGORITHMS[name], {}) is None
 
     def test_stream_vacuous_for_unservable_spec(self, collection):
         from repro.algorithms import ClusteringCoefficient
@@ -115,6 +122,53 @@ class TestChecksCatchViolations:
         rebuilt = build_check(unsound, {}, mismatch.check)(collection)
         assert rebuilt is not None and rebuilt.invariant == "analysis"
         assert build_check(WCC, {}, mismatch.check)(collection) is None
+
+
+class TestEngineInvariant:
+    """Defects that leave outputs right but the engine's state wrong
+    are named by the per-epoch engine check."""
+
+    def test_cancelled_slot_kept_as_empty_diff(self, collection,
+                                               monkeypatch):
+        def keep_empty_slots(self, time, diff):
+            slot = self.entries.setdefault(time, {})
+            for value, mult in diff.items():
+                slot[value] = slot.get(value, 0) + mult
+                if not slot[value]:
+                    del slot[value]
+            self._cache_time = None
+
+        monkeypatch.setattr(KeyTrace, "update", keep_empty_slots)
+        assert check_oracle(collection, WCC, {},
+                            ExecutionMode.DIFF_ONLY) is None
+        mismatch = check_engine(collection, WCC, {})
+        assert mismatch is not None and mismatch.invariant == "engine"
+        assert "stores an empty diff" in mismatch.detail
+        assert mismatch.view is not None
+        rebuilt = build_check(WCC, {}, mismatch.check)(collection)
+        assert rebuilt is not None and rebuilt.invariant == "engine"
+
+    def test_cache_that_skips_an_uncovered_time(self, collection,
+                                                monkeypatch):
+        accumulate = KeyTrace.accumulate
+        calls = [0]
+
+        def skipping(self, time):
+            ct = self._cache_time
+            if ct is not None and ct != time and leq(ct, time):
+                calls[0] += 1
+                if calls[0] % 7 == 0:
+                    skipped = [s for s in self._uncovered if leq(s, time)]
+                    self._uncovered.difference_update(skipped[:1])
+            return accumulate(self, time)
+
+        monkeypatch.setattr(KeyTrace, "accumulate", skipping)
+        # The defect may surface as a wrong cache, a wrong reduce output
+        # or the reduce guard's typed error; each is the engine mismatch.
+        check = build_check(WCC, {}, {"invariant": "engine"})
+        mismatch = check(collection)
+        assert mismatch is not None and mismatch.invariant == "engine"
+        assert "key" in mismatch.detail
 
 
 class TestOutputMap:

@@ -5,6 +5,9 @@ operator must be caught, shrunk to a tiny repro, and replayable."""
 import pytest
 
 from repro.differential.collection import Collection
+from repro.differential.multiset import add_into
+from repro.differential.timestamp import leq
+from repro.differential.trace import KeyTrace
 from repro.verify.replay import load_repro, replay_repro
 from repro.verify.runner import FuzzConfig, FuzzReport, run_fuzz
 
@@ -17,6 +20,26 @@ def off_by_one_count(monkeypatch):
                            name=name)
 
     monkeypatch.setattr(Collection, "count_by_key", broken)
+
+
+@pytest.fixture
+def skip_one_time(monkeypatch):
+    """Every 97th accumulation over more than one stored time leaves one
+    covered time out — a trace defect, not an output bug."""
+    accumulate = KeyTrace.accumulate
+    calls = [0]
+
+    def skipping(self, time):
+        acc = accumulate(self, time)
+        covered = [s for s in self.entries if s != time and leq(s, time)]
+        if covered:
+            calls[0] += 1
+            if calls[0] % 97 == 0:
+                acc = add_into(dict(acc), self.entries[covered[0]],
+                               factor=-1)
+        return acc
+
+    monkeypatch.setattr(KeyTrace, "accumulate", skipping)
 
 
 class TestCleanCampaign:
@@ -89,6 +112,39 @@ class TestMutationIsCaught:
         assert not report.ok
         assert report.iterations == 3
         assert len(report.mismatches) == 3
+
+
+class TestEngineDefectIsCaught:
+    def test_skipped_time_is_a_named_mismatch_not_a_traceback(
+            self, skip_one_time, tmp_path):
+        out = tmp_path / "repro.json"
+        report = run_fuzz(FuzzConfig(seed=7, iterations=3,
+                                     algorithms=["wcc"],
+                                     repro_out=str(out)))
+        assert not report.ok
+        mismatch = report.mismatches[0]
+        assert mismatch.algorithm == "wcc"
+        assert mismatch.invariant in ("oracle", "engine")
+        assert report.repro_paths == [str(out)]
+        repro = load_repro(out)
+        assert repro.check["invariant"] == mismatch.invariant
+        assert repro.collection.num_views >= 1
+
+    def test_escaped_exception_becomes_the_checks_mismatch(
+            self, monkeypatch, tmp_path):
+        def crash(self, name: str = "count") -> Collection:
+            raise RuntimeError("planted crash")
+
+        monkeypatch.setattr(Collection, "count_by_key", crash)
+        out = tmp_path / "repro.json"
+        report = run_fuzz(FuzzConfig(seed=7, iterations=1,
+                                     algorithms=["degrees"],
+                                     repro_out=str(out)))
+        mismatch = report.mismatches[0]
+        assert mismatch.invariant == "oracle"
+        assert "RuntimeError escaped the check: planted crash" in \
+            mismatch.detail
+        assert replay_repro(out) is not None
 
 
 def test_report_summary_counts():
