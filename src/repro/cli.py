@@ -110,11 +110,13 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("computation",
                          help="|".join(sorted(registry.ALGORITHMS)))
         sub.add_argument("target", help="graph, view, or collection name")
-        sub.add_argument("--mode", default="adaptive",
+        sub.add_argument("--mode", default=None,
                          choices=[m.value for m in ExecutionMode],
-                         help="execution policy for collections")
-        sub.add_argument("--batch-size", type=int, default=10,
-                         help="adaptive splitting batch size (default 10)")
+                         help="execution policy of a collection run "
+                              "(default adaptive)")
+        sub.add_argument("--batch-size", type=int, default=None,
+                         help="adaptive splitting batch size of a "
+                              "collection run (default 10)")
         sub.add_argument("--source", type=int, default=None,
                          help="source vertex for bfs/bf")
         sub.add_argument("--iterations", type=int,
@@ -432,6 +434,10 @@ def _build_resilience(args: argparse.Namespace):
     return budget, retry_policy, args.checkpoint, resume_from
 
 
+def _mode(args: argparse.Namespace) -> Optional[ExecutionMode]:
+    return None if args.mode is None else ExecutionMode(args.mode)
+
+
 def _run(session: Graphsurge, args: argparse.Namespace) -> None:
     computation = build_computation(args.computation, args)
     budget, retry_policy, checkpoint_path, resume_from = \
@@ -442,7 +448,7 @@ def _run(session: Graphsurge, args: argparse.Namespace) -> None:
 
         tracer = TraceSink(session.workers)
     result = session.run_analytics(
-        computation, args.target, mode=ExecutionMode(args.mode),
+        computation, args.target, mode=_mode(args),
         batch_size=args.batch_size, keep_outputs=bool(args.out),
         checkpoint_path=checkpoint_path, resume_from=resume_from,
         budget=budget, retry_policy=retry_policy, tracer=tracer,
@@ -494,7 +500,7 @@ def _run(session: Graphsurge, args: argparse.Namespace) -> None:
 def _profile(session: Graphsurge, args: argparse.Namespace) -> None:
     computation = build_computation(args.computation, args)
     report = session.profile(
-        computation, args.target, mode=ExecutionMode(args.mode),
+        computation, args.target, mode=_mode(args),
         batch_size=args.batch_size, trace_out=args.trace_out)
     print(report.render(top=args.top, flame_top=args.flame_top))
     if args.trace_out:

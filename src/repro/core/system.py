@@ -206,10 +206,10 @@ class Graphsurge:
     # -- analytics ----------------------------------------------------------------------
 
     def run_analytics(self, computation: GraphComputation, target: str,
-                      mode: ExecutionMode = ExecutionMode.ADAPTIVE,
-                      batch_size: int = 10,
+                      mode: Optional[ExecutionMode] = None,
+                      batch_size: Optional[int] = None,
                       keep_outputs: bool = False,
-                      cost_metric: str = "wall",
+                      cost_metric: Optional[str] = None,
                       checkpoint_path=None,
                       resume_from=None,
                       budget=None,
@@ -220,11 +220,16 @@ class Graphsurge:
                       ) -> Union[ViewRunResult, CollectionRunResult]:
         """Run a computation on a view, base graph, or view collection.
 
-        The resilience options (``checkpoint_path``, ``resume_from``,
-        ``budget``, ``retry_policy`` — see :mod:`repro.core.resilience`)
-        apply to collection runs; ``budget`` also guards single-view runs,
-        and a view or graph target refuses the other three
-        (:class:`repro.errors.ConfigError`).
+        ``mode``, ``batch_size`` and ``cost_metric`` choose how a
+        collection runs; left ``None`` they take
+        :meth:`AnalyticsExecutor.run_on_collection`'s defaults (adaptive,
+        10, ``"wall"``). The resilience options (``checkpoint_path``,
+        ``resume_from``, ``budget``, ``retry_policy`` — see
+        :mod:`repro.core.resilience`) apply to collection runs; ``budget``
+        also guards single-view runs. A view or graph target refuses every
+        other collection option it is given
+        (:class:`repro.errors.ConfigError`); its result always carries
+        its output, so ``keep_outputs`` needs no refusal.
         With ``tracer`` (a :class:`repro.observe.TraceSink`) the run is
         traced: per-view critical-path profiles are attached to the
         result, and the sink holds the exportable span stream. Tracing
@@ -244,18 +249,20 @@ class Graphsurge:
                                          tracer=tracer, strict=strict,
                                          backend=self.backend,
                                          sanitize=sanitize)
+        chosen = {option: value for option, value in (
+            ("mode", mode), ("batch_size", batch_size),
+            ("cost_metric", cost_metric)) if value is not None}
         if self.views.has_collection(target):
             collection: MaterializedCollection = \
                 self.views.get_collection(target)
             return executor.run_on_collection(
-                computation, collection, mode=mode, batch_size=batch_size,
-                keep_outputs=keep_outputs, cost_metric=cost_metric,
+                computation, collection, keep_outputs=keep_outputs,
                 checkpoint_path=checkpoint_path, resume_from=resume_from,
-                budget=budget, retry_policy=retry_policy)
+                budget=budget, retry_policy=retry_policy, **chosen)
         graph = self.resolve(target)
-        collection_only = [option for option, value in (
+        collection_only = [*chosen, *(option for option, value in (
             ("checkpoint_path", checkpoint_path), ("resume_from", resume_from),
-            ("retry_policy", retry_policy)) if value is not None]
+            ("retry_policy", retry_policy)) if value is not None)]
         if collection_only:
             raise ConfigError(
                 f"{', '.join(collection_only)}: options of a collection "
@@ -296,8 +303,8 @@ class Graphsurge:
         return engine
 
     def profile(self, computation: GraphComputation, target: str,
-                mode: ExecutionMode = ExecutionMode.ADAPTIVE,
-                batch_size: int = 10,
+                mode: Optional[ExecutionMode] = None,
+                batch_size: Optional[int] = None,
                 trace_out=None):
         """Run a computation traced; answer "why is view k slow".
 
@@ -306,7 +313,8 @@ class Graphsurge:
         the text report, ``write_chrome_trace(path)`` for a
         ``chrome://tracing``-loadable timeline, and ``flame()`` for
         a text rollup. ``trace_out`` writes the Chrome trace as part of
-        the call. The metered ``total_work``/``parallel_time`` are
+        the call. ``mode`` and ``batch_size`` are collection options, as in
+        :meth:`run_analytics`. The metered ``total_work``/``parallel_time`` are
         byte-identical to an untraced run.
         """
         from repro.observe import ProfileReport, TraceSink

@@ -29,7 +29,7 @@ def community_graph(num_nodes: int = 300, num_communities: int = 10,
     schema = Schema({f"c{i}": PropertyType.BOOL
                      for i in range(num_communities)})
     graph = PropertyGraph(name, node_schema=schema, edge_schema=Schema())
-    sizes = zipf_sizes(num_nodes, num_communities, rng)
+    sizes = zipf_sizes(num_nodes, num_communities)
     members: List[List[int]] = [[] for _ in range(num_communities)]
     node_comms: List[List[int]] = [[] for _ in range(num_nodes)]
     pool = list(range(num_nodes))

@@ -53,7 +53,7 @@ def random_edge_pairs(num_nodes: int, num_edges: int, seed: int,
     return edges
 
 
-def zipf_sizes(total: int, buckets: int, rng: random.Random) -> List[int]:
+def zipf_sizes(total: int, buckets: int) -> List[int]:
     """Split ``total`` items into ``buckets`` Zipf-ish decreasing sizes."""
     weights = [1.0 / (i + 1) ** ZIPF_EXPONENT for i in range(buckets)]
     norm = sum(weights)

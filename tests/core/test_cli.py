@@ -87,6 +87,26 @@ class TestRun:
         assert "checkpoint_path, retry_policy" in err and "'g'" in err
         assert not checkpoint.exists()
 
+    def test_run_options_on_a_graph_target_are_refused(self, graph_files,
+                                                       capsys):
+        argv = load_args(graph_files) + [
+            "run", "wcc", "g", "--mode", "scratch", "--batch-size", "3"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "mode, batch_size" in err and "'g'" in err
+        argv = load_args(graph_files) + [
+            "profile", "wcc", "g", "--mode", "scratch"]
+        assert main(argv) == 1
+        assert "mode" in capsys.readouterr().err
+
+    def test_out_on_a_graph_target_still_writes(self, graph_files, tmp_path,
+                                                capsys):
+        out = tmp_path / "res.csv"
+        argv = load_args(graph_files) + ["run", "wcc", "g", "--out",
+                                         str(out)]
+        assert main(argv) == 0
+        assert out.read_text().startswith("vertex,value")
+
     def test_misspelled_weight_property_is_refused(self, graph_files,
                                                    capsys):
         argv = load_args(graph_files) + [

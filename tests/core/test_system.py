@@ -114,6 +114,31 @@ class TestAnalytics:
             session.run_analytics(Wcc(), target, **{option: value})
         assert not checkpoint.exists()
 
+    @pytest.mark.parametrize("target", ["Calls", "y2019"])
+    @pytest.mark.parametrize("option, value", [
+        ("mode", ExecutionMode.SCRATCH), ("batch_size", 3),
+        ("cost_metric", "work")])
+    def test_run_options_are_refused_on_a_graph_or_view(
+            self, session, target, option, value):
+        session.execute("create view y2019 on Calls edges where year = 2019")
+        with pytest.raises(ConfigError, match=f"{option}.*'{target}'"):
+            session.run_analytics(Wcc(), target, **{option: value})
+
+    @pytest.mark.parametrize("option, value", [
+        ("mode", ExecutionMode.SCRATCH), ("batch_size", 3)])
+    def test_profile_refuses_run_options_on_a_graph(self, session, option,
+                                                    value):
+        with pytest.raises(ConfigError, match=f"{option}.*'Calls'"):
+            session.profile(Wcc(), "Calls", **{option: value})
+
+    def test_run_options_default_to_the_collection_table(self, session):
+        session.execute("create view collection hist on Calls "
+                        "[a: year <= 2015], [b: year <= 2019]")
+        result = session.run_analytics(Wcc(), "hist")
+        assert result.mode is ExecutionMode.ADAPTIVE
+        # A view result always carries its output.
+        assert session.run_analytics(Wcc(), "Calls").output
+
     def test_unknown_weight_property_is_refused(self, call_graph):
         gs = Graphsurge(weight_property="nosuch")
         gs.add_graph(call_graph)

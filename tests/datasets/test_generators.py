@@ -1,5 +1,8 @@
 """Dataset generators: determinism, property shapes, workload helpers."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.datasets import (
@@ -45,7 +48,7 @@ class TestRandomEdgePairs:
             random_edge_pairs(3, 100, seed=0)
 
     def test_zipf_sizes_sum(self):
-        sizes = zipf_sizes(100, 7, __import__("random").Random(0))
+        sizes = zipf_sizes(100, 7)
         assert sum(sizes) == 100
         assert sizes == sorted(sizes, reverse=True)
         assert all(s >= 1 for s in sizes)
@@ -91,6 +94,20 @@ class TestCommunityGraph:
         sizes = community_sizes(graph)
         assert len(sizes) == 5
         assert sizes[0][1] >= sizes[-1][1]
+
+    def test_seeded_graph_is_pinned(self):
+        # sha256 of the seed-11 graph's nodes, properties and edges: the
+        # community sizes draw nothing from the generator's RNG stream.
+        graph = community_graph(num_nodes=120, num_communities=6,
+                                intra_edges=400, background_edges=100,
+                                seed=11)
+        payload = json.dumps([
+            [[node_id, sorted(node.properties.items())]
+             for node_id, node in sorted(graph.nodes.items())],
+            [[edge.src, edge.dst, sorted(edge.properties.items())]
+             for edge in graph.edges]], sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == (
+            "da92df28623a39d517a7e14c4e46d7babc027199d8ee191cce7c9d37c4d4126a")
 
     def test_perturbation_views_combinatorics(self):
         graph = community_graph(num_nodes=60, num_communities=6,
