@@ -205,7 +205,8 @@ class ResidentDataflow:
     # -- lifecycle ------------------------------------------------------------
 
     def compact(self, keep_epochs: int) -> None:
-        """Fold trace history older than the last ``keep_epochs`` epochs."""
+        """Fold the capture log's epochs older than the last
+        ``keep_epochs`` (:meth:`Dataflow.compact`)."""
         if self.dataflow is not None:
             self.dataflow.compact(self.dataflow.epoch - keep_epochs)
 

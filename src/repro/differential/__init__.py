@@ -37,7 +37,6 @@ from repro.differential.multiset import (
     Diff,
     add_into,
     consolidate,
-    is_empty,
     size,
 )
 from repro.differential.operators.io import CaptureOp
@@ -53,7 +52,6 @@ __all__ = [
     "Time",
     "add_into",
     "consolidate",
-    "is_empty",
     "size",
     "leq",
     "lt",

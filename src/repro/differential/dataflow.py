@@ -236,30 +236,24 @@ class Dataflow:
             superstep=lambda: self.meter.supersteps)
 
     def compact(self, before_epoch: int) -> None:
-        """Compact every trace's history below ``before_epoch``.
+        """Fold every capture's per-epoch log below ``before_epoch``.
 
-        The streaming driver's memory bound: after epochs below the
-        bound are closed (no future query will read a per-epoch value
-        there), each operator's per-key history — and each capture's
-        per-epoch diff log — folds into epoch-0 representatives, so
-        resident state grows with the live graph and the compaction lag,
-        not with the total number of epochs ever streamed. The bound is
-        clamped to the last completed epoch; re-running at an
-        already-applied bound is cheap (per-trace guards).
-
-        On the process backend the keyed traces live in the worker
-        processes, so the bound is also broadcast to the cluster; the
-        coordinator still compacts captures and any inline-resident
-        traces.
+        The streaming driver's memory bound. Keyed traces hold one entry
+        per loop suffix and none per epoch (``repro.differential.trace``),
+        so a capture's log is the only history that grows with the number
+        of epochs: once epochs below the bound are closed, their diffs
+        fold into one epoch-0 representative, and resident state grows
+        with the live graph, not with the total number of epochs ever
+        streamed. The bound is clamped to the last completed epoch.
+        Captures live on the coordinator on either backend.
         """
         bound = min(before_epoch, self.epoch)
         if bound <= 0:
             return
         for ops in self._ops_by_scope.values():
             for op in ops:
-                op.compact_below(bound)
-        if self.cluster is not None:
-            self.cluster.compact(bound)
+                if isinstance(op, CaptureOp):
+                    op.trace.compact_below(bound)
         if self.sanitizer is not None:
             self.sanitizer.compact(before_epoch)
 

@@ -20,6 +20,7 @@ from repro.differential.dataflow import Dataflow, Scope
 from repro.differential.operators.base import Operator
 from repro.differential.operators.keyed import KeyedOperator
 from repro.differential.operators.reduce import ReduceOp
+from repro.differential.trace import key_time
 from repro.errors import DataflowError
 
 
@@ -57,11 +58,11 @@ def check_consolidated(dataflow: Dataflow) -> List[str]:
     """Assert the consolidation invariant across all stored traces.
 
     Every difference the engine stores must be consolidated: no
-    zero-multiplicity values and no empty time slots. ``multiset.is_empty``
-    is a plain falsiness test *because* of this invariant, so a violation
-    here means some operator stored an unconsolidated diff and emptiness
-    checks downstream are no longer trustworthy. Returns human-readable
-    violations (empty = invariant holds).
+    zero-multiplicity values and no empty time slots. Emptiness is a
+    plain falsiness test everywhere *because* of this invariant, so a
+    violation here means some operator stored an unconsolidated diff and
+    emptiness checks downstream are no longer trustworthy. Returns
+    human-readable violations (empty = invariant holds).
     """
     _require_local_state(dataflow, "check_consolidated")
     problems: List[str] = []
@@ -112,7 +113,8 @@ def check_consistency(dataflow: Dataflow) -> List[str]:
         for op in ops:
             if not isinstance(op, ReduceOp):
                 continue
-            probe = time + (1 << 30,) * (op.scope.depth - len(time))
+            probe = key_time(
+                time + (1 << 30,) * (op.scope.depth - len(time)))
             for key in list(op.in_trace.keys()):
                 # Accumulations are borrowed and consolidated: read only.
                 acc_in = op.in_trace.accumulate(key, probe)

@@ -39,17 +39,6 @@ def negate(diff: Diff) -> Diff:
     return {rec: -mult for rec, mult in diff.items()}
 
 
-def is_empty(diff: Diff) -> bool:
-    """True when the multiset carries no records.
-
-    Relies on the module invariant that every helper consolidates (drops
-    zero multiplicities) — so emptiness is just falsiness, no scan. The
-    invariant itself is asserted by
-    :func:`repro.differential.debug.check_consolidated`.
-    """
-    return not diff
-
-
 def size(diff: Diff) -> int:
     """Total absolute multiplicity — the paper's "number of differences"."""
     return sum(abs(mult) for mult in diff.values())

@@ -18,7 +18,7 @@ from repro.differential.multiset import Diff
 from repro.differential.operators.base import Operator
 from repro.differential.operators.keyed import KeyedOperator, pair_key
 from repro.differential.timestamp import Time
-from repro.differential.trace import Trace
+from repro.differential.trace import Trace, key_time
 
 
 class ArrangeOp(KeyedOperator):
@@ -75,23 +75,23 @@ class JoinArrangedOp(KeyedOperator):
     def __init__(self, dataflow, scope, name, left, arrange_op,
                  f: Callable[[Any, Any, Any], Any]):
         self.left_trace = Trace(name + ".left")
-        # The arranged side is owned (compacted, counted) by its ArrangeOp.
+        # The arranged side is owned (and counted) by its ArrangeOp.
         super().__init__(dataflow, scope, name, [left, arrange_op],
                          {"left": self.left_trace})
         self.f = f
         self.arranged = arrange_op.trace
 
     def on_delta(self, port: int, time: Time, diff: Diff) -> None:
-        self.run_keys((port, time), self.group(diff).items())
+        self.run_keys((port, time, key_time(time)), self.group(diff).items())
 
     def kernel(self, header, key, values, record, outputs) -> None:
-        port, time = header
+        port, time, at = header
         if port == 0:
             # Store first so later arranged diffs at this time pair
             # against it; then match the arrangement as of now (which
             # includes arranged diffs that arrived earlier, and not
             # ones still to come — exactly-once pairing).
-            self.left_trace.update(key, time, values)
+            self.left_trace.update(key, at, values)
             pair_key(self.f, key, values, time, self.arranged, False,
                      record, outputs)
         else:

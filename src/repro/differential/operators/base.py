@@ -71,16 +71,5 @@ class Operator:
     def discard_pending_beyond(self, prefix: Time, max_iter: int) -> None:
         """Drop scheduled work past an iteration clamp (see IterateOp)."""
 
-    # -- trace maintenance --------------------------------------------------
-
-    def compact_below(self, epoch: int) -> None:
-        """Compact all owned history below ``epoch`` (stateful ops only).
-
-        Called by :meth:`Dataflow.compact` on the coordinator and, for
-        keyed operators, by the worker message loop on the process
-        backend; safe to run twice on the same bound (per-key guards make
-        the re-run cheap).
-        """
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name}#{self.index}>"

@@ -32,6 +32,10 @@ class CaptureOp(Operator):
     accumulation cache to its epoch, so the cache holds the running sum
     and a frontier read is a copy of it; a read behind the frontier
     rescans.
+
+    Unlike a keyed trace, this log keeps real epochs, so it is the one
+    store that grows with the number of epochs; :meth:`Dataflow.compact`
+    folds its closed epochs (:meth:`KeyTrace.compact_below`).
     """
 
     def __init__(self, dataflow, scope, name, source: Operator):
@@ -42,20 +46,6 @@ class CaptureOp(Operator):
         self.trace.update(time, diff)
         if len(time) == 1:
             self.trace.accumulate(time)
-
-    def compact_below(self, epoch: int) -> None:
-        """Fold diffs of epochs before ``epoch`` into one representative.
-
-        The capture trace is the one store that otherwise grows with the
-        number of epochs forever: one entry per stepped epoch. Once epochs
-        below ``epoch`` are closed (the stream will never ask for a
-        per-epoch value there again), :meth:`KeyTrace.compact_below` sums
-        their diffs into the time ``(0,)`` — after which
-        :meth:`accumulated` at any live time sees the identical sum, but
-        the trace holds O(live epochs) entries. Exact per-epoch reads
-        (:meth:`diff_at`) below the bound are forfeited, by design.
-        """
-        self.trace.compact_below(epoch)
 
     def diff_at(self, time: Time) -> Diff:
         """The consolidated difference emitted at exactly ``time``."""

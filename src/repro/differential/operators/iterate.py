@@ -19,7 +19,7 @@ variable "at iteration infinity".
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.differential.multiset import Diff, add_into, consolidate
 from repro.differential.operators.base import Operator
@@ -84,14 +84,12 @@ class VariableOp(ScheduledOperator):
         switch = parent_time + (1,)
         grouped = self.group(diff)
         self.store("in", time, grouped)
-        schedule = self.schedule.schedule
-        for key in grouped:
-            schedule(key, time)
-            # At iteration 1 the variable's definition switches from the
-            # initial value to the body result; a key the body never
-            # reproduces must be retracted there even though the body
-            # emits no difference for it.
-            schedule(key, switch)
+        self.schedule.schedule(grouped, time)
+        # At iteration 1 the variable's definition switches from the
+        # initial value to the body result; a key the body never
+        # reproduces must be retracted there even though the body emits
+        # no difference for it.
+        self.schedule.schedule(grouped, switch)
 
     def on_delta(self, port: int, time: Time, diff: Diff) -> None:
         if port != 1:
@@ -99,24 +97,23 @@ class VariableOp(ScheduledOperator):
         shifted = time[:-1] + (time[-1] + 1,)
         grouped = self.group(diff)
         self.store("body", time, grouped)
-        schedule = self.schedule.schedule
-        for key in grouped:
-            schedule(key, shifted)
+        self.schedule.schedule(grouped, shifted)
 
-    def kernel(self, time, key, _payload, record, outputs) -> None:
+    def header(self, time: Time) -> Tuple:
+        """Adds the trace the pass reads its target from, and where: the
+        initial value at iteration 0, the body one iteration back after."""
+        time, at = super().header(time)
         iteration = time[-1]
-        epoch = time[0]
-        self.in_trace.maybe_compact(key, epoch)
-        self.body_trace.maybe_compact(key, epoch)
-        self.out_trace.maybe_compact(key, epoch)
-        # Borrowed accumulations: correct_output only reads the target.
         if iteration == 0:
-            target = self.in_trace.accumulate(key, time)
-        else:
-            body_time = time[:-1] + (iteration - 1,)
-            target = self.body_trace.accumulate(key, body_time)
+            return time, at, "in", at
+        return time, at, "body", at[:-1] + (iteration - 1,)
+
+    def kernel(self, header, key, _payload, record, outputs) -> None:
+        time, at, tag, read_at = header
+        # Borrowed accumulation: correct_output only reads the target.
+        target = self.owned[tag].accumulate(key, read_at)
         record(key, max(1, len(target)))
-        self.correct_output(key, time, target, record, outputs[time])
+        self.correct_output(key, at, target, record, outputs[time])
 
 
 class _LeaveTap(Operator):

@@ -25,7 +25,7 @@ from typing import Any, Callable
 from repro.differential.multiset import Diff
 from repro.differential.operators.keyed import KeyedOperator, pair_key
 from repro.differential.timestamp import Time
-from repro.differential.trace import Trace
+from repro.differential.trace import Trace, key_time
 
 
 class JoinOp(KeyedOperator):
@@ -43,13 +43,13 @@ class JoinOp(KeyedOperator):
     def on_delta(self, port: int, time: Time, diff: Diff) -> None:
         # The pairing is bilinear, so pairing a key's whole value diff at
         # once produces exactly the per-record pairs.
-        self.run_keys((port, time), self.group(diff).items())
+        self.run_keys((port, time, key_time(time)), self.group(diff).items())
 
     def kernel(self, header, key, values, record, outputs) -> None:
-        port, time = header
+        port, time, at = header
         # First incorporate into our own trace so the opposite side's
         # future deltas at this timestamp pair against it (each pair of
         # diffs is thus counted exactly once).
-        self.traces[port].update(key, time, values)
+        self.traces[port].update(key, at, values)
         pair_key(self.f, key, values, time, self.traces[1 - port],
                  port == 1, record, outputs)

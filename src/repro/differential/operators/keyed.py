@@ -18,8 +18,13 @@ that implements them:
   the kernel would have recorded; the coordinator replays them in the
   original key order, so counters, fault-plan firing and tracer streams
   are byte-identical across backends;
-* **introspection** — compaction, resident-state statistics and the
-  worker-side ``remote_*`` entry points all derive from the trace table.
+* **introspection** — resident-state statistics and the worker-side
+  ``remote_*`` entry points derive from the trace table.
+
+Traces are written and read at key times (``repro.differential.trace``'s
+read contract): the shell and the operators fold a pass's time with
+:func:`~repro.differential.trace.key_time` once, in the header every
+kernel of the pass shares.
 
 An operator built on the shell is its traces, its scheduling and its
 kernel. ``Dataflow`` registers every :class:`KeyedOperator` with the
@@ -36,7 +41,7 @@ from typing import Any, Callable, DefaultDict, Dict, Iterable, Tuple
 from repro.differential.multiset import Diff, add_into, consolidate
 from repro.differential.operators.base import Operator
 from repro.differential.timestamp import Time, lub
-from repro.differential.trace import TimeSchedule, Trace
+from repro.differential.trace import TimeSchedule, Trace, key_time
 
 #: ``record(key, units)`` — the meter on the inline backend, an event
 #: collector inside a worker.
@@ -56,8 +61,8 @@ class KeyedOperator(Operator):
         super().__init__(dataflow, scope, name, inputs)
         #: ``{tag: Trace}`` — the traces this operator owns. A trace it
         #: only reads (a shared arrangement) belongs to the operator that
-        #: writes it and is not listed here, so it is compacted and
-        #: counted exactly once.
+        #: writes it and is not listed here, so it is counted exactly
+        #: once.
         self.owned = traces
 
     # -- coordinator side ---------------------------------------------------
@@ -143,10 +148,6 @@ class KeyedOperator(Operator):
     def local_traces(self) -> Iterable[Trace]:
         return self.owned.values()
 
-    def compact_below(self, epoch: int) -> None:
-        for trace in self.local_traces():
-            trace.compact_below(epoch)
-
     def record_count(self) -> int:
         """Stored difference entries in this process's owned traces."""
         return sum(trace.record_count() for trace in self.local_traces())
@@ -192,10 +193,11 @@ def pair_key(f: Callable[[Any, Any, Any], Any], key: Any, values: Diff,
     on the right port — with the product multiplicity at
     ``lub(time, t2)``: corrections land at timestamps where neither input
     carries a difference (the Bellman-Ford trace of the paper's Table 1).
-    Stored times shorter than ``time`` come from an arrangement entered
-    from an outer scope and act as if padded with zero loop coordinates.
+    Stored times are key times, whose epoch 0 is below ``time``'s, so the
+    join lands in ``time``'s epoch. Stored times shorter than ``time``
+    come from an arrangement entered from an outer scope and act as if
+    padded with zero loop coordinates.
     """
-    trace.maybe_compact(key, time[0])
     stored = trace.get(key)
     record(key, len(values))
     if stored is None:
@@ -235,24 +237,30 @@ class ScheduledOperator(KeyedOperator):
     def flush(self, time: Time) -> None:
         keys = self.schedule.tasks_at(time)
         if keys:
-            self.run_keys(time, zip(keys, repeat(None)))
+            self.run_keys(self.header(time), zip(keys, repeat(None)))
 
-    def correct_output(self, key: Any, time: Time, target: Diff,
+    def header(self, time: Time) -> Tuple:
+        """What every kernel of the pass at ``time`` shares: the time and
+        its key time, folded once per pass."""
+        return time, key_time(time)
+
+    def correct_output(self, key: Any, at: Time, target: Diff,
                        record: Record, out: Diff) -> None:
-        """Make the key's accumulated output at ``time`` equal ``target``.
+        """Make the key's accumulated output at key time ``at`` equal
+        ``target``.
 
         ``target`` is only read (kernels pass borrowed accumulations).
         The correction is ``target`` minus the output accumulated at
-        ``<= time``; it is emitted into ``out`` and added to the entry
-        stored at ``time``, which the accumulation cache (anchored at
-        ``time`` by the read) absorbs in place.
+        ``<= at``; it is emitted into ``out`` and added to the entry
+        stored at ``at``, which the accumulation cache (anchored at ``at``
+        by the read) absorbs in place.
         """
         delta = dict(target)
         prior = self.out_trace.get(key)
         if prior is not None:
-            add_into(delta, prior.accumulate(time), factor=-1)
+            add_into(delta, prior.accumulate(at), factor=-1)
         if delta:
-            self.out_trace.update(key, time, delta)
+            self.out_trace.update(key, at, delta)
             record(key, len(delta))
             for value, mult in delta.items():
                 rec = (key, value)

@@ -40,15 +40,11 @@ class ReduceOp(ScheduledOperator):
     def on_delta(self, port: int, time: Time, diff: Diff) -> None:
         grouped = self.group(diff)
         self.store("in", time, grouped)
-        schedule = self.schedule.schedule
-        for key in grouped:
-            schedule(key, time)
+        self.schedule.schedule(grouped, time)
 
-    def kernel(self, time, key, _payload, record, outputs) -> None:
-        epoch = time[0]
-        self.in_trace.maybe_compact(key, epoch)
-        self.out_trace.maybe_compact(key, epoch)
-        acc_in = self.in_trace.accumulate(key, time)  # borrowed
+    def kernel(self, header, key, _payload, record, outputs) -> None:
+        time, at = header
+        acc_in = self.in_trace.accumulate(key, at)  # borrowed
         record(key, max(1, len(acc_in)))
         target: Diff = {}
         if acc_in:
@@ -62,4 +58,4 @@ class ReduceOp(ScheduledOperator):
             # The UDF gets its own copy: it may mutate its argument.
             for out_value in self.logic(key, dict(acc_in)):
                 target[out_value] = target.get(out_value, 0) + 1
-        self.correct_output(key, time, target, record, outputs[time])
+        self.correct_output(key, at, target, record, outputs[time])

@@ -13,10 +13,11 @@ not the accumulated graph — maintaining a query over a long stream does
 the same total work as the batch executor doing one collection whose
 views are the stream's prefixes.
 
-Memory stays bounded through frontier-driven trace compaction
-(:meth:`repro.core.resident.ResidentDataflow.compact`): every
-:data:`COMPACT_EVERY` epochs, history older than :data:`KEEP_EPOCHS`
-epochs folds into epoch-0 representatives, on both backends.
+Memory stays bounded: keyed traces hold one entry per loop suffix and
+none per epoch, and the one per-epoch log, each query's output capture,
+folds through :meth:`repro.core.resident.ResidentDataflow.compact`:
+every :data:`COMPACT_EVERY` epochs, capture history older than
+:data:`KEEP_EPOCHS` epochs folds into one epoch-0 representative.
 
 Durability uses the PR 1 journal format: the engine appends each
 ingested batch to a checkpoint journal; :meth:`StreamEngine.resume`
@@ -50,7 +51,7 @@ from repro.graph.edge_stream import EdgeStream, edges_to_input
 from repro.observe.stream_metrics import EpochMetric, StreamMeter
 from repro.stream.source import EdgeTriple, StreamBatch
 
-#: Every this many epochs the engine folds closed trace history.
+#: Every this many epochs the engine folds its captures' closed epochs.
 COMPACT_EVERY = 8
 #: Epochs of exact per-epoch history a fold leaves unfolded.
 KEEP_EPOCHS = 4
@@ -231,7 +232,7 @@ class StreamEngine:
                 batch.to_record(), index=self._batches_journaled,
                 view_name=f"epoch-{self.epoch}"))
             self._batches_journaled += 1
-        self._maybe_compact()
+        self._fold_captures()
         if failure is not None:
             for res in results:
                 self.queries[res.query].owed = res.output_delta
@@ -269,7 +270,7 @@ class StreamEngine:
         return EpochResult(self.epoch, query.signature, output_delta,
                            work, parallel_time, latency)
 
-    def _maybe_compact(self) -> None:
+    def _fold_captures(self) -> None:
         if self.epoch % COMPACT_EVERY:
             return
         for query in self.queries.values():

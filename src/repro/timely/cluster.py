@@ -44,10 +44,6 @@ Every frame is a pickled 3-tuple ``(kind, op_index, payload)``:
     ``items``. Replies ``("ok", {key: (events, result)})``.
 ``("stats", None, None)``
     Replies ``("ok", {op_index: (resident_keys, resident_records)})``.
-``("compact", None, epoch)``
-    Fire-and-forget: compact every registered operator's trace history
-    below ``epoch`` (streaming GC). FIFO ordering makes it safe to
-    interleave with updates; errors are buffered like update errors.
 ``("shutdown", None, None)``
     Worker exits its loop.
 
@@ -146,14 +142,6 @@ def _worker_main(index: int, conn, registry: Dict[int, Any]) -> None:
                 except BaseException as exc:  # surfaced at next sync point
                     failure = exc
             continue
-        if kind == "compact":
-            if failure is None:
-                try:
-                    for op in registry.values():
-                        op.compact_below(payload)
-                except BaseException as exc:  # surfaced at next sync point
-                    failure = exc
-            continue
         if failure is not None:
             reply: Tuple[str, Any] = ("err", failure)
         elif kind == "stats":
@@ -186,8 +174,8 @@ class ProcessCluster:
     """W forked workers plus the coordinator-side exchange machinery.
 
     ``registry`` maps a stable operator index to the operator object whose
-    ``remote_update`` / ``remote_task`` / ``remote_stats`` methods (and
-    ``compact_below``) the worker dispatches to. The registry is captured by fork: construct the
+    ``remote_update`` / ``remote_task`` / ``remote_stats`` methods the
+    worker dispatches to. The registry is captured by fork: construct the
     cluster only once the dataflow graph is complete (and, for byte-
     identical sharded state, before any keyed trace holds records).
 
@@ -302,16 +290,6 @@ class ProcessCluster:
         if error is not None:
             raise error
         return merged
-
-    def compact(self, epoch: int) -> None:
-        """Broadcast a trace-compaction bound to every worker (no reply).
-
-        Workers compact the keyed traces they own below ``epoch``; any
-        failure surfaces at the next synchronous exchange, exactly like a
-        failed update.
-        """
-        for worker in range(self.workers):
-            self._send(worker, ("compact", None, epoch))
 
     def stats(self) -> Dict[int, Tuple[int, int]]:
         """Each registered operator's resident ``(keys, records)``, summed

@@ -1,13 +1,14 @@
-"""Frontier-driven trace compaction: the streaming memory bound.
+"""The streaming memory bound.
 
-The opportunistic per-key ``maybe_compact`` keeps *touched* keys small;
-``Dataflow.compact(before_epoch)`` is the sweep a long-running stream
-needs so quiet keys — and the capture's per-epoch diff log — stop
-growing with the number of epochs ever processed.
+Keyed traces hold one entry per loop suffix and none per epoch, so they
+never grow with the number of epochs processed and need no sweep.
+``Dataflow.compact(before_epoch)`` folds the one store that does grow:
+each capture's per-epoch diff log.
 """
 
 
 from repro.differential import Dataflow
+from repro.differential.debug import operator_record_counts
 from repro.differential.trace import Trace
 
 
@@ -18,22 +19,18 @@ def count_dataflow(workers=1, backend="inline"):
     return df, out
 
 
-class TestTraceCompactBelow:
-    def test_preserves_accumulations_at_live_times(self):
+class TestKeyedTracesHoldNoEpochs:
+    def test_a_root_key_is_one_running_sum(self):
         trace = Trace("t")
         for epoch in range(6):
-            trace.update("k", (epoch,), {epoch: 1})
-        expected = trace.accumulate("k", (5,))
-        trace.compact_below(4)
-        assert trace.accumulate("k", (5,)) == expected
-        assert len(trace.key_trace("k").entries) == 3  # (0,), (4,), (5,)
+            trace.update_batch((epoch,), {"k": {epoch: 1}})
+        assert trace.accumulate("k", (0,)) == {e: 1 for e in range(6)}
+        assert list(trace.get("k").entries) == [(0,)]
 
-    def test_drops_fully_cancelled_keys(self):
+    def test_fully_cancelled_keys_leave_at_once(self):
         trace = Trace("t")
-        trace.update("gone", (0,), {"v": 1})
-        trace.update("gone", (1,), {"v": -1})
-        trace.update("kept", (0,), {"v": 1})
-        trace.compact_below(2)
+        trace.update_batch((0,), {"gone": {"v": 1}, "kept": {"v": 1}})
+        trace.update_batch((1,), {"gone": {"v": -1}})
         assert "gone" not in trace
         assert "kept" in trace
         assert trace.record_count() == 1
@@ -77,39 +74,34 @@ class TestCaptureCompaction:
         assert out.value_at_epoch(df.epoch) == {(1, 1): 1}
 
 
-class TestOperatorCompaction:
-    def test_inline_keyed_traces_shrink_and_stay_correct(self):
-        from repro.differential.debug import operator_record_counts
-
+class TestOperatorState:
+    def test_inline_keyed_state_is_the_live_state(self):
         df, out = count_dataflow()
         for epoch in range(30):
             delta = {("k", epoch): 1}
             if epoch:
                 delta[("k", epoch - 1)] = -1
             df.step({"edges": delta})
-        grown = sum(operator_record_counts(df).values())
-        df.compact(df.epoch)
-        compacted = sum(operator_record_counts(df).values())
-        assert compacted < grown
-        # Further epochs still compute correctly off compacted history.
+            # One live input value and one count, whatever the epoch.
+            assert sum(operator_record_counts(df).values()) == 2
         df.step({"edges": {("k", 100): 1}})
         assert out.value_at_epoch(df.epoch) == {("k", 2): 1}
 
-    def test_process_backend_broadcast_shrinks_worker_state(self):
-        from repro.differential.debug import operator_record_counts
-
+    def test_process_backend_state_matches_inline_without_a_sweep(self):
+        inline, inline_out = count_dataflow()
         df, out = count_dataflow(workers=2, backend="process")
         try:
             for epoch in range(24):
-                df.step({"edges": {(epoch % 3, epoch): 1}})
-            reference = out.value_at_epoch(df.epoch)
-            grown = sum(operator_record_counts(df).values())
+                feed = {"edges": {(epoch % 3, epoch): 1}}
+                df.step(feed)
+                inline.step(feed)
+            # 24 live input values over 3 keys, plus one count per key.
+            assert sum(operator_record_counts(df).values()) == 27
+            assert operator_record_counts(df) == \
+                operator_record_counts(inline)
             df.compact(df.epoch)
-            # The broadcast is fire-and-forget; stats() is the next
-            # synchronous exchange and observes the compacted traces.
-            compacted = sum(operator_record_counts(df).values())
-            assert compacted < grown
-            assert out.value_at_epoch(df.epoch) == reference
+            assert out.value_at_epoch(df.epoch) == \
+                inline_out.value_at_epoch(inline.epoch)
             df.step({"edges": {(0, 99): 1}})
             assert out.value_at_epoch(df.epoch)[(0, 9)] == 1
         finally:

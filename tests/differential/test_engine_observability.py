@@ -36,7 +36,7 @@ class TestCheckConsolidated:
         arrange_op = next(
             op for ops in df._ops_by_scope.values() for op in ops
             if op.name == "b.arr")
-        arrange_op.trace.key_trace("k").entries[(0,)][2] = 0
+        arrange_op.trace.get("k").entries[(0,)][2] = 0
         problems = check_consolidated(df)
         assert len(problems) == 1
         assert "zero multiplicities" in problems[0]
@@ -46,7 +46,7 @@ class TestCheckConsolidated:
         arrange_op = next(
             op for ops in df._ops_by_scope.values() for op in ops
             if op.name == "b.arr")
-        arrange_op.trace.key_trace("k").entries[(5,)] = {}
+        arrange_op.trace.get("k").entries[(5,)] = {}
         problems = check_consolidated(df)
         assert any("empty diff" in p for p in problems)
 

@@ -3,8 +3,8 @@
 The shell is the one place that decides where a key's state lives, how
 its kernel is invoked and how its work is metered. These tests hold it to
 that through the seam it exists to provide: a cluster is anything with
-``post_updates`` / ``run_tasks`` / ``stats`` / ``compact``, so an
-in-process fake can stand in for forked workers.
+``post_updates`` / ``run_tasks`` / ``stats``, so an in-process fake can
+stand in for forked workers.
 """
 
 import copy
@@ -83,11 +83,6 @@ class FakeCluster:
                 totals[index] = (totals[index][0] + keys,
                                  totals[index][1] + records)
         return dict(totals)
-
-    def compact(self, epoch):
-        for registry in self.registries:
-            for op in registry.values():
-                op.compact_below(epoch)
 
     def close(self):
         pass

@@ -3,7 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.differential.multiset import add_into, consolidate, is_empty, negate, size
+from repro.differential.multiset import add_into, consolidate, negate, size
 
 diffs = st.dictionaries(st.integers(0, 9), st.integers(-5, 5).filter(bool),
                         max_size=8)
@@ -87,10 +87,6 @@ class TestNegate:
 
 
 class TestPredicates:
-    def test_is_empty(self):
-        assert is_empty({})
-        assert not is_empty({"a": 1})
-
     @given(diffs)
     def test_size_is_total_absolute_multiplicity(self, a):
         assert size(a) == sum(abs(m) for m in a.values())

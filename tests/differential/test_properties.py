@@ -1,6 +1,6 @@
 """Randomized property tests for the engine hot path.
 
-Two families:
+Three families:
 
 * arranged joins must be observationally equivalent to private-trace
   ``JoinOp`` joins — including inside iterate scopes (an arrangement
@@ -11,7 +11,13 @@ Two families:
   ``compact_below`` / ``accumulate`` and of ``correct_output``'s
   read-then-update (subtract the borrowed accumulation from a target,
   store the difference at the same time), with the internal cache
-  invariants (``check_cache``) holding after every step.
+  invariants (``check_cache``) holding after every step;
+* the keyed read contract (``repro.differential.trace``): under
+  forward-only writes and reads at arity 1, 2 and 3, a keyed
+  :class:`Trace` read at the current epoch equals a reference that keeps
+  every full time, a key whose diffs cancel leaves no entry, and
+  :class:`TimeSchedule` enqueues exactly the full lub-closure's elements
+  above the arriving time, all of them in the current epoch.
 """
 
 import random
@@ -22,8 +28,8 @@ from hypothesis import strategies as st
 
 from repro.differential import Dataflow
 from repro.differential.multiset import add_into, consolidate
-from repro.differential.timestamp import leq
-from repro.differential.trace import KeyTrace
+from repro.differential.timestamp import leq, lub_closure
+from repro.differential.trace import KeyTrace, TimeSchedule, Trace, key_time
 
 
 def _random_churn(rng, state, n_keys, n_vals, max_ops):
@@ -117,20 +123,14 @@ class _BruteTrace:
 
     def __init__(self):
         self.entries = {}
-        self.compacted_below = 0
 
     def update(self, time, diff):
-        if time[0] < self.compacted_below:
-            self.compacted_below = time[0]
         slot = self.entries.setdefault(time, {})
         add_into(slot, diff)
         if not slot:
             del self.entries[time]
 
     def compact_below(self, epoch):
-        if epoch <= self.compacted_below:
-            return
-        self.compacted_below = epoch
         merged = {}
         for time, diff in self.entries.items():
             rep = (0,) + time[1:] if time[0] < epoch else time
@@ -193,22 +193,92 @@ class TestKeyTraceModelCheck:
             trace.check_cache()
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_monotone_query_schedule_with_compaction(self, seed):
-        """The engine's actual access pattern: lexicographically increasing
-        queries within an epoch, compaction at epoch rollover."""
+    def test_keyed_access_pattern(self, seed):
+        """The engine's actual access pattern: every epoch reads and writes
+        key times (0, it) at increasing iterations, with no compaction."""
         rng = random.Random(seed)
         trace = KeyTrace()
-        oracle = _BruteTrace()
+        full = _BruteTrace()
         for epoch in range(5):
-            trace.compact_below(epoch)
-            oracle.compact_below(epoch)
-            trace.check_cache()
             for it in range(4):
-                time = (epoch, it)
                 for _ in range(rng.randrange(3)):
                     diff = {rng.randrange(3): rng.choice([-1, 1])}
-                    trace.update(time, diff)
-                    oracle.update(time, diff)
-                assert trace.accumulate(time) == oracle.accumulate(time)
+                    trace.update(key_time((epoch, it)), diff)
+                    full.update((epoch, it), diff)
+                assert trace.accumulate(key_time((epoch, it))) == \
+                    full.accumulate((epoch, it))
                 trace.check_cache()
-            assert trace.entries == oracle.entries
+            assert len(trace.entries) <= 4
+
+
+# -- the keyed read contract --------------------------------------------------
+
+
+@st.composite
+def forward_ops(draw):
+    """Forward-only keyed traffic at one arity: ``("advance",)`` opens the
+    next epoch; writes and reads name a key and a loop suffix."""
+    arity = draw(st.integers(1, 3))
+    suffix = st.tuples(*[st.integers(0, 3)] * (arity - 1))
+    op = st.one_of(
+        st.tuples(st.just("advance")),
+        st.tuples(st.just("write"), st.sampled_from("kj"), suffix,
+                  st.integers(0, 2), st.integers(-2, 2).filter(bool)),
+        st.tuples(st.just("read"), st.sampled_from("kj"), suffix))
+    return draw(st.lists(op, max_size=40))
+
+
+class TestKeyedContractModelCheck:
+    @settings(max_examples=200, deadline=None)
+    @given(forward_ops())
+    def test_reads_at_the_current_epoch_match_full_times(self, ops):
+        trace = Trace()
+        full = {"k": _BruteTrace(), "j": _BruteTrace()}
+        epoch = 0
+        for op in ops:
+            if op[0] == "advance":
+                epoch += 1
+                continue
+            key, time = op[1], (epoch,) + op[2]
+            if op[0] == "write":
+                trace.update_batch(time, {key: {op[3]: op[4]}})
+                full[key].update(time, {op[3]: op[4]})
+            else:
+                assert trace.accumulate(key, key_time(time)) == \
+                    full[key].accumulate(time)
+            for name, reference in full.items():
+                stored = trace.get(name)
+                # Entries fold per suffix; a key whose diffs all cancel
+                # leaves no entry at all.
+                folded = {}
+                for t, diff in reference.entries.items():
+                    add_into(folded.setdefault(key_time(t), {}), diff)
+                folded = {t: d for t, d in folded.items() if d}
+                if not folded:
+                    assert stored is None
+                else:
+                    assert stored.entries == folded
+                    stored.check_cache()
+
+    @settings(max_examples=200, deadline=None)
+    @given(forward_ops())
+    def test_schedule_is_the_closure_in_the_current_epoch(self, ops):
+        schedule = TimeSchedule()
+        arrived = {"k": set(), "j": set()}
+        epoch = 0
+        for op in ops:
+            if op[0] == "advance":
+                epoch += 1
+                continue
+            key, time = op[1], (epoch,) + op[2]
+            for pending in list(schedule.pending_times()):
+                schedule.tasks_at(pending)
+            schedule.schedule([key], time)
+            arrived[key].add(time)
+            want = {u for u in lub_closure(arrived[key]) if leq(time, u)}
+            assert all(u[0] == epoch for u in want)
+            got = set()
+            for pending in list(schedule.pending_times()):
+                assert schedule.tasks_at(pending) == {key}
+                got.add(pending)
+            assert got == want

@@ -1,4 +1,5 @@
-"""Tests for difference traces, accumulation, compaction, and scheduling."""
+"""Tests for difference traces, accumulation, the capture log's fold,
+and scheduling."""
 
 import random
 
@@ -7,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.differential.timestamp import leq, lub, lub_closure
-from repro.differential.trace import (
-    KEY_FOLD_THRESHOLD,
-    KeyTrace,
-    TimeSchedule,
-    Trace,
-)
+from repro.differential.trace import KeyTrace, TimeSchedule, Trace, key_time
 
 times2 = st.tuples(st.integers(0, 4), st.integers(0, 4))
 entries = st.lists(
@@ -33,7 +29,7 @@ class TestKeyTrace:
         trace = KeyTrace()
         trace.update((0,), {"a": 1})
         trace.update((0,), {"a": -1})
-        assert trace.is_empty()
+        assert not trace.entries
 
     @given(entries)
     def test_accumulation_identity(self, updates):
@@ -50,7 +46,9 @@ class TestKeyTrace:
             assert trace.accumulate(probe) == expected
 
 
-class TestCompaction:
+class TestCaptureLogFold:
+    """``KeyTrace.compact_below``: the per-epoch capture log's fold."""
+
     @given(entries, st.integers(1, 5))
     def test_compaction_preserves_future_accumulations(self, updates, epoch):
         trace = KeyTrace()
@@ -85,59 +83,79 @@ class TestTrace:
         trace = Trace()
         assert trace.accumulate("nope", (0,)) == {}
 
-    def test_record_count(self):
-        trace = Trace()
-        trace.update("k", (0,), {"a": 1, "b": 1})
-        trace.update("k", (1,), {"a": -1})
-        trace.update("j", (0,), {"c": 1})
-        assert trace.record_count() == 4
+    def test_key_time_drops_the_epoch(self):
+        assert key_time((7,)) == (0,)
+        assert key_time((7, 3)) == (0, 3)
+        assert key_time((7, 3, 1)) == (0, 3, 1)
 
-    def test_maybe_compact_only_past_threshold(self):
+    def test_record_count_counts_the_folded_entries(self):
         trace = Trace()
-        for epoch in range(KEY_FOLD_THRESHOLD):
-            trace.update("k", (epoch, 0), {"a": 1})
-        trace.maybe_compact("k", KEY_FOLD_THRESHOLD)
-        assert len(trace.get("k").entries) == KEY_FOLD_THRESHOLD
-        trace.update("k", (KEY_FOLD_THRESHOLD, 0), {"a": 1})
-        trace.maybe_compact("k", KEY_FOLD_THRESHOLD + 1)
-        assert len(trace.get("k").entries) == 1
-        assert trace.accumulate("k", (30, 0)) == \
-            {"a": KEY_FOLD_THRESHOLD + 1}
+        trace.update_batch((0,), {"k": {"a": 1, "b": 1}, "j": {"c": 1}})
+        trace.update_batch((1,), {"k": {"a": -1}})
+        # Both epochs share the root key time: "a" cancelled there.
+        assert trace.record_count() == 2
+
+    def test_a_keyed_trace_holds_one_entry_per_loop_suffix(self):
+        trace = Trace()
+        for epoch in range(30):
+            trace.update_batch((epoch, 0), {"k": {"a": 1}})
+            trace.update_batch((epoch, 1), {"k": {"b": 1}})
+        assert set(trace.get("k").entries) == {(0, 0), (0, 1)}
+        assert trace.accumulate("k", key_time((30, 0))) == {"a": 30}
+        assert trace.accumulate("k", key_time((30, 1))) == \
+            {"a": 30, "b": 30}
+
+    def test_a_key_is_dropped_by_the_write_that_empties_it(self):
+        trace = Trace()
+        trace.update_batch((0,), {"gone": {"v": 1}, "kept": {"v": 1}})
+        trace.update_batch((1,), {"gone": {"v": -1}})
+        assert "gone" not in trace and "kept" in trace
+        trace.update("kept", (0,), {"v": -1})
+        assert "kept" not in trace
 
 
 class TestTimeSchedule:
     def test_simple_scheduling(self):
         schedule = TimeSchedule()
-        schedule.schedule("k", (0, 1))
+        schedule.schedule(["k"], (0, 1))
         assert schedule.tasks_at((0, 1)) == {"k"}
         assert not list(schedule.pending_times())
 
     def test_lub_closure_scheduling(self):
         schedule = TimeSchedule()
-        schedule.schedule("k", (0, 5))
+        schedule.schedule(["k"], (0, 5))
         schedule.tasks_at((0, 5))
         # A later diff at an incomparable time must also schedule the join.
-        schedule.schedule("k", (1, 2))
+        schedule.schedule(["k"], (1, 2))
         pending = set(schedule.pending_times())
         assert (1, 2) in pending
         assert (1, 5) in pending
 
     def test_redirty_reschedules_later_joins(self):
         schedule = TimeSchedule()
-        schedule.schedule("k", (0, 5))
-        schedule.schedule("k", (1, 2))
+        schedule.schedule(["k"], (0, 5))
+        schedule.schedule(["k"], (1, 2))
         for time in list(schedule.pending_times()):
             schedule.tasks_at(time)
         # Re-dirtying (1, 2) must re-enqueue (1, 5) too.
-        schedule.schedule("k", (1, 2))
+        schedule.schedule(["k"], (1, 2))
         assert (1, 5) in set(schedule.pending_times())
+
+    def test_root_scope_keys_schedule_only_their_time(self):
+        schedule = TimeSchedule()
+        for epoch in range(5):
+            schedule.schedule({"a": {}, "b": {}}, (epoch,))
+            assert schedule._agenda == {(epoch,): {"a", "b"}}
+            assert not schedule._seen
+            schedule.tasks_at((epoch,))
 
     @given(st.lists(times2, min_size=1, max_size=6))
     def test_scheduled_times_cover_upward_closure(self, arrival_times):
         """Every closure element >= the last arrival gets a task."""
+        arrival_times = sorted(arrival_times, key=lambda time: time[0])
         schedule = TimeSchedule()
         for time in arrival_times:
-            schedule.schedule("k", time)
+            schedule.schedule(["k"], time)
         closure = lub_closure(arrival_times)
         last = arrival_times[-1]
         pending = set(schedule.pending_times())
@@ -146,27 +164,20 @@ class TestTimeSchedule:
                 assert element in pending
 
 
-# -- scheduling pins: exact task sets and per-slot key order ------------------
+# -- scheduling pins: per-slot key order --------------------------------------
 
 
 class _FrontierWalkSchedule:
-    """Reference scheduler: the frontier walk the engine used before the
-    one-pass closure update. Kept verbatim so the per-slot key order of
-    the real scheduler can be compared against it."""
+    """Reference scheduler: the frontier walk over a key's full times,
+    one arrival at a time. The per-slot key order of the real scheduler
+    is compared against it."""
 
     def __init__(self):
         self._seen = {}
         self._agenda = {}
 
     def schedule(self, key, time):
-        seen = self._seen.get(key)
-        if seen is None:
-            seen = set()
-            self._seen[key] = seen
-        if len(seen) > 48:
-            epoch = time[0]
-            seen = {((0,) + s[1:]) if s[0] < epoch else s for s in seen}
-            self._seen[key] = seen
+        seen = self._seen.setdefault(key, set())
         if time not in seen:
             frontier = [time]
             while frontier:
@@ -190,25 +201,25 @@ class _FrontierWalkSchedule:
         return self._agenda.pop(time, set())
 
 
-#: Coordinate range per arity: wide enough that a key's closure can pass
-#: the scheduler's 48-time compaction threshold.
+#: Coordinate range per arity.
 _COORD = {1: 60, 2: 9, 3: 4}
 
 
 @st.composite
 def arrivals(draw, max_size=40):
-    """A sequence of ``(key, time)`` arrivals (repeats allowed) at one
-    random arity."""
+    """A forward-only sequence of ``(key, time)`` arrivals (repeats
+    allowed) at one random arity: epochs never decrease, as the epoch
+    driver guarantees."""
     arity = draw(st.integers(1, 3))
     time = st.tuples(*[st.integers(0, _COORD[arity])] * arity)
-    return draw(st.lists(
+    drawn = draw(st.lists(
         st.tuples(st.sampled_from("abc"), time), min_size=1,
         max_size=max_size))
+    return sorted(drawn, key=lambda arrival: arrival[1][0])
 
 
 def _engine_order_arrivals(seed, arity, count=140):
-    """Epoch-major arrivals for two keys, as the engine produces them:
-    long enough to cross the compaction threshold at every arity."""
+    """Epoch-major arrivals for two keys, as the engine produces them."""
     rng = random.Random(seed)
     out = []
     epoch = 0
@@ -219,41 +230,13 @@ def _engine_order_arrivals(seed, arity, count=140):
     return out
 
 
-def _check_exact(arrival_seq):
-    """Each call enqueues the key at exactly the closure elements >= t.
-
-    The model keeps each key's lub-closed time set, compacted by the
-    same rule as the scheduler (past epochs fold to epoch 0 once a key
-    holds more than 48 times). Returns the largest set a key reached."""
-    schedule = TimeSchedule()
-    model = {}
-    largest = 0
-    for key, time in arrival_seq:
-        seen = model.get(key, set())
-        largest = max(largest, len(seen))
-        if len(seen) > 48:
-            seen = {((0,) + s[1:]) if s[0] < time[0] else s for s in seen}
-        closure = lub_closure(seen | {time})
-        model[key] = closure
-        want = {u for u in closure if leq(time, u)}
-        got = set()
-        for pending in list(schedule.pending_times()):
-            assert schedule.tasks_at(pending) == set()
-        schedule.schedule(key, time)
-        for pending in list(schedule.pending_times()):
-            assert schedule.tasks_at(pending) == {key}
-            got.add(pending)
-        assert got == want, (key, time)
-    return largest
-
-
 def _check_order(arrival_seq, drain_every=5):
     """Per agenda slot, key order matches the reference scheduler, with
     slots drained along the way as the engine's flushes do."""
     schedule = TimeSchedule()
     reference = _FrontierWalkSchedule()
     for step, (key, time) in enumerate(arrival_seq):
-        schedule.schedule(key, time)
+        schedule.schedule([key], time)
         reference.schedule(key, time)
         assert ({t: list(keys) for t, keys in schedule._agenda.items()}
                 == {t: list(keys) for t, keys in reference._agenda.items()})
@@ -266,18 +249,17 @@ def _check_order(arrival_seq, drain_every=5):
 class TestSchedulePins:
     @settings(max_examples=150, deadline=None)
     @given(arrivals())
-    def test_enqueues_exactly_the_upward_closure(self, arrival_seq):
-        _check_exact(arrival_seq)
-
-    @settings(max_examples=150, deadline=None)
-    @given(arrivals())
     def test_slot_key_order_matches_reference(self, arrival_seq):
         _check_order(arrival_seq)
 
     @pytest.mark.parametrize("arity", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(3))
-    def test_past_compaction_threshold(self, arity, seed):
+    def test_long_engine_order_sequences(self, arity, seed):
         arrival_seq = _engine_order_arrivals(seed, arity)
-        # The sequence really exercises the > 48 compaction path.
-        assert _check_exact(arrival_seq) > 48
         _check_order(arrival_seq)
+        schedule = TimeSchedule()
+        for key, time in arrival_seq:
+            schedule.schedule([key], time)
+        # A key keeps its loop suffixes, never one entry per epoch.
+        for seen in schedule._seen.values():
+            assert len(seen) <= 6 ** (arity - 1)

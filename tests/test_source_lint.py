@@ -16,9 +16,9 @@ def under src/repro is reached only by tests: each needs a live caller in
 the package, perf/, examples/ or benchmarks/, bar the test oracles listed
 in ``ORACLES`` (see docs/verification.md). Likewise no defaulted
 parameter of such a def outlives its setters: one of the live calls must
-pass it, bar the seams listed in ``SEAMS``. And closed epochs fold in one
-place: the ``_compacted_below`` guard and the ``(0,) + t[1:]`` epoch fold
-appear only in ``differential/trace.py``.
+pass it, bar the seams listed in ``SEAMS``. And history folds in one
+place: the capture log's fold (the one ``compact_below`` def) and the
+``(0,) + t[1:]`` epoch fold appear only in ``differential/trace.py``.
 """
 
 import ast
@@ -232,27 +232,28 @@ def test_request_rule_flags_copies():
 FOLD_OWNER = "differential/trace.py"
 
 
-#: The guard that skips a fold already applied, as an attribute or slot.
-FOLD_GUARD = "_compacted_below"
+#: A def of this name folds a per-epoch history after the fact; the
+#: capture log's (``KeyTrace.compact_below``) is the only one left.
+FOLD_DEF = "compact_below"
 #: ``(0,) + t[1:]``: a time mapped onto its epoch-0 representative.
 EPOCH_FOLD = re.compile(r"\(0,\) \+ [\w.]+\[1:\]")
 
 
 def history_fold_copies(source):
-    """``(line, what)`` for each fold guard or epoch fold in a module."""
+    """``(line, what)`` for each fold def or epoch fold in a module."""
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.BinOp) and \
                 EPOCH_FOLD.fullmatch(ast.unparse(node)):
             yield node.lineno, "(0,) + t[1:]"
-        elif FOLD_GUARD in (getattr(node, "attr", None),
-                            getattr(node, "id", None),
-                            getattr(node, "value", None)):
-            yield node.lineno, FOLD_GUARD
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.name == FOLD_DEF:
+            yield node.lineno, FOLD_DEF
 
 
 def test_history_folds_only_in_the_trace_module():
-    """One owner for folding closed epochs: every other store of
-    timestamped differences keeps a ``KeyTrace`` instead of a copy."""
+    """One owner for folding history: keyed traces fold a time to its key
+    time as they write, the capture log folds closed epochs on request,
+    and no other store of timestamped differences keeps a copy."""
     package = ROOT / "src" / "repro"
     found = [f"{path.relative_to(ROOT)}:{line}: {what}"
              for path in sorted(package.rglob("*.py"))
@@ -260,24 +261,24 @@ def test_history_folds_only_in_the_trace_module():
              for line, what in history_fold_copies(path.read_text())]
     assert not found, "history folded outside the trace module:\n" + \
         "\n".join(found)
-    owner = (package / FOLD_OWNER).read_text()
-    assert {what for _line, what in history_fold_copies(owner)} == \
-        {"(0,) + t[1:]", "_compacted_below"}
+    owner = [what for _line, what in
+             history_fold_copies((package / FOLD_OWNER).read_text())]
+    assert owner.count(FOLD_DEF) == 1, \
+        "the capture log's fold is the one compact_below"
+    assert "(0,) + t[1:]" in owner
 
 
 def test_fold_rule_flags_planted_copies():
     source = ('class Log:\n'
-              '    __slots__ = ("_compacted_below",)\n'
-              '    def fold(self, time, epoch):\n'
-              '        if epoch <= self._compacted_below:\n'
-              '            return time\n'
+              '    def compact_below(self, epoch):\n'
+              '        return {(0,) + t[1:]: d for t, d in self.entries}\n'
+              '    def compact(self, time):\n'
               '        return (0,) + time[1:]\n'
               'keep = (0,) + time[2:]\n'
               'other = (1,) + time[1:]\n'
               'whole = (0,) + time[1:3]\n')
     assert sorted(history_fold_copies(source)) == [
-        (2, "_compacted_below"), (4, "_compacted_below"),
-        (6, "(0,) + t[1:]")]
+        (2, "compact_below"), (3, "(0,) + t[1:]"), (5, "(0,) + t[1:]")]
 
 
 #: Oracles: checks and references the tests compare the engine against.
