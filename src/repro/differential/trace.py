@@ -38,14 +38,11 @@ from typing import Any, Dict, Iterable, Iterator, Optional, Set
 from repro.differential.multiset import Diff, add_into, consolidate
 from repro.differential.timestamp import Time, leq, lub
 
-#: The key time of every root-scope time.
-ROOT_KEY_TIME: Time = (0,)
-
 
 def key_time(time: Time) -> Time:
     """The time a keyed trace stores and reads ``time`` at: its loop
     suffix behind epoch 0 (see the module's read contract)."""
-    return ROOT_KEY_TIME if len(time) == 1 else (0,) + time[1:]
+    return (0,) if len(time) == 1 else (0,) + time[1:]
 
 
 class KeyTrace:
